@@ -35,6 +35,7 @@ from .circuit import (
     GateKind,
     encoding_length,
     fragment_of,
+    require_fragment,
     subcircuit_at,
 )
 from .errors import FragmentError
@@ -64,18 +65,9 @@ class CutoffProfile:
         return self.cutoffs[gid]
 
 
-def _check_clampable(c: Circuit):
-    frag = fragment_of(c)
-    allowed = CLAMPABLE_VECTOR if c.vector else CLAMPABLE_SCALAR
-    extra = frag - allowed
-    if extra:
-        names = ", ".join(sorted(str(k) for k in extra))
-        raise FragmentError(f"no cutoff argument covers gates of kind: {names}")
-
-
 def certified_cutoff(c: Circuit) -> CutoffProfile:
     """Per-gate 2^|C_g| + 1. Values are exact ints (often enormous)."""
-    _check_clampable(c)
+    require_fragment(c, CLAMPABLE_VECTOR if c.vector else CLAMPABLE_SCALAR, "cutoff argument")
     cut = {}
     for g in c.gates:
         size = encoding_length(subcircuit_at(c, g.gid))
@@ -85,7 +77,7 @@ def certified_cutoff(c: Circuit) -> CutoffProfile:
 
 def structural_cutoff(c: Circuit) -> CutoffProfile:
     """The per-gate recurrence; cutoffs stay near the circuit's label scale."""
-    _check_clampable(c)
+    require_fragment(c, CLAMPABLE_VECTOR if c.vector else CLAMPABLE_SCALAR, "cutoff argument")
     cut = {}
     for g in c.gates:
         if g.kind is GateKind.INPUT:

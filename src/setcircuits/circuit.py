@@ -30,6 +30,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from .errors import FragmentError
+
 
 class GateKind(enum.Enum):
     INPUT = "input"
@@ -116,10 +118,13 @@ class Circuit:
     dim: int = 1
     vector: bool = False
     _by_id: dict = field(init=False, repr=False, compare=False, default=None)
+    _fragment: frozenset = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_by_id", {g.gid: g for g in self.gates})
         _validate(self)
+        kinds = frozenset(g.kind for g in self.gates) - {GateKind.INPUT}
+        object.__setattr__(self, "_fragment", kinds)
 
     def gate(self, gid: int) -> Gate:
         return self._by_id[gid]
@@ -325,8 +330,22 @@ def _format_label(v):
 # structure queries
 
 def fragment_of(c: Circuit) -> frozenset[GateKind]:
-    """The set of non-input gate kinds occurring in c. Computed fresh each call."""
-    return frozenset(g.kind for g in c.gates if g.kind is not GateKind.INPUT)
+    """The set of non-input gate kinds occurring in c, computed when c was built."""
+    return c._fragment
+
+
+def require_fragment(c: Circuit, allowed: frozenset, what: str, vector: bool | None = None):
+    """Raise FragmentError unless c uses only the allowed gate kinds.
+
+    With vector given, c must also be a circuit of that domain.
+    """
+    if vector is not None and c.vector != vector:
+        dom = "vector" if vector else "scalar"
+        raise FragmentError(f"{what} runs on {dom} circuits")
+    extra = c._fragment - allowed
+    if extra:
+        names = ", ".join(sorted(str(k) for k in extra))
+        raise FragmentError(f"{what} does not support gates of kind: {names}")
 
 
 def bits(k: int) -> int:

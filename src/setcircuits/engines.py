@@ -20,16 +20,19 @@ Each engine decides "is b in I(C)?" for a class of circuits:
 * eval_grid_reference: numpy-based reference for vector circuits at one
   uniform grid width; used by xcheck as an independent implementation.
 
-decide() picks a route from the circuit's fragment; transforms reroute
-mul-heavy fragments through the vector domain. Fragments mixing comp with
-both add and mul are refused (OpenFragmentError): no decision procedure is
-known for them.
+The engine table _ENGINES is the one place an engine's domain, fragment and
+preparation are declared; decide(), applicable_engines() and
+xcheck_circuit() all read it. decide() picks a route from the circuit's
+fragment; transforms reroute mul-heavy fragments through the vector domain.
+Fragments mixing comp with both add and mul are refused
+(OpenFragmentError): no decision procedure is known for them.
 """
 from __future__ import annotations
 
 import itertools
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -41,7 +44,7 @@ from .bounds import (
     cutoff_profile,
     structural_cutoff,
 )
-from .circuit import INF, Circuit, GateKind, fragment_of
+from .circuit import INF, Circuit, GateKind, fragment_of, require_fragment
 from .errors import BudgetExceeded, FragmentError, OpenFragmentError
 from .setrep import (
     NatSetRep,
@@ -51,7 +54,7 @@ from .setrep import (
     vecrep_apply,
     vecrep_from_label,
 )
-from .transforms import to_vector_gcdfree, to_vector_primefact
+from .transforms import GCDFREE_SCALAR, PRIMEFACT_SCALAR, to_vector_gcdfree, to_vector_primefact
 
 SINGLETON_SCALAR = frozenset({GateKind.INTER, GateKind.ADD, GateKind.MUL, GateKind.DIV})
 SINGLETON_VECTOR = frozenset({GateKind.INTER, GateKind.ADD, GateKind.SUB})
@@ -59,8 +62,6 @@ EXACT_SCALAR = frozenset(
     {GateKind.UNION, GateKind.INTER, GateKind.ADD, GateKind.MUL, GateKind.DIV}
 )
 EXACT_VECTOR = frozenset({GateKind.UNION, GateKind.INTER, GateKind.ADD, GateKind.SUB})
-GCDFREE_SCALAR = frozenset({GateKind.UNION, GateKind.INTER, GateKind.MUL, GateKind.DIV})
-PRIMEFACT_SCALAR = GCDFREE_SCALAR | {GateKind.COMP}
 
 
 @dataclass(frozen=True)
@@ -83,16 +84,6 @@ class MembershipVerdict:
     witness: dict | None = None
 
 
-def _require(c: Circuit, allowed: frozenset, engine: str, vector: bool):
-    if c.vector != vector:
-        dom = "vector" if vector else "scalar"
-        raise FragmentError(f"{engine} runs on {dom} circuits")
-    extra = fragment_of(c) - allowed
-    if extra:
-        names = ", ".join(sorted(str(k) for k in extra))
-        raise FragmentError(f"{engine} does not support gates of kind: {names}")
-
-
 # ---------------------------------------------------------------------------
 # singleton propagation
 
@@ -102,7 +93,7 @@ def eval_singleton(c: Circuit) -> dict:
     Each gate's set has at most one element by construction; the dict maps
     gate id to that element or to None for the empty set.
     """
-    _require(c, SINGLETON_SCALAR, "singleton evaluation", vector=False)
+    require_fragment(c, SINGLETON_SCALAR, "singleton evaluation", vector=False)
     val: dict = {}
     for g in c.gates:
         if g.kind is GateKind.INPUT:
@@ -124,7 +115,7 @@ def eval_singleton(c: Circuit) -> dict:
 
 def eval_singleton_vector(c: Circuit) -> dict:
     """Per-gate value for {inter, add, sub} vector circuits (tuple, INF, or None)."""
-    _require(c, SINGLETON_VECTOR, "singleton vector evaluation", vector=True)
+    require_fragment(c, SINGLETON_VECTOR, "singleton vector evaluation", vector=True)
     val: dict = {}
     for g in c.gates:
         if g.kind is GateKind.INPUT:
@@ -156,8 +147,7 @@ def eval_singleton_vector(c: Circuit) -> dict:
 
 def eval_exact(c: Circuit, budget: EngineBudget = DEFAULT_BUDGET) -> dict:
     """Materialize every gate's finite set for comp-free circuits."""
-    allowed = EXACT_VECTOR if c.vector else EXACT_SCALAR
-    _require(c, allowed, "exact evaluation", vector=c.vector)
+    require_fragment(c, EXACT_VECTOR if c.vector else EXACT_SCALAR, "exact evaluation")
     sets: dict = {}
     for g in c.gates:
         if g.kind is GateKind.INPUT:
@@ -190,7 +180,7 @@ def eval_clamped_scalar(
     Returns (reps, output rep). Exact under the clamped reading at the
     profile's cutoffs.
     """
-    _require(c, CLAMPABLE_SCALAR, "clamped scalar evaluation", vector=False)
+    require_fragment(c, CLAMPABLE_SCALAR, "clamped scalar evaluation", vector=False)
     prof = _resolve_profile(c, mode)
     reps: dict = {}
     for g in c.gates:
@@ -213,7 +203,7 @@ def eval_clamped_vector(
     budget: EngineBudget = DEFAULT_BUDGET,
 ):
     """Per-gate VecSetRep for {union, inter, comp, add, sub} vector circuits."""
-    _require(c, CLAMPABLE_VECTOR, "clamped vector evaluation", vector=True)
+    require_fragment(c, CLAMPABLE_VECTOR, "clamped vector evaluation", vector=True)
     prof = _resolve_profile(c, mode)
     reps: dict = {}
     for g in c.gates:
@@ -258,16 +248,23 @@ def search_member(
     sub (x + y) are enumerated inside exact bounds mirroring the clamped
     representations. comp is plain logical negation of the predecessor query.
     """
-    allowed = CLAMPABLE_VECTOR if c.vector else CLAMPABLE_SCALAR
-    _require(c, allowed, "membership search", vector=c.vector)
-    st = _SearchState(c, _resolve_profile(c, mode), budget)
-    if c.vector:
-        res = _search_vec(st, c.output, x)
-    else:
-        res = _search_nat(st, c.output, x)
+    require_fragment(c, CLAMPABLE_VECTOR if c.vector else CLAMPABLE_SCALAR, "membership search")
+    res, stats, _ = _prepare_search(c, mode, budget)(x)
     if _stats is not None:
-        _stats["memo_entries"] = len(st.memo) + len(st.nonempty_memo)
+        _stats.update(stats)
     return res
+
+
+def _prepare_search(c, mode, budget):
+    """One memo shared by every query; the fragment is the caller's to check."""
+    st = _SearchState(c, _resolve_profile(c, mode), budget)
+    walk = _search_vec if c.vector else _search_nat
+
+    def member(x):
+        res = walk(st, c.output, x)
+        return res, {"memo_entries": len(st.memo) + len(st.nonempty_memo)}, None
+
+    return member
 
 
 def _search_nat(st: _SearchState, gid: int, v: int) -> bool:
@@ -399,7 +396,7 @@ def certificate_search(c: Circuit, b: int, budget: EngineBudget = DEFAULT_BUDGET
     """
     from .transforms import expand_formula
 
-    _require(c, EXACT_SCALAR, "certificate search", vector=False)
+    require_fragment(c, EXACT_SCALAR, "certificate search", vector=False)
     f = expand_formula(c, max_gates=budget.max_formula_gates)
     st = _CertState(f, _formula_value_bounds(f), budget)
     ok = _cert_can(st, f.output, b)
@@ -571,7 +568,7 @@ def verify_certificate(c: Circuit, b: int, witness: dict) -> bool:
     """
     from .transforms import expand_formula
 
-    _require(c, EXACT_SCALAR, "certificate verification", vector=False)
+    require_fragment(c, EXACT_SCALAR, "certificate verification", vector=False)
     f = expand_formula(c)
     if witness.get(f.output) != b:
         return False
@@ -613,7 +610,7 @@ def eval_grid_reference(c: Circuit, margin: int = 2, budget: EngineBudget = DEFA
     width) where grids[gid][p] is membership of the literal point p and
     index width in a coordinate stands for "that coordinate >= width".
     """
-    _require(c, CLAMPABLE_VECTOR, "grid reference evaluation", vector=True)
+    require_fragment(c, CLAMPABLE_VECTOR, "grid reference evaluation", vector=True)
     prof = structural_cutoff(c)
     width = max(prof.cutoffs.values()) + margin
     m = c.dim
@@ -671,6 +668,96 @@ def grid_reference_member(grids, infs, width, gid, x) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the engine table
+
+@dataclass(frozen=True)
+class _Engine:
+    fragment: frozenset  # the gate kinds the engine accepts
+    cutoff: str | None  # the cutoff mode it reports; None: the mode it was given
+    # prepare(c, cutoff_mode, budget) returns member(q) -> (member, stats, witness).
+    # The caller checks the fragment. Layer functions are looked up by their
+    # module-global names at call time, never stored here, so a wrapper
+    # installed on those names sees every call.
+    prepare: Callable
+
+
+def _prepare_singleton(c, mode, budget):
+    val = (eval_singleton_vector if c.vector else eval_singleton)(c)[c.output]
+    return lambda q: (val == q, {}, None)
+
+
+def _prepare_exact(c, mode, budget):
+    out = eval_exact(c, budget)[c.output]
+    return lambda q: (q in out, {}, None)
+
+
+def _prepare_clamped(c, mode, budget):
+    rep = (eval_clamped_vector if c.vector else eval_clamped_scalar)(c, mode, budget)[1]
+    return lambda q: (rep.member(q), {}, None)
+
+
+def _prepare_certificate(c, mode, budget):
+    def member(b):
+        ok, witness, stats = certificate_search(c, b, budget)
+        return ok, stats, witness
+
+    return member
+
+
+def _prepare_grid(c, mode, budget):
+    grids, infs, width = eval_grid_reference(c, budget=budget)
+    return lambda x: (grid_reference_member(grids, infs, width, c.output, x), {}, None)
+
+
+def _through_vector(kind: str, row: str):
+    """prepare for a scalar circuit decided on its exponent-vector image.
+
+    kind is the ExponentMap kind, "gcd-free" or "prime-factors". The basis
+    depends on the query, so the vector engine `row` is prepared once per
+    basis met.
+    """
+
+    def prepare(c, mode, budget):
+        prepared: dict = {}
+
+        def member(b):
+            transform = to_vector_primefact if kind == "prime-factors" else to_vector_gcdfree
+            vc, q, emap = transform(c, b)
+            fn = prepared.get(emap.base)
+            if fn is None:
+                fn = prepared[emap.base] = _ENGINES[row, True].prepare(vc, mode, budget)
+            ok, stats, witness = fn(q)
+            return ok, {**stats, "transform": kind, "dim": vc.dim}, witness
+
+        return member
+
+    return prepare
+
+
+# keyed by (engine name, runs on vector circuits); scalar rows come first, in
+# the order applicable_engines lists them
+_ENGINES: dict[tuple[str, bool], _Engine] = {
+    ("singleton", False): _Engine(SINGLETON_SCALAR, "none", _prepare_singleton),
+    ("exact", False): _Engine(EXACT_SCALAR, "none", _prepare_exact),
+    ("certificate", False): _Engine(EXACT_SCALAR, "none", _prepare_certificate),
+    ("clamped-scalar", False): _Engine(CLAMPABLE_SCALAR, None, _prepare_clamped),
+    ("search", False): _Engine(CLAMPABLE_SCALAR, None, _prepare_search),
+    ("exact-vector", False): _Engine(GCDFREE_SCALAR, "none", _through_vector("gcd-free", "exact")),
+    ("singleton-vector", False): _Engine(
+        GCDFREE_SCALAR - {GateKind.UNION}, "none", _through_vector("gcd-free", "singleton-vector")
+    ),
+    ("clamped-vector", False): _Engine(
+        PRIMEFACT_SCALAR, None, _through_vector("prime-factors", "clamped-vector")
+    ),
+    ("singleton-vector", True): _Engine(SINGLETON_VECTOR, "none", _prepare_singleton),
+    ("exact", True): _Engine(EXACT_VECTOR, "none", _prepare_exact),
+    ("clamped-vector", True): _Engine(CLAMPABLE_VECTOR, None, _prepare_clamped),
+    ("search", True): _Engine(CLAMPABLE_VECTOR, None, _prepare_search),
+    ("grid-reference", True): _Engine(CLAMPABLE_VECTOR, "structural", _prepare_grid),
+}
+
+
+# ---------------------------------------------------------------------------
 # dispatch
 
 def decide(
@@ -689,26 +776,38 @@ def decide(
     tuple or INF queries and use the vector engines directly.
     """
     t0 = time.perf_counter()
-    v = _dispatch(c, b, engine, cutoff_mode, budget)
-    elapsed = int((time.perf_counter() - t0) * 1e6)
-    stats = dict(v.stats)
-    stats.setdefault("gates", len(c))
-    stats["micros"] = elapsed
-    return MembershipVerdict(
-        member=v.member,
-        engine=v.engine,
-        cutoff_mode=v.cutoff_mode,
-        stats=stats,
-        witness=v.witness,
-    )
+    name = _pick_engine(c) if engine == "auto" else engine
+    q = _check_query(c, b)
+    row = _ENGINES.get((name, c.vector))
+    if row is None:
+        dom = "vector" if c.vector else "scalar"
+        raise ValueError(f"unknown engine {name!r} for {dom} circuits")
+    require_fragment(c, row.fragment, name)
+    try:
+        member = row.prepare(c, cutoff_mode, budget)
+    except BudgetExceeded:
+        if (name, c.vector) != ("exact", False):
+            raise
+        name = "certificate"  # same fragment, guess values instead of sets
+        row = _ENGINES[name, False]
+        member = row.prepare(c, cutoff_mode, budget)
+    ok, stats, witness = member(q)
+    stats = {**stats, "gates": len(c), "micros": int((time.perf_counter() - t0) * 1e6)}
+    return MembershipVerdict(ok, name, row.cutoff or _mode_name(cutoff_mode), stats, witness)
 
 
-def _dispatch(c, b, engine, cutoff_mode, budget) -> MembershipVerdict:
-    if engine == "auto":
-        engine = _pick_engine(c)
-    if c.vector:
-        return _run_vector_engine(c, b, engine, cutoff_mode, budget)
-    return _run_scalar_engine(c, b, engine, cutoff_mode, budget)
+def _check_query(c: Circuit, b):
+    """The query in the form the engines take; bools are not numbers here."""
+    if not c.vector:
+        if not isinstance(b, int) or isinstance(b, bool) or b < 0:
+            raise ValueError(f"query must be a natural number, got {b!r}")
+        return b
+    if b is INF:
+        return b
+    x = tuple(b) if isinstance(b, (tuple, list)) else ()
+    if len(x) != c.dim or any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in x):
+        raise ValueError(f"query must be a {c.dim}-tuple of naturals or inf")
+    return x
 
 
 def _pick_engine(c: Circuit) -> str:
@@ -737,81 +836,6 @@ def _pick_engine(c: Circuit) -> str:
     return "clamped-vector"
 
 
-def _run_scalar_engine(c, b, engine, cutoff_mode, budget) -> MembershipVerdict:
-    if not isinstance(b, int) or b < 0:
-        raise ValueError(f"query must be a natural number, got {b!r}")
-    if engine == "singleton":
-        val = eval_singleton(c)
-        return MembershipVerdict(val[c.output] == b, "singleton", "none")
-    if engine == "exact":
-        try:
-            sets = eval_exact(c, budget)
-        except BudgetExceeded:
-            engine = "certificate"  # same fragment, guess values instead of sets
-        else:
-            return MembershipVerdict(b in sets[c.output], "exact", "none")
-    if engine == "certificate":
-        ok, witness, stats = certificate_search(c, b, budget)
-        return MembershipVerdict(ok, "certificate", "none", stats=stats, witness=witness)
-    if engine == "clamped-scalar":
-        reps, out = eval_clamped_scalar(c, cutoff_mode, budget)
-        return MembershipVerdict(out.member(b), "clamped-scalar", _mode_name(cutoff_mode))
-    if engine == "search":
-        stats: dict = {}
-        res = search_member(c, b, cutoff_mode, budget, _stats=stats)
-        return MembershipVerdict(res, "search", _mode_name(cutoff_mode), stats=stats)
-    if engine == "singleton-vector":
-        vc, q, emap = to_vector_gcdfree(c, b)
-        val = eval_singleton_vector(vc)
-        out = val[vc.output]
-        member = out == q or (out is INF and q is INF)
-        return MembershipVerdict(
-            member, "singleton-vector", "none", stats={"transform": "gcd-free", "dim": vc.dim}
-        )
-    if engine == "exact-vector":
-        vc, q, emap = to_vector_gcdfree(c, b)
-        sets = eval_exact(vc, budget)
-        return MembershipVerdict(
-            q in sets[vc.output], "exact", "none", stats={"transform": "gcd-free", "dim": vc.dim}
-        )
-    if engine == "clamped-vector":
-        vc, q, emap = to_vector_primefact(c, b)
-        reps, out = eval_clamped_vector(vc, cutoff_mode, budget)
-        return MembershipVerdict(
-            out.member(q),
-            "clamped-vector",
-            _mode_name(cutoff_mode),
-            stats={"transform": "prime-factors", "dim": vc.dim},
-        )
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-def _run_vector_engine(c, x, engine, cutoff_mode, budget) -> MembershipVerdict:
-    if x is not INF:
-        x = tuple(x)
-        if len(x) != c.dim or any(not isinstance(v, int) or v < 0 for v in x):
-            raise ValueError(f"query must be a {c.dim}-tuple of naturals or inf")
-    if engine == "singleton-vector":
-        val = eval_singleton_vector(c)
-        out = val[c.output]
-        return MembershipVerdict(out == x or (out is INF and x is INF), "singleton-vector", "none")
-    if engine == "exact":
-        sets = eval_exact(c, budget)
-        return MembershipVerdict(x in sets[c.output], "exact", "none")
-    if engine == "clamped-vector":
-        reps, out = eval_clamped_vector(c, cutoff_mode, budget)
-        return MembershipVerdict(out.member(x), "clamped-vector", _mode_name(cutoff_mode))
-    if engine == "search":
-        stats: dict = {}
-        res = search_member(c, x, cutoff_mode, budget, _stats=stats)
-        return MembershipVerdict(res, "search", _mode_name(cutoff_mode), stats=stats)
-    if engine == "grid-reference":
-        grids, infs, width = eval_grid_reference(c, budget=budget)
-        res = grid_reference_member(grids, infs, width, c.output, x)
-        return MembershipVerdict(res, "grid-reference", "structural")
-    raise ValueError(f"engine {engine!r} does not run on vector circuits")
-
-
 def _mode_name(mode) -> str:
     if isinstance(mode, CutoffProfile):
         return mode.mode.value
@@ -824,28 +848,11 @@ def _mode_name(mode) -> str:
 def applicable_engines(c: Circuit) -> list[str]:
     """Engine ids whose preconditions the circuit meets."""
     frag = fragment_of(c)
-    out = []
-    if c.vector:
-        if frag <= SINGLETON_VECTOR:
-            out.append("singleton-vector")
-        if frag <= EXACT_VECTOR:
-            out.append("exact")
-        if frag <= CLAMPABLE_VECTOR:
-            out.extend(["clamped-vector", "search", "grid-reference"])
-        return out
-    if frag <= SINGLETON_SCALAR:
-        out.append("singleton")
-    if frag <= EXACT_SCALAR:
-        out.extend(["exact", "certificate"])
-    if frag <= CLAMPABLE_SCALAR:
-        out.extend(["clamped-scalar", "search"])
-    if frag <= GCDFREE_SCALAR:
-        out.append("exact-vector")
-        if GateKind.UNION not in frag:
-            out.append("singleton-vector")
-    if frag <= PRIMEFACT_SCALAR:
-        out.append("clamped-vector")
-    return out
+    return [
+        name
+        for (name, vector), row in _ENGINES.items()
+        if vector == c.vector and frag <= row.fragment
+    ]
 
 
 def xcheck_circuit(
@@ -857,13 +864,13 @@ def xcheck_circuit(
     """Run every applicable engine on a shared query range; report disagreements.
 
     Scalar circuits probe b in [0, max_b]; vector circuits probe the grid up
-    to min(max_b, output cutoff + 2) per coordinate, plus inf. Engines whose
-    representation is query-independent are evaluated once and probed many
-    times; an engine whose budget runs out abstains. Returns human-readable
-    disagreement lines (empty means every engine that ran agrees).
+    to min(max_b, output cutoff + 2) per coordinate, plus inf. Each engine is
+    prepared once and probed with every query; an engine whose budget runs
+    out abstains. Returns human-readable disagreement lines (empty means
+    every engine that ran agrees).
     """
-    engines = applicable_engines(c)
-    if len(engines) < 2:
+    names = applicable_engines(c)
+    if len(names) < 2:
         return []
     problems = []
     if c.vector:
@@ -871,79 +878,20 @@ def xcheck_circuit(
         queries = list(itertools.product(range(top + 1), repeat=c.dim)) + [INF]
     else:
         queries = list(range(max_b + 1))
-    callables = []
-    for eng in engines:
+    members = []
+    for name in names:
         try:
-            callables.append((eng, _engine_callable(c, eng, cutoff_mode, budget)))
+            members.append((name, _ENGINES[name, c.vector].prepare(c, cutoff_mode, budget)))
         except BudgetExceeded:
             continue
     for q in queries:
         got = {}
-        for eng, fn in callables:
+        for name, member in members:
             try:
-                got[eng] = fn(q)
+                got[name] = member(q)[0]
             except BudgetExceeded:
                 continue
         if len(set(got.values())) > 1:
             desc = ", ".join(f"{e}={v}" for e, v in sorted(got.items()))
             problems.append(f"query {q}: {desc}")
     return problems
-
-
-def _engine_callable(c: Circuit, eng: str, cutoff_mode, budget):
-    """A membership closure for one engine, sharing state across queries."""
-    out = c.output
-    if eng == "singleton":
-        val = eval_singleton(c)[out]
-        return lambda b: val == b
-    if eng == "singleton-vector" and c.vector:
-        val = eval_singleton_vector(c)[out]
-        return lambda x: val == x or (val is INF and x is INF)
-    if eng == "exact":
-        sets = eval_exact(c, budget)[out]
-        return lambda b: b in sets
-    if eng == "certificate":
-        from .transforms import expand_formula
-
-        f = expand_formula(c, max_gates=budget.max_formula_gates)
-        st = _CertState(f, _formula_value_bounds(f), budget)
-        return lambda b: _cert_can(st, f.output, b)
-    if eng == "clamped-scalar":
-        rep = eval_clamped_scalar(c, cutoff_mode, budget)[1]
-        return rep.member
-    if eng == "clamped-vector" and c.vector:
-        rep = eval_clamped_vector(c, cutoff_mode, budget)[1]
-        return rep.member
-    if eng == "search":
-        st = _SearchState(c, _resolve_profile(c, cutoff_mode), budget)
-        if c.vector:
-            return lambda x: _search_vec(st, out, x)
-        return lambda b: _search_nat(st, out, b)
-    if eng == "grid-reference":
-        grids, infs, width = eval_grid_reference(c, budget=budget)
-        return lambda x: grid_reference_member(grids, infs, width, out, x)
-    if eng in ("singleton-vector", "exact-vector", "clamped-vector"):
-        # scalar circuit through a vectorizing transform; the exponent basis
-        # depends on the query, so cache evaluations per distinct basis
-        cache: dict = {}
-
-        def fn(b, _eng=eng):
-            tf = to_vector_primefact if _eng == "clamped-vector" else to_vector_gcdfree
-            vc, q, emap = tf(c, b)
-            key = emap.base
-            if key not in cache:
-                if _eng == "singleton-vector":
-                    cache[key] = ("val", eval_singleton_vector(vc)[vc.output])
-                elif _eng == "exact-vector":
-                    cache[key] = ("set", eval_exact(vc, budget)[vc.output])
-                else:
-                    cache[key] = ("rep", eval_clamped_vector(vc, cutoff_mode, budget)[1])
-            tag, payload = cache[key]
-            if tag == "val":
-                return payload == q or (payload is INF and q is INF)
-            if tag == "set":
-                return q in payload
-            return payload.member(q)
-
-        return fn
-    raise ValueError(f"engine {eng!r} is not applicable here")

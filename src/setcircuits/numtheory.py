@@ -18,10 +18,6 @@ class NotRepresentable(ValueError):
     """A number has no exponent decomposition over the given basis."""
 
 
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
-
-
 def primes_upto(n: int) -> list[int]:
     """All primes <= n by sieve. Guarded at 10**7."""
     if n > 10**7:

@@ -118,10 +118,6 @@ class NatSetRep:
         return cls(cutoff=cutoff, mask=mask)
 
 
-def natrep_member(rep: NatSetRep, z: int) -> bool:
-    return rep.member(z)
-
-
 def natrep_apply(
     kind: GateKind,
     a: NatSetRep,
@@ -241,10 +237,6 @@ class VecSetRep:
 
     def finite_nonempty(self) -> bool:
         return bool(self.cells)
-
-
-def vecrep_member(rep: VecSetRep, x) -> bool:
-    return rep.member(x)
 
 
 def _grid(n: int, dim: int):

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import INF, Circuit, Gate, GateKind, fragment_of
+from .circuit import INF, Circuit, Gate, GateKind, fragment_of, require_fragment
 from .errors import BudgetExceeded, FragmentError
 from .numtheory import exponents_over_basis, factorize, gcd_free_basis
+
+GCDFREE_SCALAR = frozenset({GateKind.UNION, GateKind.INTER, GateKind.MUL, GateKind.DIV})
+PRIMEFACT_SCALAR = GCDFREE_SCALAR | {GateKind.COMP}
 
 
 @dataclass(frozen=True)
@@ -49,15 +52,6 @@ class ExponentMap:
         return head + (rest,)
 
 
-def _require_scalar_fragment(c: Circuit, allowed: frozenset, what: str):
-    if c.vector:
-        raise FragmentError(f"{what} applies to scalar circuits")
-    extra = fragment_of(c) - allowed
-    if extra:
-        names = ", ".join(sorted(str(k) for k in extra))
-        raise FragmentError(f"{what} does not support gates of kind: {names}")
-
-
 def _map_gates(c: Circuit, emap: ExponentMap) -> Circuit:
     swap = {GateKind.MUL: GateKind.ADD, GateKind.DIV: GateKind.SUB}
     gates = []
@@ -76,8 +70,7 @@ def to_vector_gcdfree(c: Circuit, b: int):
     would introduce vectors with no preimage. Returns (vector circuit, query
     vector for b, the map).
     """
-    allowed = frozenset({GateKind.UNION, GateKind.INTER, GateKind.MUL, GateKind.DIV})
-    _require_scalar_fragment(c, allowed, "gcd-free vectorization")
+    require_fragment(c, GCDFREE_SCALAR, "gcd-free vectorization", vector=False)
     labels = [g.value for g in c.gates if g.kind is GateKind.INPUT]
     basis = gcd_free_basis(labels + [b])
     emap = ExponentMap(kind="gcd-free", base=basis.base)
@@ -91,10 +84,7 @@ def to_vector_primefact(c: Circuit, b: int):
     primes) makes the map's image membership track number membership even
     through complements. Returns (vector circuit, query vector, the map).
     """
-    allowed = frozenset(
-        {GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.MUL, GateKind.DIV}
-    )
-    _require_scalar_fragment(c, allowed, "prime-factor vectorization")
+    require_fragment(c, PRIMEFACT_SCALAR, "prime-factor vectorization", vector=False)
     primes = set()
     for g in c.gates:
         if g.kind is GateKind.INPUT and g.value >= 1:
@@ -117,7 +107,7 @@ def eliminate_cap(c: Circuit) -> Circuit:
     empty otherwise; multiplying p1 by it reproduces the intersection.
     """
     allowed = frozenset({GateKind.INTER, GateKind.ADD, GateKind.MUL, GateKind.DIV})
-    _require_scalar_fragment(c, allowed, "inter elimination")
+    require_fragment(c, allowed, "inter elimination", vector=False)
     if GateKind.INTER not in fragment_of(c):
         return c
     next_id = max(g.gid for g in c.gates) + 1

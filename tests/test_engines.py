@@ -27,7 +27,14 @@ from setcircuits import (
     xcheck_circuit,
 )
 
-from circgen import bounded_scalar, bounded_vector, random_scalar, random_vector
+from circgen import (
+    SCALAR_FULL,
+    VECTOR_FULL,
+    bounded_scalar,
+    bounded_vector,
+    random_scalar,
+    random_vector,
+)
 from refeval import exact_sets_bruteforce, ref_member_scalar, ref_member_vector
 
 TIGHT = EngineBudget(max_set_elems=10**5, max_grid_cells=3 * 10**5, max_memo_entries=3 * 10**5)
@@ -320,7 +327,7 @@ DISPATCH_CASES = [
     ("circuit v1\ngate 1 input 6\ngate 2 mul 1 1\ngate 3 div 2 1\ngate 4 add 3 1\n"
      "gate 5 inter 4 4\noutput 5\n", 12, "singleton", "none"),
     ("circuit v1\ngate 1 input 6\ngate 2 input 10\ngate 3 union 1 2\ngate 4 mul 3 1\n"
-     "output 4\n", 36, "exact", "none"),
+     "output 4\n", 36, "exact-vector", "none"),
     ("circuit v1\ngate 1 input 6\ngate 2 mul 1 1\noutput 2\n", 36, "singleton-vector", "none"),
     ("circuit v1\ngate 1 input 6\ngate 2 add 1 1\ngate 3 union 1 2\noutput 3\n",
      12, "exact", "none"),
@@ -375,11 +382,17 @@ class TestDecideDispatch:
             decide(sc, -1)
         with pytest.raises(ValueError):
             decide(sc, (1, 2))
+        with pytest.raises(ValueError):
+            decide(sc, True)
         vc = parse_circuit("vcircuit v1 dim 2\ngate 1 input 1,2\noutput 1\n")
         with pytest.raises(ValueError):
             decide(vc, (1,))
         with pytest.raises(ValueError):
             decide(vc, (1, -2))
+        with pytest.raises(ValueError):
+            decide(vc, (True, False))
+        with pytest.raises(ValueError):
+            decide(vc, 5)
         assert decide(vc, INF).member is False
 
     def test_engine_override_runs(self):
@@ -388,6 +401,65 @@ class TestDecideDispatch:
         b = decide(c, 7, engine="search")
         assert a.member == b.member is True
         assert b.engine == "search"
+
+
+def _engines_of_domain(vector: bool) -> list[str]:
+    # an input-only circuit uses no gate kind, so every engine of its domain applies
+    header, label = ("vcircuit v1 dim 2", "inf") if vector else ("circuit v1", "0")
+    return applicable_engines(parse_circuit(f"{header}\ngate 1 input {label}\noutput 1\n"))
+
+
+class TestEngineTable:
+    def _corpus(self):
+        for text, query, _, _ in DISPATCH_CASES:
+            yield parse_circuit(text), query
+        rng = random.Random(163)
+        for _ in range(150):
+            yield random_scalar(rng, SCALAR_FULL, max_gates=5, max_label=6), rng.randint(0, 12)
+        for _ in range(40):
+            c = random_vector(rng, VECTOR_FULL, dim=2, max_gates=4, max_coord=2)
+            yield c, rng.choice([INF, (rng.randint(0, 4), rng.randint(0, 4))])
+
+    def test_routes_and_forced_engines_follow_the_table(self):
+        engines = {v: _engines_of_domain(v) for v in (False, True)}
+        routes = set()
+        for c, q in self._corpus():
+            applicable = applicable_engines(c)
+            try:
+                auto = decide(c, q, budget=TIGHT)
+            except OpenFragmentError:
+                assert applicable == [], str(c)
+                auto = None
+                routes.add("open")
+            except BudgetExceeded:
+                auto = None
+            else:
+                assert auto.engine in applicable, str(c)
+                routes.add((c.vector, auto.engine))
+            for name in engines[c.vector]:
+                if name not in applicable:
+                    with pytest.raises(FragmentError):
+                        decide(c, q, engine=name, budget=TIGHT)
+                    continue
+                try:
+                    v = decide(c, q, engine=name, budget=TIGHT)
+                except BudgetExceeded:
+                    continue
+                assert v.engine == name or (name, v.engine) == ("exact", "certificate")
+                if auto is not None:
+                    assert v.member == auto.member, f"{name} q={q}\n{c}"
+        assert routes >= {
+            "open",
+            (False, "singleton"),
+            (False, "exact"),
+            (False, "exact-vector"),
+            (False, "singleton-vector"),
+            (False, "clamped-scalar"),
+            (False, "clamped-vector"),
+            (True, "singleton-vector"),
+            (True, "exact"),
+            (True, "clamped-vector"),
+        }
 
 
 class TestCutoffModesAgree:
