@@ -10,6 +10,7 @@ circuits that clamp fine.
 
 from setcircuits import (
     INF,
+    NotRepresentable,
     decide,
     parse_circuit,
     serialize_circuit,
@@ -29,14 +30,18 @@ output 4
 )
 
 # The gcd-free route factors only the labels that occur, not every prime.
+# The basis comes from the labels alone, so one image serves every query.
 vc, query, emap = to_vector_gcdfree(scalar, 36)
 print("gcd-free basis:", emap.base)
 print("36 becomes:", query)
 print(serialize_circuit(vc))
 
-for b in (36, 60, 100, 90):
-    vcb, qb, _ = to_vector_gcdfree(scalar, b)
-    print(f"{b} in output: {decide(vcb, qb).member}")
+for b in (36, 60, 100, 90, 42):
+    try:
+        print(f"{b} in output: {decide(vc, emap.apply(b)).member}")
+    except NotRepresentable:
+        # products and exact quotients never leave the basis: not a member
+        print(f"{b} in output: False (no exponents over the basis)")
 print()
 
 # Zero has no factorization; it rides along as the absorbing point inf.
@@ -45,8 +50,9 @@ vc0, q0, _ = to_vector_gcdfree(zero_circ, 0)
 print("query 0 maps to:", "inf" if q0 is INF else q0)
 assert decide(vc0, q0).member
 
-# The prime-factor route keys one slot per query prime and pools the rest,
-# which is what lets complement gates come along.
+# The prime-factor route keys one slot per label prime and pools every other
+# prime in one spill slot, which is what lets complement gates come along.
+# The labels here are 0 and 1, so the spill slot is the only coordinate.
 primes = parse_circuit(
     """\
 circuit v1
@@ -62,6 +68,7 @@ output 7
 )
 vp, qp, pmap = to_vector_primefact(primes, 9)
 print()
-print(f"prime-factor basis for query 9: {pmap.base}, dimension {vp.dim}")
+print(f"prime-factor basis from the labels: {pmap.base}, dimension {vp.dim}")
 print("9 becomes:", qp)
-print("9 prime?", decide(vp, qp).member)
+for b in (9, 97, 2310):
+    print(f"{b} prime?", decide(vp, pmap.apply(b)).member)

@@ -202,18 +202,14 @@ def _cmd_transform(args) -> int:
     c = _load_circuit(args.circuit)
     lines = []
     if args.to in ("gcdfree", "primefact"):
-        if args.query is None:
-            raise ValueError(f"--query is required for --to {args.to}")
-        b = _parse_query(args.query, c)
         fn = to_vector_gcdfree if args.to == "gcdfree" else to_vector_primefact
-        vc, q, emap = fn(c, b)
+        out, q, emap = fn(c, 0 if args.query is None else _parse_query(args.query, c))
         base = ",".join(map(str, emap.base))
         lines.append(f"# transform {args.to} base={base}")
         if emap.kind == "prime-factors":
             lines.append("# last coordinate collects primes outside the base")
-        qtext = "inf" if q is INF else ",".join(map(str, q))
-        lines.append(f"# query {qtext}")
-        out = vc
+        if args.query is not None:
+            lines.append(f"# query {'inf' if q is INF else ','.join(map(str, q))}")
     elif args.to == "cap-elim":
         out = eliminate_cap(c)
         lines.append("# transform cap-elim")
@@ -344,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["gcdfree", "primefact", "cap-elim", "demorgan", "formula"],
     )
-    p.add_argument("--query", help="membership query to carry through vectorizing transforms")
+    p.add_argument("--query", help="also print this query's image under a vectorizing transform")
     p.add_argument("--max-formula-gates", type=int, default=DEFAULT_BUDGET.max_formula_gates)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_transform)

@@ -46,6 +46,7 @@ from .bounds import (
 )
 from .circuit import INF, Circuit, GateKind, fragment_of, require_fragment
 from .errors import BudgetExceeded, FragmentError, OpenFragmentError
+from .numtheory import NotRepresentable
 from .setrep import (
     NatSetRep,
     VecSetRep,
@@ -712,22 +713,22 @@ def _prepare_grid(c, mode, budget):
 def _through_vector(kind: str, row: str):
     """prepare for a scalar circuit decided on its exponent-vector image.
 
-    kind is the ExponentMap kind, "gcd-free" or "prime-factors". The basis
-    depends on the query, so the vector engine `row` is prepared once per
-    basis met.
+    kind is the ExponentMap kind. The image does not depend on the query, so
+    `row` is prepared on it once; a query with no image is a non-member.
     """
 
     def prepare(c, mode, budget):
-        prepared: dict = {}
+        transform = to_vector_primefact if kind == "prime-factors" else to_vector_gcdfree
+        vc, _, emap = transform(c, 0)
+        vmember = _ENGINES[row, True].prepare(vc, mode, budget)
+        extra = {"transform": kind, "dim": vc.dim}
 
         def member(b):
-            transform = to_vector_primefact if kind == "prime-factors" else to_vector_gcdfree
-            vc, q, emap = transform(c, b)
-            fn = prepared.get(emap.base)
-            if fn is None:
-                fn = prepared[emap.base] = _ENGINES[row, True].prepare(vc, mode, budget)
-            ok, stats, witness = fn(q)
-            return ok, {**stats, "transform": kind, "dim": vc.dim}, witness
+            try:
+                ok, stats, witness = vmember(emap.apply(b))
+            except NotRepresentable:
+                return False, extra, None
+            return ok, {**stats, **extra}, witness
 
         return member
 
@@ -776,6 +777,8 @@ def decide(
     tuple or INF queries and use the vector engines directly.
     """
     t0 = time.perf_counter()
+    if not isinstance(cutoff_mode, (CutoffMode, CutoffProfile)):
+        cutoff_mode = CutoffMode(cutoff_mode)  # also fails on routes that use no cutoff
     name = _pick_engine(c) if engine == "auto" else engine
     q = _check_query(c, b)
     row = _ENGINES.get((name, c.vector))
@@ -793,7 +796,8 @@ def decide(
         member = row.prepare(c, cutoff_mode, budget)
     ok, stats, witness = member(q)
     stats = {**stats, "gates": len(c), "micros": int((time.perf_counter() - t0) * 1e6)}
-    return MembershipVerdict(ok, name, row.cutoff or _mode_name(cutoff_mode), stats, witness)
+    mode = cutoff_mode.mode if isinstance(cutoff_mode, CutoffProfile) else cutoff_mode
+    return MembershipVerdict(ok, name, row.cutoff or str(mode), stats, witness)
 
 
 def _check_query(c: Circuit, b):
@@ -834,12 +838,6 @@ def _pick_engine(c: Circuit) -> str:
     if not has_mul:
         return "clamped-scalar"
     return "clamped-vector"
-
-
-def _mode_name(mode) -> str:
-    if isinstance(mode, CutoffProfile):
-        return mode.mode.value
-    return str(CutoffMode(mode) if not isinstance(mode, CutoffMode) else mode)
 
 
 # ---------------------------------------------------------------------------

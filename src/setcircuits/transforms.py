@@ -3,9 +3,10 @@
 Two families:
 
 * multiplicative-to-additive transforms: replace numbers by exponent vectors
-  over a fixed base, turning mul into componentwise add and exact div into
-  componentwise sub, with 0 mapped to the absorbing point inf. Membership of
-  b in the original equals membership of the mapped query in the image.
+  over a base built from the labels alone, turning mul into componentwise
+  add and exact div into componentwise sub, with 0 mapped to the absorbing
+  point inf. b is in the original iff its image is in the vector circuit,
+  so one image answers every query.
 * gate eliminations: inter removal for singleton-valued circuits via a
   division gadget, inter removal via De Morgan for comp-bearing circuits,
   and expansion of shared subcircuits into a formula (every gate fans out at
@@ -28,10 +29,10 @@ class ExponentMap:
     """The number-to-vector map sigma used by the vector transforms.
 
     kind "gcd-free": coordinates are exponents over a pairwise coprime base;
-    only products of base powers are representable. kind "prime-factors":
-    coordinates are exponents over the listed primes plus one trailing
-    coordinate counting the multiplicity of all other primes; total. Zero
-    maps to inf under both.
+    only products of base powers are representable, and apply raises
+    NotRepresentable on the rest. kind "prime-factors": coordinates are
+    exponents over the listed primes plus one trailing coordinate counting
+    the multiplicity of all other primes; total. Zero maps to inf under both.
     """
 
     kind: str
@@ -64,33 +65,38 @@ def _map_gates(c: Circuit, emap: ExponentMap) -> Circuit:
 
 
 def to_vector_gcdfree(c: Circuit, b: int):
-    """Exponent-vector form over a gcd-free basis of the labels and b.
+    """Exponent-vector form over a gcd-free basis of the labels.
 
     For comp-free circuits over {union, inter, mul, div} only: complements
     would introduce vectors with no preimage. Returns (vector circuit, query
-    vector for b, the map).
+    vector for b, the map). A b with no decomposition over the basis raises
+    NotRepresentable and is in no gate's set: labels are representable, and
+    so are products and exact quotients of representable numbers, since in
+    a pairwise coprime base w | a forces each exponent of w to be at most
+    a's, and a / w has the differences as its exponents.
     """
     require_fragment(c, GCDFREE_SCALAR, "gcd-free vectorization", vector=False)
     labels = [g.value for g in c.gates if g.kind is GateKind.INPUT]
-    basis = gcd_free_basis(labels + [b])
-    emap = ExponentMap(kind="gcd-free", base=basis.base)
+    emap = ExponentMap(kind="gcd-free", base=gcd_free_basis(labels).base)
     return _map_gates(c, emap), emap.apply(b), emap
 
 
 def to_vector_primefact(c: Circuit, b: int):
-    """Exponent-vector form over the primes of the labels and b.
+    """Exponent-vector form over the labels' primes plus a spill coordinate.
 
-    Supports comp: the extra trailing coordinate (multiplicity of all other
-    primes) makes the map's image membership track number membership even
-    through complements. Returns (vector circuit, query vector, the map).
+    Supports comp. With sigma(n) = (exponents of the label primes, total
+    multiplicity of the other primes), every gate's set is a union of sigma
+    fibres, by induction: a label is its own fibre; union, inter and comp
+    keep the property; for mul, split m ~ a*b's foreign primes into groups
+    of sizes matching a and b; for div, if c' ~ c with c*w in A, then
+    c'*w ~ c*w is in A. So the query's primes need no coordinate of their
+    own. Returns (vector circuit, query vector, the map).
     """
     require_fragment(c, PRIMEFACT_SCALAR, "prime-factor vectorization", vector=False)
     primes = set()
     for g in c.gates:
         if g.kind is GateKind.INPUT and g.value >= 1:
             primes.update(factorize(g.value))
-    if b >= 1:
-        primes.update(factorize(b))
     emap = ExponentMap(kind="prime-factors", base=tuple(sorted(primes)))
     return _map_gates(c, emap), emap.apply(b), emap
 

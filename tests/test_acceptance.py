@@ -13,6 +13,7 @@ import pytest
 from setcircuits import (
     EngineBudget,
     GateKind,
+    NotRepresentable,
     OpenFragmentError,
     decide,
     eliminate_cap,
@@ -136,7 +137,11 @@ def test_c06_gcdfree_route_agreement():
         c = random_scalar(rng, ops, max_gates=5, max_label=30)
         out = exact_sets_bruteforce(c)[c.output]
         for b in (0, 1, rng.randrange(2, 61), rng.randrange(2, 61)):
-            vc, q, emap = to_vector_gcdfree(c, b)
+            try:
+                vc, q, emap = to_vector_gcdfree(c, b)
+            except NotRepresentable:
+                assert b not in out, f"b={b}\n{c}"
+                continue
             assert decide(vc, q).member == (b in out), f"b={b}\n{c}"
     print("criterion 06 PASS: gcd-free vector route agrees on 300 circuits")
 

@@ -179,12 +179,19 @@ class TestTransform:
         assert main(["transform", circ(PRIMES_TEXT), "--to", "primefact", "--query", "9"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("# transform primefact")
-        assert "# query" in out
+        assert "# query 2\n" in out  # 9 = 3^2, and 3 is outside the labels' empty base
         vc = parse_circuit(_strip_comments(out))
-        assert vc.vector and vc.dim == 2
+        assert vc.vector and vc.dim == 1
 
-    def test_query_required_for_vectorizers(self, circ, capsys):
-        assert main(["transform", circ(PRIMES_TEXT), "--to", "primefact"]) == 2
+    def test_vectorizers_need_no_query(self, circ, capsys):
+        mul = circ("circuit v1\ngate 1 input 6\ngate 2 input 10\ngate 3 mul 1 2\noutput 3\n", "m.circ")
+        for to, path, dim in (("primefact", circ(PRIMES_TEXT), 1), ("gcdfree", mul, 3)):
+            assert main(["transform", path, "--to", to]) == 0
+            out = capsys.readouterr().out
+            assert "# query" not in out
+            assert parse_circuit(_strip_comments(out)).dim == dim
+        # 7 has no exponents over the labels' base (2, 3, 5)
+        assert main(["transform", mul, "--to", "gcdfree", "--query", "7"]) == 2
 
     def test_cap_elim_roundtrip(self, circ, capsys):
         p = circ("circuit v1\ngate 1 input 6\ngate 2 input 6\ngate 3 inter 1 2\noutput 3\n")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from setcircuits import engines
 from setcircuits import (
     INF,
     BudgetExceeded,
@@ -394,6 +395,12 @@ class TestDecideDispatch:
         with pytest.raises(ValueError):
             decide(vc, 5)
         assert decide(vc, INF).member is False
+        # an unknown cutoff mode is refused on routes that use no cutoff too
+        mc = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 input 3\ngate 3 mul 1 2\noutput 3\n")
+        for c, q in ((mc, 6), (sc, 2), (vc, (1, 2))):
+            with pytest.raises(ValueError):
+                decide(c, q, cutoff_mode="bogus")
+        assert decide(mc, 6, cutoff_mode="certified").member is True
 
     def test_engine_override_runs(self):
         c = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 comp 1\noutput 2\n")
@@ -490,6 +497,26 @@ class TestXcheck:
         ]
         for text in texts:
             assert xcheck_circuit(parse_circuit(text), max_b=10, budget=TIGHT) == []
+
+    def test_vector_image_built_once_per_circuit(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            orig = getattr(engines, name)
+
+            def transform(c, b):
+                calls.append(name)
+                return orig(c, b)
+
+            return transform
+
+        for name in ("to_vector_gcdfree", "to_vector_primefact"):
+            monkeypatch.setattr(engines, name, counting(name))
+        c = parse_circuit(
+            "circuit v1\ngate 1 input 6\ngate 2 input 10\ngate 3 union 1 2\ngate 4 mul 3 3\noutput 4\n"
+        )
+        assert xcheck_circuit(c, max_b=12) == []
+        assert sorted(calls) == ["to_vector_gcdfree", "to_vector_primefact"]
 
     def test_no_disagreements_on_random_corpus(self):
         rng = random.Random(157)

@@ -5,14 +5,21 @@ import pytest
 from setcircuits import (
     INF,
     BudgetExceeded,
+    Circuit,
+    EngineBudget,
+    ExponentMap,
     FragmentError,
+    Gate,
     GateKind,
+    NotRepresentable,
+    applicable_engines,
     decide,
     demorgan_rewrite,
     eliminate_cap,
     eval_exact,
     eval_singleton,
     expand_formula,
+    factorize,
     fragment_of,
     parse_circuit,
     to_vector_gcdfree,
@@ -45,10 +52,11 @@ class TestGcdFreeVectorization:
         kinds = {g.gid: g.kind for g in vc.gates}
         assert kinds[3] is GateKind.ADD
 
-    def test_query_primes_extend_the_basis(self):
-        vc, q, emap = to_vector_gcdfree(_mul_circuit(), 7)
-        assert 7 in emap.base
-        assert q == (0, 0, 0, 1)
+    def test_query_primes_stay_out_of_the_basis(self):
+        for b in (0, 1, 60, 3600):
+            assert to_vector_gcdfree(_mul_circuit(), b)[2].base == (2, 3, 5)
+        with pytest.raises(NotRepresentable):
+            to_vector_gcdfree(_mul_circuit(), 7)
 
     def test_zero_maps_to_inf(self):
         c = parse_circuit(
@@ -67,7 +75,11 @@ class TestGcdFreeVectorization:
             c = random_scalar(rng, ops, max_gates=5, max_label=12)
             out = exact_sets_bruteforce(c)[c.output]
             for b in (0, 1, rng.randrange(1, 40), rng.randrange(1, 40)):
-                vc, q, emap = to_vector_gcdfree(c, b)
+                try:
+                    vc, q, emap = to_vector_gcdfree(c, b)
+                except NotRepresentable:
+                    assert b not in out, f"b={b}\n{c}"
+                    continue
                 got = decide(vc, q).member
                 assert got == (b in out), f"b={b}\n{c}"
 
@@ -75,10 +87,10 @@ class TestGcdFreeVectorization:
 class TestPrimeFactorVectorization:
     def test_primes_circuit_shape(self):
         vc, q, emap = to_vector_primefact(primes_circuit(), 9)
-        # one slot for the only query prime plus the shared spill slot
-        assert emap.base == (3,)
-        assert vc.dim == 2
-        assert q == (2, 0)
+        # the labels 0 and 1 have no primes: only the spill slot is left
+        assert emap.base == ()
+        assert vc.dim == 1
+        assert q == (2,)
         kinds = {g.gid: g.kind for g in vc.gates}
         assert kinds[5] is GateKind.ADD  # mul turned into vector addition
 
@@ -96,6 +108,67 @@ class TestPrimeFactorVectorization:
         assert decide(vc, q).member is False
         vc, q, emap = to_vector_primefact(c, 6)
         assert decide(vc, q).member is True
+
+
+def _query_in_basis_route(c, b):
+    """The earlier prime-factor map, whose base also held the query's primes."""
+    primes = set()
+    for n in [g.value for g in c.gates if g.kind is GateKind.INPUT] + [b]:
+        if n >= 1:
+            primes.update(factorize(n))
+    emap = ExponentMap(kind="prime-factors", base=tuple(sorted(primes)))
+    swap = {GateKind.MUL: GateKind.ADD, GateKind.DIV: GateKind.SUB}
+    gates = tuple(
+        Gate(gid=g.gid, kind=g.kind, value=emap.apply(g.value))
+        if g.kind is GateKind.INPUT
+        else Gate(gid=g.gid, kind=swap.get(g.kind, g.kind), preds=g.preds)
+        for g in c.gates
+    )
+    return Circuit(gates=gates, output=c.output, dim=emap.dim, vector=True), emap.apply(b)
+
+
+class TestLabelOnlyBasis:
+    """The bases come from the labels alone; the argument for that is in the
+    to_vector_* docstrings, and these tests check it on random circuits."""
+
+    def test_prime_factor_route_matches_query_in_basis_route(self):
+        rng = random.Random(2718)
+        ops = (GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.MUL, GateKind.DIV)
+        budget = EngineBudget(max_grid_cells=2 * 10**4)
+        circuits = queries = 0
+        for _ in range(120):
+            c = random_scalar(rng, ops, max_gates=5, max_label=12)
+            compared = 0
+            for b in list(range(9)) + [rng.randrange(9, 400) for _ in range(3)]:
+                try:
+                    vc, q = _query_in_basis_route(c, b)
+                    want = decide(vc, q, budget=budget).member
+                    got = decide(*to_vector_primefact(c, b)[:2], budget=budget).member
+                except BudgetExceeded:
+                    continue
+                assert got == want, f"b={b}\n{c}"
+                compared += 1
+            circuits += compared > 0
+            queries += compared
+        assert circuits >= 80 and queries >= 800
+
+    def test_gcdfree_routes_match_bruteforce(self):
+        rng = random.Random(3141)
+        ops = (GateKind.UNION, GateKind.INTER, GateKind.MUL, GateKind.DIV)
+        unrepresentable = 0
+        for _ in range(100):
+            c = random_scalar(rng, ops, max_gates=5, max_label=30)
+            out = exact_sets_bruteforce(c)[c.output]
+            emap = to_vector_gcdfree(c, 0)[2]
+            names = [n for n in ("exact-vector", "singleton-vector") if n in applicable_engines(c)]
+            for b in sorted(out)[:3] + [0, 1, rng.randrange(2, 100), rng.randrange(2, 100)]:
+                try:
+                    emap.apply(b)
+                except NotRepresentable:
+                    unrepresentable += 1
+                for name in names:
+                    assert decide(c, b, engine=name).member == (b in out), f"{name} b={b}\n{c}"
+        assert unrepresentable >= 20
 
 
 class TestEliminateCap:
