@@ -21,9 +21,9 @@ Text format (one circuit per document, LF line endings, ``#`` comments)::
     gate <id> comp <p>
     output <id>
 
-Gates must be declared before use (reverse topological order) and the
-``output`` line comes last. Parsing and serialization round-trip to
-structural equality.
+Numbers are ASCII digits. Gates must be declared before use (reverse
+topological order) and the ``output`` line comes last. Parsing and
+serialization round-trip to structural equality.
 """
 from __future__ import annotations
 
@@ -98,7 +98,13 @@ class CircuitParseError(CircuitError):
 
 
 class CircuitValidationError(CircuitError):
-    pass
+    """A broken structural rule. ``pos`` is the offending gate's index in
+    ``gates``, ``len(gates)`` for an undeclared output, or None when the
+    circuit as a whole is at fault."""
+
+    def __init__(self, msg, pos=None):
+        self.pos = pos
+        super().__init__(msg)
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,7 @@ class Circuit:
 
 
 def _validate(c: Circuit):
+    """The one structural check, for parsed and built circuits alike."""
     if c.dim < 1:
         raise CircuitValidationError(f"dim must be >= 1, got {c.dim}")
     if not c.vector and c.dim != 1:
@@ -149,154 +156,125 @@ def _validate(c: Circuit):
         raise CircuitValidationError("circuit has no gates")
     allowed = VECTOR_KINDS if c.vector else SCALAR_KINDS
     seen = set()
-    for g in c.gates:
-        if g.gid < 0:
-            raise CircuitValidationError(f"gate id must be a natural number, got {g.gid}")
-        if g.gid in seen:
-            raise CircuitValidationError(f"duplicate gate id {g.gid}")
-        if g.kind not in allowed:
-            dom = "vector" if c.vector else "scalar"
-            raise CircuitValidationError(f"gate {g.gid}: {g.kind} not allowed in {dom} circuits")
-        if len(g.preds) != ARITY[g.kind]:
-            raise CircuitValidationError(
-                f"gate {g.gid}: {g.kind} takes {ARITY[g.kind]} predecessors, got {len(g.preds)}"
-            )
-        for p in g.preds:
-            if p not in seen:
-                if any(h.gid == p for h in c.gates):
-                    raise CircuitValidationError(
-                        f"gate {g.gid}: forward reference to gate {p}"
-                    )
-                raise CircuitValidationError(f"gate {g.gid}: unknown gate reference {p}")
-        if g.kind is GateKind.INPUT:
-            _check_label(c, g)
-        elif g.value is not None:
-            raise CircuitValidationError(f"gate {g.gid}: only input gates carry a value")
+    for pos, g in enumerate(c.gates):
+        problem = _gate_problem(c, g, seen, allowed)
+        if problem:
+            raise CircuitValidationError(problem, pos)
         seen.add(g.gid)
     if c.output not in seen:
-        raise CircuitValidationError(f"output gate {c.output} is not declared")
+        raise CircuitValidationError(f"output gate {c.output} is not declared", len(c.gates))
 
 
-def _check_label(c: Circuit, g: Gate):
+def _gate_problem(c: Circuit, g: Gate, seen: set, allowed: frozenset) -> str | None:
+    """What is wrong with g, given the ids declared before it; None if nothing."""
+    if g.gid < 0:
+        return f"gate id must be a natural number, got {g.gid}"
+    if g.gid in seen:
+        return f"duplicate gate id {g.gid}"
+    if g.kind not in allowed:
+        return f"gate {g.gid}: {g.kind} not allowed in {'vector' if c.vector else 'scalar'} circuits"
+    if len(g.preds) != ARITY[g.kind]:
+        return f"gate {g.gid}: {g.kind} takes {ARITY[g.kind]} predecessors, got {len(g.preds)}"
+    for p in g.preds:
+        if p not in seen:
+            if p in c._by_id:
+                return (f"gate {g.gid}: gate {p} is not declared yet"
+                        " (gates may only reference earlier gates)")
+            return f"gate {g.gid}: reference to undeclared gate {p}"
     v = g.value
+    if g.kind is not GateKind.INPUT:
+        return None if v is None else f"gate {g.gid}: only input gates carry a value"
     if not c.vector:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise CircuitValidationError(f"gate {g.gid}: scalar input label must be a natural number")
-        return
-    if v is INF:
-        return
-    if (
-        not isinstance(v, tuple)
-        or len(v) != c.dim
-        or any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in v)
-    ):
-        raise CircuitValidationError(
-            f"gate {g.gid}: vector input label must be a {c.dim}-tuple of naturals or inf"
-        )
+        return None if _is_nat(v) else f"gate {g.gid}: scalar input label must be a natural number"
+    if v is INF or (isinstance(v, tuple) and len(v) == c.dim and all(map(_is_nat, v))):
+        return None
+    return f"gate {g.gid}: vector input label must be a {c.dim}-tuple of naturals or inf"
+
+
+def _is_nat(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 # ---------------------------------------------------------------------------
 # text format
 
+_KIND_NAMES = {k.value: k for k in GateKind}
+
+
 def parse_circuit(text: str) -> Circuit:
-    """Parse the text format into a Circuit, with line/col-bearing errors."""
-    lines = text.split("\n")
+    """Parse the text format into a Circuit, with line-bearing errors.
+
+    The parser only reads tokens. ``Circuit`` checks the structure, and its
+    errors are reported at the line of the offending gate (or output line),
+    or at the header when the circuit as a whole is at fault.
+    """
     header = None
     header_line = 0
     gates = []
+    linenos = []  # the line of each gate, then of the output line
     output = None
-    declared = set()
-    # pre-scan every declared id so reference errors can say whether the
-    # target exists later in the file or not at all
-    all_ids = set()
-    for raw in lines:
-        toks = raw.split("#", 1)[0].split()
-        if len(toks) >= 2 and toks[0] == "gate" and toks[1].isdigit():
-            all_ids.add(int(toks[1]))
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # runs at least once
+        toks = raw.partition("#")[0].split()
+        if not toks:
             continue
-        toks = line.split()
         if header is None:
             header = _parse_header(toks, lineno)
             header_line = lineno
-            continue
-        if output is not None:
+        elif output is not None:
             raise CircuitParseError("content after output line", lineno)
-        if toks[0] == "output":
+        elif toks[0] == "gate":
+            gates.append(_parse_gate(toks, lineno, header[0]))
+            linenos.append(lineno)
+        elif toks[0] == "output":
             if len(toks) != 2:
                 raise CircuitParseError("output line takes exactly one gate id", lineno)
             output = _parse_nat(toks[1], lineno, "output id")
-            continue
-        if toks[0] != "gate":
+            linenos.append(lineno)
+        else:
             raise CircuitParseError(f"expected 'gate' or 'output', got {toks[0]!r}", lineno, 1)
-        gates.append(_parse_gate(toks, lineno, header, declared, all_ids))
-        declared.add(gates[-1].gid)
     if header is None:
         raise CircuitParseError("missing header line")
     if output is None:
-        raise CircuitParseError("missing output line", len(lines))
+        raise CircuitParseError("missing output line", lineno)
     vector, dim = header
     try:
         return Circuit(gates=tuple(gates), output=output, dim=dim, vector=vector)
     except CircuitValidationError as e:
-        raise CircuitParseError(str(e), header_line) from e
+        raise CircuitParseError(str(e), header_line if e.pos is None else linenos[e.pos]) from e
 
 
 def _parse_header(toks, lineno):
     if toks[:2] == ["circuit", "v1"] and len(toks) == 2:
         return (False, 1)
     if toks[:2] == ["vcircuit", "v1"] and len(toks) == 4 and toks[2] == "dim":
-        dim = _parse_nat(toks[3], lineno, "dim")
-        if dim < 1:
-            raise CircuitParseError("dim must be >= 1", lineno)
-        return (True, dim)
+        return (True, _parse_nat(toks[3], lineno, "dim"))
     raise CircuitParseError("expected 'circuit v1' or 'vcircuit v1 dim <m>'", lineno, 1)
 
 
-def _parse_gate(toks, lineno, header, declared, all_ids):
-    vector, dim = header
+def _parse_gate(toks, lineno, vector):
     if len(toks) < 3:
         raise CircuitParseError("gate line too short", lineno)
     gid = _parse_nat(toks[1], lineno, "gate id")
-    try:
-        kind = GateKind(toks[2])
-    except ValueError:
-        raise CircuitParseError(f"unknown gate kind {toks[2]!r}", lineno) from None
+    kind = _KIND_NAMES.get(toks[2])
+    if kind is None:
+        raise CircuitParseError(f"unknown gate kind {toks[2]!r}", lineno)
     if kind is GateKind.INPUT:
         if len(toks) != 4:
             raise CircuitParseError("input gate takes exactly one label", lineno)
-        return Gate(gid=gid, kind=kind, value=_parse_label(toks[3], lineno, vector, dim))
-    arity = ARITY[kind]
-    if len(toks) != 3 + arity:
-        raise CircuitParseError(f"{kind} takes {arity} predecessor ids", lineno)
-    preds = tuple(_parse_nat(t, lineno, "predecessor id") for t in toks[3:])
-    for p in preds:
-        if p not in declared:
-            if p in all_ids:
-                raise CircuitParseError(
-                    f"gate {gid}: gate {p} is not declared yet"
-                    " (gates may only reference earlier gates)",
-                    lineno,
-                )
-            raise CircuitParseError(f"gate {gid}: reference to undeclared gate {p}", lineno)
-    return Gate(gid=gid, kind=kind, preds=preds)
+        return Gate(gid, kind, (), _parse_label(toks[3], lineno, vector))
+    return Gate(gid, kind, tuple(_parse_nat(t, lineno, "predecessor id") for t in toks[3:]))
 
 
-def _parse_label(tok, lineno, vector, dim):
-    if not vector:
-        return _parse_nat(tok, lineno, "input label")
+def _parse_label(tok, lineno, vector):
     if tok == "inf":
         return INF
-    parts = tok.split(",")
-    if len(parts) != dim:
-        raise CircuitParseError(f"input label needs {dim} comma-separated coordinates", lineno)
-    return tuple(_parse_nat(p, lineno, "input coordinate") for p in parts)
+    if not vector:
+        return _parse_nat(tok, lineno, "input label")
+    return tuple(_parse_nat(p, lineno, "input coordinate") for p in tok.split(","))
 
 
 def _parse_nat(tok, lineno, what):
-    if not tok.isdigit():
+    if not (tok.isascii() and tok.isdigit()):
         raise CircuitParseError(f"{what} must be a natural number, got {tok!r}", lineno)
     return int(tok)
 

@@ -240,7 +240,6 @@ def search_member(
     x,
     mode: CutoffMode | str | CutoffProfile = CutoffMode.STRUCTURAL,
     budget: EngineBudget = DEFAULT_BUDGET,
-    _stats: dict | None = None,
 ) -> bool:
     """Decide x in I(C) by memoized recursion over (gate, clamped value).
 
@@ -250,10 +249,7 @@ def search_member(
     representations. comp is plain logical negation of the predecessor query.
     """
     require_fragment(c, CLAMPABLE_VECTOR if c.vector else CLAMPABLE_SCALAR, "membership search")
-    res, stats, _ = _prepare_search(c, mode, budget)(x)
-    if _stats is not None:
-        _stats.update(stats)
-    return res
+    return _prepare_search(c, mode, budget)(x)[0]
 
 
 def _prepare_search(c, mode, budget):
@@ -867,6 +863,8 @@ def xcheck_circuit(
     out abstains. Returns human-readable disagreement lines (empty means
     every engine that ran agrees).
     """
+    if not isinstance(cutoff_mode, (CutoffMode, CutoffProfile)):
+        cutoff_mode = CutoffMode(cutoff_mode)  # also fails where no engine uses a cutoff
     names = applicable_engines(c)
     if len(names) < 2:
         return []

@@ -57,10 +57,9 @@ def factorize(n: int, max_trial: int = 10**6) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class GcdFreeBasis:
-    """Pairwise coprime base elements; sources is what the basis was built from."""
+    """Pairwise coprime base elements."""
 
     base: tuple[int, ...]
-    sources: tuple[int, ...]
 
     def __post_init__(self):
         for i, x in enumerate(self.base):
@@ -99,7 +98,7 @@ def gcd_free_basis(nums: list[int] | tuple[int, ...]) -> GcdFreeBasis:
                 break
     if not work:
         work = [2]
-    return GcdFreeBasis(base=tuple(work), sources=tuple(nums))
+    return GcdFreeBasis(base=tuple(work))
 
 
 def exponents_over_basis(n: int, basis: GcdFreeBasis | tuple[int, ...]) -> tuple[int, ...]:

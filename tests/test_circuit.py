@@ -50,27 +50,33 @@ def test_parse_vector_header():
     assert parse_circuit(serialize_circuit(c)) == c
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "gate 1 input 0\noutput 1\n",  # missing header
-        "circuit v2\ngate 1 input 0\noutput 1\n",  # bad version
-        "circuit v1\ngate 1 input 0\n",  # no output
-        "circuit v1\ngate 1 input 0\noutput 2\n",  # unknown output
-        "circuit v1\ngate 1 input 0\ngate 1 input 1\noutput 1\n",  # duplicate id
-        "circuit v1\ngate 1 union 2 3\noutput 1\n",  # undeclared preds
-        "circuit v1\ngate 1 input 0\ngate 2 comp 1 1\noutput 2\n",  # arity
-        "circuit v1\ngate 1 input -3\noutput 1\n",  # negative label
-        "circuit v1\ngate 1 input 0\ngate 2 sub 1 1\noutput 2\n",  # sub is vector-only
-        "circuit v1\ngate 1 input inf\noutput 1\n",  # inf is vector-only
-        "circuit v1\ngate 1 input 0\noutput 1\ngate 2 input 1\n",  # gate after output
-        "vcircuit v1 dim 2\ngate 1 input 1\noutput 1\n",  # wrong label arity
-        "vcircuit v1 dim 2\ngate 1 input 0,0\ngate 2 mul 1 1\noutput 2\n",  # mul is scalar-only
-    ],
-)
-def test_parse_rejects(text):
-    with pytest.raises(CircuitParseError):
+# (text, the line the error names); structural errors name the offending
+# gate's line, the output line, or the header for the circuit as a whole
+PARSE_REJECTS = [
+    ("gate 1 input 0\noutput 1\n", 1),  # missing header
+    ("circuit v2\ngate 1 input 0\noutput 1\n", 1),  # bad version
+    ("circuit v1\ngate 1 input 0\n", 3),  # no output
+    ("circuit v1\ngate 1 input 0\noutput 2\n", 3),  # unknown output
+    ("circuit v1\ngate 1 input 0\ngate 1 input 1\noutput 1\n", 3),  # duplicate id
+    ("circuit v1\ngate 1 union 2 3\noutput 1\n", 2),  # undeclared preds
+    ("circuit v1\ngate 1 input 0\ngate 2 comp 1 1\noutput 2\n", 3),  # arity
+    ("circuit v1\ngate 1 input -3\noutput 1\n", 2),  # negative label
+    ("circuit v1\ngate 1 input 0\ngate 2 sub 1 1\noutput 2\n", 3),  # sub is vector-only
+    ("circuit v1\ngate 1 input inf\noutput 1\n", 2),  # inf is vector-only
+    ("circuit v1\ngate 1 input 0\noutput 1\ngate 2 input 1\n", 4),  # gate after output
+    ("vcircuit v1 dim 2\ngate 1 input 1\noutput 1\n", 2),  # wrong label arity
+    ("vcircuit v1 dim 2\ngate 1 input 0,0\ngate 2 mul 1 1\noutput 2\n", 3),  # mul is scalar-only
+    ("vcircuit v1 dim 0\ngate 1 input inf\noutput 1\n", 1),  # dim 0
+    ("circuit v1\ngate 1 input \u00b2\noutput 1\n", 2),  # superscript two is not a digit
+    ("circuit v1\ngate \u0661 input \u0663\noutput 1\n", 2),  # Arabic-Indic digits
+]
+
+
+@pytest.mark.parametrize("text,line", PARSE_REJECTS)
+def test_parse_rejects(text, line):
+    with pytest.raises(CircuitParseError) as info:
         parse_circuit(text)
+    assert info.value.line == line
 
 
 def test_parse_error_carries_location():
@@ -95,6 +101,12 @@ def test_validation_direct_construction():
         Circuit((Gate(1, GateKind.UNION, preds=(1, 1)),), output=1)  # self-loop
     with pytest.raises(CircuitValidationError):
         Circuit((), output=1)
+    # pos: the offending gate's index, len(gates) for the output, None for the whole circuit
+    two = (Gate(1, GateKind.INPUT, value=2), Gate(1, GateKind.INPUT, value=3))
+    for gates, output, pos in ((two, 1, 1), (two[:1], 7, 1), ((), 1, None)):
+        with pytest.raises(CircuitValidationError) as info:
+            Circuit(gates, output=output)
+        assert info.value.pos == pos
 
 
 def test_fragment_of():

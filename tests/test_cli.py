@@ -5,6 +5,8 @@ import pytest
 from setcircuits import parse_circuit
 from setcircuits.cli import main
 
+from test_circuit import PARSE_REJECTS
+
 PRIMES_TEXT = """\
 circuit v1
 gate 1 input 0
@@ -74,6 +76,11 @@ class TestValidate:
     def test_parse_error_is_exit_2(self, circ, capsys):
         assert main(["validate", circ("circuit v1\ngate 1 warp 2\noutput 1\n")]) == 2
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,line", PARSE_REJECTS)
+    def test_every_parse_error_names_its_line(self, circ, capsys, text, line):
+        assert main(["validate", circ(text)]) == 2
+        assert f"(line {line}" in capsys.readouterr().err
 
     def test_missing_file_is_exit_3(self, capsys):
         assert main(["validate", "/nonexistent/x.circ"]) == 3

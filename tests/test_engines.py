@@ -227,9 +227,7 @@ class TestSearch:
 
     def test_reports_memo_stats(self):
         c = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 comp 1\ngate 3 add 2 2\noutput 3\n")
-        stats = {}
-        search_member(c, 5, _stats=stats)
-        assert stats["memo_entries"] >= 1
+        assert decide(c, 5, engine="search").stats["memo_entries"] >= 1
 
     def test_memo_budget(self):
         c = parse_circuit(
@@ -497,6 +495,15 @@ class TestXcheck:
         ]
         for text in texts:
             assert xcheck_circuit(parse_circuit(text), max_b=10, budget=TIGHT) == []
+
+    def test_unknown_cutoff_mode_refused(self):
+        # no engine applicable to mul + add uses a cutoff, so the mode is checked up front
+        c = parse_circuit(
+            "circuit v1\ngate 1 input 2\ngate 2 input 3\ngate 3 mul 1 2\ngate 4 add 3 1\noutput 4\n"
+        )
+        with pytest.raises(ValueError):
+            xcheck_circuit(c, max_b=4, cutoff_mode="bogus")
+        assert xcheck_circuit(c, max_b=4, cutoff_mode="certified") == []
 
     def test_vector_image_built_once_per_circuit(self, monkeypatch):
         calls = []

@@ -101,6 +101,6 @@ def test_exponents_not_representable():
 
 def test_gcd_free_basis_validation():
     with pytest.raises(ValueError):
-        GcdFreeBasis((2, 4), sources=())
+        GcdFreeBasis((2, 4))
     with pytest.raises(ValueError):
-        GcdFreeBasis((1,), sources=())
+        GcdFreeBasis((1,))
