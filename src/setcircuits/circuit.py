@@ -213,10 +213,12 @@ def parse_circuit(text: str) -> Circuit:
     gates = []
     linenos = []  # the line of each gate, then of the output line
     output = None
-    for lineno, raw in enumerate(text.split("\n"), start=1):  # runs at least once
+    last_line = 0  # the last line that holds a token
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         toks = raw.partition("#")[0].split()
         if not toks:
             continue
+        last_line = lineno
         if header is None:
             header = _parse_header(toks, lineno)
             header_line = lineno
@@ -235,7 +237,7 @@ def parse_circuit(text: str) -> Circuit:
     if header is None:
         raise CircuitParseError("missing header line")
     if output is None:
-        raise CircuitParseError("missing output line", lineno)
+        raise CircuitParseError("missing output line", last_line)
     vector, dim = header
     try:
         return Circuit(gates=tuple(gates), output=output, dim=dim, vector=vector)

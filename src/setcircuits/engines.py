@@ -706,18 +706,17 @@ def _prepare_grid(c, mode, budget):
     return lambda x: (grid_reference_member(grids, infs, width, c.output, x), {}, None)
 
 
-def _through_vector(kind: str, row: str):
-    """prepare for a scalar circuit decided on its exponent-vector image.
+def _through_gcdfree(row: str):
+    """prepare for a scalar circuit decided on its gcd-free exponent image.
 
-    kind is the ExponentMap kind. The image does not depend on the query, so
-    `row` is prepared on it once; a query with no image is a non-member.
+    The image does not depend on the query, so `row` is prepared on it once;
+    a query with no image is a non-member.
     """
 
     def prepare(c, mode, budget):
-        transform = to_vector_primefact if kind == "prime-factors" else to_vector_gcdfree
-        vc, _, emap = transform(c, 0)
+        vc, _, emap = to_vector_gcdfree(c, 0)
         vmember = _ENGINES[row, True].prepare(vc, mode, budget)
-        extra = {"transform": kind, "dim": vc.dim}
+        extra = {"transform": "gcd-free", "dim": vc.dim}
 
         def member(b):
             try:
@@ -731,6 +730,32 @@ def _through_vector(kind: str, row: str):
     return prepare
 
 
+def _through_primefact(c, mode, budget):
+    """prepare for a scalar circuit decided on its prime-factor image.
+
+    The clamped vector table of the image is built once. A query's head comes
+    out exactly; its spill is narrowed step by step (ExponentMap.spill_bounds)
+    and the table read across each interval, and the first interval on which
+    every read agrees gives the verdict (the argument is in
+    to_vector_primefact). stats record that interval as "spill" and its
+    step as "step".
+    """
+    vc, _, emap = to_vector_primefact(c, 0)
+    rep = eval_clamped_vector(vc, mode, budget)[1]
+    extra = {"transform": "prime-factors", "dim": vc.dim}
+
+    def member(b):
+        if b == 0:
+            return rep.member(INF), extra, None
+        head, rest = emap.split(b)
+        for lo, hi, step in emap.spill_bounds(rest):
+            ok = rep.member(head + (lo,))
+            if all(rep.member(head + (s,)) == ok for s in range(lo + 1, min(hi, rep.cutoff) + 1)):
+                return ok, {**extra, "spill": (lo, hi), "step": step}, None
+
+    return member
+
+
 # keyed by (engine name, runs on vector circuits); scalar rows come first, in
 # the order applicable_engines lists them
 _ENGINES: dict[tuple[str, bool], _Engine] = {
@@ -739,13 +764,11 @@ _ENGINES: dict[tuple[str, bool], _Engine] = {
     ("certificate", False): _Engine(EXACT_SCALAR, "none", _prepare_certificate),
     ("clamped-scalar", False): _Engine(CLAMPABLE_SCALAR, None, _prepare_clamped),
     ("search", False): _Engine(CLAMPABLE_SCALAR, None, _prepare_search),
-    ("exact-vector", False): _Engine(GCDFREE_SCALAR, "none", _through_vector("gcd-free", "exact")),
+    ("exact-vector", False): _Engine(GCDFREE_SCALAR, "none", _through_gcdfree("exact")),
     ("singleton-vector", False): _Engine(
-        GCDFREE_SCALAR - {GateKind.UNION}, "none", _through_vector("gcd-free", "singleton-vector")
+        GCDFREE_SCALAR - {GateKind.UNION}, "none", _through_gcdfree("singleton-vector")
     ),
-    ("clamped-vector", False): _Engine(
-        PRIMEFACT_SCALAR, None, _through_vector("prime-factors", "clamped-vector")
-    ),
+    ("clamped-vector", False): _Engine(PRIMEFACT_SCALAR, None, _through_primefact),
     ("singleton-vector", True): _Engine(SINGLETON_VECTOR, "none", _prepare_singleton),
     ("exact", True): _Engine(EXACT_VECTOR, "none", _prepare_exact),
     ("clamped-vector", True): _Engine(CLAMPABLE_VECTOR, None, _prepare_clamped),

@@ -1,4 +1,4 @@
-"""Number-theoretic helpers: factorization, gcd-free bases, exponent vectors.
+"""Number-theoretic helpers: factorization, primality, gcd-free bases, exponent vectors.
 
 A gcd-free basis of a finite set of naturals is a set of pairwise coprime
 numbers >= 2 such that every nonzero source number is a product of powers of
@@ -55,6 +55,41 @@ def factorize(n: int, max_trial: int = 10**6) -> dict[int, int]:
     return out
 
 
+# Sorenson and Webster (Math. Comp. 2017): the first 13 primes as Miller-Rabin
+# bases decide primality for every n below MR_BOUND.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def miller_rabin(n: int) -> bool | None:
+    """Strong-probable-prime test of n >= 0 to the bases MR_BASES.
+
+    True: n is prime (n < MR_BOUND passed every base). False: n is composite
+    (n < 2, or a base is a witness). None: n >= MR_BOUND passed every base,
+    which proves nothing.
+    """
+    if n < 2:
+        return False
+    for p in MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True if n < MR_BOUND else None
+
+
 @dataclass(frozen=True)
 class GcdFreeBasis:
     """Pairwise coprime base elements."""
@@ -101,6 +136,20 @@ def gcd_free_basis(nums: list[int] | tuple[int, ...]) -> GcdFreeBasis:
     return GcdFreeBasis(base=tuple(work))
 
 
+def divide_out(n: int, base: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(d, rest) with n == prod(base[i] ** d[i]) * rest and no base element
+    dividing rest; n >= 1."""
+    rest = n
+    out = []
+    for q in base:
+        e = 0
+        while rest % q == 0:
+            rest //= q
+            e += 1
+        out.append(e)
+    return tuple(out), rest
+
+
 def exponents_over_basis(n: int, basis: GcdFreeBasis | tuple[int, ...]) -> tuple[int, ...]:
     """The exponent vector d with n == prod(base[i] ** d[i]); n >= 1.
 
@@ -110,14 +159,7 @@ def exponents_over_basis(n: int, basis: GcdFreeBasis | tuple[int, ...]) -> tuple
     if n < 1:
         raise ValueError(f"exponent decomposition needs n >= 1, got {n}")
     base = basis.base if isinstance(basis, GcdFreeBasis) else basis
-    rest = n
-    out = []
-    for q in base:
-        e = 0
-        while rest % q == 0:
-            rest //= q
-            e += 1
-        out.append(e)
+    out, rest = divide_out(n, base)
     if rest != 1:
         raise NotRepresentable(f"{n} leaves cofactor {rest} over basis {base}")
-    return tuple(out)
+    return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .circuit import INF, Circuit, Gate, GateKind, fragment_of, require_fragment
 from .errors import BudgetExceeded, FragmentError
-from .numtheory import exponents_over_basis, factorize, gcd_free_basis
+from .numtheory import divide_out, exponents_over_basis, factorize, gcd_free_basis, miller_rabin
 
 GCDFREE_SCALAR = frozenset({GateKind.UNION, GateKind.INTER, GateKind.MUL, GateKind.DIV})
 PRIMEFACT_SCALAR = GCDFREE_SCALAR | {GateKind.COMP}
@@ -31,8 +31,17 @@ class ExponentMap:
     kind "gcd-free": coordinates are exponents over a pairwise coprime base;
     only products of base powers are representable, and apply raises
     NotRepresentable on the rest. kind "prime-factors": coordinates are
-    exponents over the listed primes plus one trailing coordinate counting
-    the multiplicity of all other primes; total. Zero maps to inf under both.
+    exponents over the listed primes plus one trailing coordinate, the spill,
+    counting the multiplicity of all other primes; total. Zero maps to inf
+    under both.
+
+    A prime-factor query need not be mapped exactly. split gives the head
+    (the base exponents) exactly, and spill_bounds gives intervals that hold
+    the spill. If a set is a union of sigma fibres and its clamped table
+    reads the same at head + (s,) for every s in an interval holding the
+    spill, that reading is the query's verdict, whatever the spill's exact
+    value. Spill values at or past the table's cutoff all read one cell, so
+    the reads stop there.
     """
 
     kind: str
@@ -47,10 +56,39 @@ class ExponentMap:
             return INF
         if self.kind == "gcd-free":
             return exponents_over_basis(a, self.base)
-        fac = factorize(a)
-        head = tuple(fac.get(p, 0) for p in self.base)
-        rest = sum(e for p, e in fac.items() if p not in self.base)
-        return head + (rest,)
+        head, rest = self.split(a)
+        return head + (sum(factorize(rest).values()),)
+
+    def split(self, a: int) -> tuple[tuple[int, ...], int]:
+        """The base exponents of a >= 1, and the cofactor free of base primes."""
+        return divide_out(a, self.base)
+
+    @staticmethod
+    def spill_bounds(rest: int):
+        """Yield narrowing intervals (lo, hi, step) that hold Omega(rest), for
+        a cofactor rest >= 1 from split; the last one yielded has lo == hi.
+
+        Each step costs more than the one before, so a caller that stops at
+        the first interval it can decide on pays only for what it needs:
+
+        * exact: lo is 0 for rest = 1 and 1 otherwise, hi = floor(log2 rest).
+        * prime-test: Miller-Rabin proves rest prime (lo = hi = 1) or
+          composite (lo = 2); at or above MR_BOUND a pass proves nothing.
+        * factored: factorize, which raises BudgetExceeded("factor") exactly
+          where apply does.
+        """
+        hi = rest.bit_length() - 1
+        if hi <= 1:  # rest is 1, 2 or 3
+            yield hi, hi, "exact"
+            return
+        yield 1, hi, "exact"
+        prime = miller_rabin(rest)
+        if prime:
+            yield 1, 1, "prime-test"
+            return
+        yield (2 if prime is False else 1), hi, "prime-test"
+        omega = sum(factorize(rest).values())
+        yield omega, omega, "factored"
 
 
 def _map_gates(c: Circuit, emap: ExponentMap) -> Circuit:
@@ -91,6 +129,15 @@ def to_vector_primefact(c: Circuit, b: int):
     of sizes matching a and b; for div, if c' ~ c with c*w in A, then
     c'*w ~ c*w is in A. So the query's primes need no coordinate of their
     own. Returns (vector circuit, query vector, the map).
+
+    By the same argument a query needs its spill only up to an interval: if
+    the output's table reads the same at head + (s,) for every s in an
+    interval that holds Omega of the cofactor, sigma(b) reads that too (see
+    ExponentMap.spill_bounds). A huge b is so decided when the image does
+    not tell apart the spill values left open, or when Miller-Rabin proves
+    its cofactor prime below MR_BOUND. A prime cofactor past that bound,
+    such as 2^89 - 1, stays BudgetExceeded("factor") where the circuit tells
+    spill 1 from spill 2.
     """
     require_fragment(c, PRIMEFACT_SCALAR, "prime-factor vectorization", vector=False)
     primes = set()

@@ -55,7 +55,7 @@ def test_parse_vector_header():
 PARSE_REJECTS = [
     ("gate 1 input 0\noutput 1\n", 1),  # missing header
     ("circuit v2\ngate 1 input 0\noutput 1\n", 1),  # bad version
-    ("circuit v1\ngate 1 input 0\n", 3),  # no output
+    ("circuit v1\ngate 1 input 0\n", 2),  # no output: the last line with text
     ("circuit v1\ngate 1 input 0\noutput 2\n", 3),  # unknown output
     ("circuit v1\ngate 1 input 0\ngate 1 input 1\noutput 1\n", 3),  # duplicate id
     ("circuit v1\ngate 1 union 2 3\noutput 1\n", 2),  # undeclared preds

@@ -118,6 +118,16 @@ class TestMember:
         assert main(["member", p, "7", "--max-grid-cells", "2"]) == 5
         assert "budget" in capsys.readouterr().err.lower()
 
+    def test_huge_queries(self, circ, capsys):
+        p = circ(PRIMES_TEXT)
+        assert main(["member", p, str(2**61 - 1), "--verbose"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("member=true")
+        assert "spill=(1, 1)" in out and "step=prime-test" in out
+        # prime, but above the bound where Miller-Rabin decides: factoring refuses
+        assert main(["member", p, str(2**89 - 1)]) == 5
+        assert "factor" in capsys.readouterr().err
+
     def test_bad_query_is_exit_2(self, circ):
         assert main(["member", circ(NATS_TEXT), "x"]) == 2
         assert main(["member", circ(NATS_TEXT), "1,2"]) == 2

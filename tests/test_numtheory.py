@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from setcircuits import GcdFreeBasis, NotRepresentable, factorize, gcd_free_basis
 from setcircuits.errors import BudgetExceeded
-from setcircuits.numtheory import exponents_over_basis, primes_upto
+from setcircuits.numtheory import MR_BOUND, exponents_over_basis, miller_rabin, primes_upto
 
 
 def test_primes_upto_small():
@@ -56,6 +56,41 @@ def test_factorize_budget_on_big_semiprime():
 
 def test_factorize_one_is_empty():
     assert factorize(1) == {}
+
+
+def test_miller_rabin_matches_sieve_below_10_5():
+    primes = set(primes_upto(10**5))
+    assert [n for n in range(10**5) if miller_rabin(n)] == sorted(primes)
+    assert all(miller_rabin(n) is False for n in range(10**5) if n not in primes)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael
+        2047,  # strong pseudoprime to base 2
+        1_373_653,  # to bases 2, 3
+        3_215_031_751,  # to bases 2, 3, 5, 7
+        3_825_123_056_546_413_051,  # to bases 2 through 23
+        318_665_857_834_031_151_167_461,  # to bases 2 through 37
+    ],
+)
+def test_miller_rabin_finds_strong_pseudoprimes_composite(n):
+    assert miller_rabin(n) is False
+
+
+def test_miller_rabin_proves_nothing_from_its_bound_on():
+    # MR_BOUND is itself a strong pseudoprime to all 13 bases
+    assert miller_rabin(MR_BOUND) is None
+    assert miller_rabin(2**89 - 1) is None  # a Mersenne prime
+    assert miller_rabin(MR_BOUND - 2) is not None
+    assert miller_rabin(2**61 - 1) is True
+
+
+@given(st.integers(min_value=MR_BOUND, max_value=2**200))
+@settings(max_examples=200, deadline=None)
+def test_miller_rabin_never_declares_prime_past_its_bound(n):
+    assert miller_rabin(n) is not True
 
 
 def test_gcd_free_basis_classic_example():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from setcircuits import (
     decide,
     demorgan_rewrite,
     eliminate_cap,
+    eval_clamped_vector,
     eval_exact,
     eval_singleton,
     expand_formula,
@@ -25,6 +27,7 @@ from setcircuits import (
     to_vector_gcdfree,
     to_vector_primefact,
 )
+from setcircuits.numtheory import primes_upto
 from setcircuits.reductions import primes_circuit
 
 from circgen import bounded_scalar, random_scalar
@@ -152,6 +155,29 @@ class TestLabelOnlyBasis:
             queries += compared
         assert circuits >= 80 and queries >= 800
 
+    def test_staged_spill_matches_exact_apply(self):
+        """The clamped-vector route on the scalar circuit, which reads the
+        spill across intervals, against the exact map, on queries whose
+        foreign primes lie past 1000, some past 10^6, yet within reach of
+        factorize."""
+        rng = random.Random(2718)
+        ops = (GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.MUL, GateKind.DIV)
+        budget = EngineBudget(max_grid_cells=2 * 10**4)
+        queries = 0
+        for _ in range(120):
+            c = random_scalar(rng, ops, max_gates=5, max_label=12)
+            vc, _, emap = to_vector_primefact(c, 0)
+            try:
+                rep = eval_clamped_vector(vc, budget=budget)[1]
+            except BudgetExceeded:
+                continue
+            for _ in range(8):
+                b = _foreign_query(rng, emap.base)
+                v = decide(c, b, engine="clamped-vector", budget=budget)
+                assert v.member == rep.member(emap.apply(b)), f"b={b}\n{c}"
+                queries += 1
+        assert queries >= 600
+
     def test_gcdfree_routes_match_bruteforce(self):
         rng = random.Random(3141)
         ops = (GateKind.UNION, GateKind.INTER, GateKind.MUL, GateKind.DIV)
@@ -169,6 +195,86 @@ class TestLabelOnlyBasis:
                 for name in names:
                     assert decide(c, b, engine=name).member == (b in out), f"{name} b={b}\n{c}"
         assert unrepresentable >= 20
+
+
+# primes past 1000, and past 10^6 yet small enough that factorize certifies
+# them in a few thousand divisions
+MID_PRIMES = [p for p in primes_upto(3000) if p > 1000]
+BIG_PRIMES = (1_000_003, 99_999_989, 999_999_937)
+
+
+def _foreign_query(rng, base):
+    b = 1
+    for p in base + (13, 997):
+        b *= p ** rng.randint(0, 2)
+    for _ in range(rng.randint(0, 3)):
+        b *= rng.choice(MID_PRIMES)
+    if rng.random() < 0.4:
+        b *= rng.choice(BIG_PRIMES)
+    return b
+
+
+def _omega_equals(k):
+    """The naturals with exactly k prime factors, counted with multiplicity."""
+    lines = ["circuit v1", "gate 1 input 0", "gate 2 input 1", "gate 3 union 1 2", "gate 4 comp 3"]
+    for i in range(k):  # gate 5 + i: at least i + 2 prime factors
+        lines.append(f"gate {5 + i} mul {4 + i} 4")
+    lines += [f"gate 20 comp {4 + k}", f"gate 21 inter {3 + k} 20", "output 21"]
+    return parse_circuit("\n".join(lines) + "\n")
+
+
+# the primes and evens circuits of the membership benchmark (perfbench/gen.py)
+EVENS = parse_circuit(
+    "circuit v1\ngate 1 input 0\ngate 2 input 1\ngate 3 inter 1 2\ngate 4 comp 3\n"
+    "gate 5 input 2\ngate 6 mul 5 4\noutput 6\n"
+)
+
+
+class TestStagedSpill:
+    def test_steps_on_omega_layers(self):
+        rng = random.Random(61)
+        steps = Counter()
+        for k in (1, 2, 3):
+            c = _omega_equals(k)
+            for _ in range(150):
+                b = _foreign_query(rng, (2, 3))
+                omega = sum(factorize(b).values())
+                v = decide(c, b, engine="clamped-vector")
+                assert v.member == (omega == k), f"k={k} b={b}"
+                lo, hi = v.stats["spill"]
+                assert lo <= omega <= hi
+                steps[v.stats["step"]] += 1
+        assert min(steps[s] for s in ("exact", "prime-test", "factored")) >= 3, steps
+
+    def test_intervals_narrow_and_hold_omega(self):
+        rng = random.Random(89)
+        for _ in range(300):
+            rest = _foreign_query(rng, ())
+            omega = sum(factorize(rest).values())
+            prev = (0, rest.bit_length())
+            for lo, hi, _ in ExponentMap.spill_bounds(rest):
+                assert prev[0] <= lo <= omega <= hi <= prev[1], rest
+                prev = (lo, hi)
+            assert prev == (omega, omega)
+
+    def test_huge_queries(self):
+        primes = primes_circuit()
+        p, q = 2_147_483_659, 4_294_967_291  # primes in [2^31, 2^32)
+        assert decide(primes, 2**61 - 1).member is True
+        assert decide(primes, p * q).member is False
+        assert decide(EVENS, 2**127 - 1).member is False
+        assert decide(EVENS, 2**127).member is True
+        with pytest.raises(BudgetExceeded) as info:
+            decide(primes, 2**89 - 1)  # prime, above MR_BOUND: Miller-Rabin proves nothing
+        assert info.value.kind == "factor"
+
+    def test_stats_name_the_interval_and_step(self):
+        primes = primes_circuit()
+        assert decide(primes, 97).stats["step"] == "prime-test"
+        assert decide(primes, 97).stats["spill"] == (1, 1)
+        assert decide(primes, 1).stats["spill"] == (0, 0)
+        assert decide(EVENS, 2**127 - 1).stats["step"] == "exact"
+        assert "spill" not in decide(primes, 0).stats
 
 
 class TestEliminateCap:
