@@ -43,6 +43,10 @@ class GateKind(enum.Enum):
     DIV = "div"
     SUB = "sub"
 
+    # members are singletons and compare by identity; Enum.__hash__ is a
+    # Python-level call, paid three times per gate when a Circuit is built
+    __hash__ = object.__hash__
+
     def __str__(self):
         return self.value
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .circuit import INF, Circuit, Gate, GateKind, fragment_of, require_fragment
 from .errors import BudgetExceeded, FragmentError
-from .numtheory import divide_out, exponents_over_basis, factorize, gcd_free_basis, miller_rabin
+from .numtheory import divide_out, exponents_over_basis, factorize, gcd_free_basis, is_prime
 
 GCDFREE_SCALAR = frozenset({GateKind.UNION, GateKind.INTER, GateKind.MUL, GateKind.DIV})
 PRIMEFACT_SCALAR = GCDFREE_SCALAR | {GateKind.COMP}
@@ -72,8 +72,9 @@ class ExponentMap:
         the first interval it can decide on pays only for what it needs:
 
         * exact: lo is 0 for rest = 1 and 1 otherwise, hi = floor(log2 rest).
-        * prime-test: Miller-Rabin proves rest prime (lo = hi = 1) or
-          composite (lo = 2); at or above MR_BOUND a pass proves nothing.
+        * prime-test: is_prime decides rest prime (lo = hi = 1) or composite
+          (lo = 2). Past MR_BOUND a prime needs a Certificate, and is_prime
+          raises BudgetExceeded("factor") when the proof runs out of steps.
         * factored: factorize, which raises BudgetExceeded("factor") exactly
           where apply does.
         """
@@ -82,11 +83,10 @@ class ExponentMap:
             yield hi, hi, "exact"
             return
         yield 1, hi, "exact"
-        prime = miller_rabin(rest)
-        if prime:
+        if is_prime(rest):
             yield 1, 1, "prime-test"
             return
-        yield (2 if prime is False else 1), hi, "prime-test"
+        yield 2, hi, "prime-test"
         omega = sum(factorize(rest).values())
         yield omega, omega, "factored"
 
@@ -134,10 +134,12 @@ def to_vector_primefact(c: Circuit, b: int):
     the output's table reads the same at head + (s,) for every s in an
     interval that holds Omega of the cofactor, sigma(b) reads that too (see
     ExponentMap.spill_bounds). A huge b is so decided when the image does
-    not tell apart the spill values left open, or when Miller-Rabin proves
-    its cofactor prime below MR_BOUND. A prime cofactor past that bound,
-    such as 2^89 - 1, stays BudgetExceeded("factor") where the circuit tells
-    spill 1 from spill 2.
+    not tell apart the spill values left open, or when is_prime settles its
+    cofactor: Miller-Rabin below MR_BOUND, a Pocklington certificate above,
+    which proves 2^89 - 1, 2^107 - 1 and 2^127 - 1 in about a millisecond.
+    A prime cofactor whose n - 1 rho cannot split far enough within
+    RHO_STEPS stays BudgetExceeded("factor") where the circuit tells spill 1
+    from spill 2.
     """
     require_fragment(c, PRIMEFACT_SCALAR, "prime-factor vectorization", vector=False)
     primes = set()

@@ -124,8 +124,12 @@ class TestMember:
         out = capsys.readouterr().out
         assert out.startswith("member=true")
         assert "spill=(1, 1)" in out and "step=prime-test" in out
-        # prime, but above the bound where Miller-Rabin decides: factoring refuses
-        assert main(["member", p, str(2**89 - 1)]) == 5
+        # prime past the bound where Miller-Rabin decides: proved by certificate
+        assert main(["member", p, str(2**89 - 1)]) == 0
+        assert capsys.readouterr().out.startswith("member=true")
+        # prime, but its n - 1 = 2 q1 q2 has no part rho can reach: refused
+        n = 2 * 19_282_901_516_542_751_161 * 18_788_459_943_534_510_863 + 1
+        assert main(["member", p, str(n)]) == 5
         assert "factor" in capsys.readouterr().err
 
     def test_bad_query_is_exit_2(self, circ):

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -27,7 +28,7 @@ from setcircuits import (
     to_vector_gcdfree,
     to_vector_primefact,
 )
-from setcircuits.numtheory import primes_upto
+from setcircuits.numtheory import miller_rabin, primes_upto
 from setcircuits.reductions import primes_circuit
 
 from circgen import bounded_scalar, random_scalar
@@ -197,8 +198,7 @@ class TestLabelOnlyBasis:
         assert unrepresentable >= 20
 
 
-# primes past 1000, and past 10^6 yet small enough that factorize certifies
-# them in a few thousand divisions
+# primes past 1000, and past 10^6
 MID_PRIMES = [p for p in primes_upto(3000) if p > 1000]
 BIG_PRIMES = (1_000_003, 99_999_989, 999_999_937)
 
@@ -212,6 +212,13 @@ def _foreign_query(rng, base):
     if rng.random() < 0.4:
         b *= rng.choice(BIG_PRIMES)
     return b
+
+
+def _random_prime(rng, lo, hi):
+    while True:
+        n = rng.randrange(lo, hi)
+        if miller_rabin(n):
+            return n
 
 
 def _omega_equals(k):
@@ -257,16 +264,40 @@ class TestStagedSpill:
                 prev = (lo, hi)
             assert prev == (omega, omega)
 
+    def test_factored_step_on_products_of_large_primes(self):
+        # two or three prime factors past 10^6; within the default step bound
+        # rho splits off every prime below 2^26
+        rng = random.Random(26)
+        steps = Counter()
+        for k in (2, 3):
+            c = _omega_equals(k)
+            for _ in range(4):
+                primes = [_random_prime(rng, 10**6, 2**26) for _ in range(k - 1)]
+                primes.append(_random_prime(rng, 10**6, 2**40))
+                for extra in (1, 7, 1_000_003):
+                    b = extra * math.prod(primes)
+                    v = decide(c, b, engine="clamped-vector")
+                    assert v.member == (extra == 1), f"k={k} b={b}"
+                    steps[v.stats["step"]] += 1
+        assert set(steps) == {"factored"}, steps
+
     def test_huge_queries(self):
         primes = primes_circuit()
         p, q = 2_147_483_659, 4_294_967_291  # primes in [2^31, 2^32)
         assert decide(primes, 2**61 - 1).member is True
         assert decide(primes, p * q).member is False
-        assert decide(EVENS, 2**127 - 1).member is False
         assert decide(EVENS, 2**127).member is True
+        for e in (89, 107, 127):  # Mersenne primes past MR_BOUND, proved by certificate
+            v = decide(primes, 2**e - 1)
+            assert v.member is True and v.stats["step"] == "prime-test"
+            assert decide(EVENS, 2**e - 1).member is False
+        # n - 1 = 2 q1 q2 with q1, q2 prime near 2^64: rho cannot split off
+        # enough of n - 1 to prove the prime n
+        n = 2 * 19_282_901_516_542_751_161 * 18_788_459_943_534_510_863 + 1
         with pytest.raises(BudgetExceeded) as info:
-            decide(primes, 2**89 - 1)  # prime, above MR_BOUND: Miller-Rabin proves nothing
+            decide(primes, n)
         assert info.value.kind == "factor"
+        assert decide(EVENS, n).member is False
 
     def test_stats_name_the_interval_and_step(self):
         primes = primes_circuit()
