@@ -36,7 +36,7 @@ from .circuit import (
     encoding_length,
     fragment_of,
     require_fragment,
-    subcircuit_at,
+    subcircuit_lengths,
 )
 from .errors import FragmentError
 
@@ -68,33 +68,29 @@ class CutoffProfile:
 def certified_cutoff(c: Circuit) -> CutoffProfile:
     """Per-gate 2^|C_g| + 1. Values are exact ints (often enormous)."""
     require_fragment(c, CLAMPABLE_VECTOR if c.vector else CLAMPABLE_SCALAR, "cutoff argument")
-    cut = {}
-    for g in c.gates:
-        size = encoding_length(subcircuit_at(c, g.gid))
-        cut[g.gid] = (1 << size) + 1
+    cut = {gid: (1 << size) + 1 for gid, size in subcircuit_lengths(c).items()}
     return CutoffProfile(mode=CutoffMode.CERTIFIED, cutoffs=cut)
 
 
 def structural_cutoff(c: Circuit) -> CutoffProfile:
     """The per-gate recurrence; cutoffs stay near the circuit's label scale."""
     require_fragment(c, CLAMPABLE_VECTOR if c.vector else CLAMPABLE_SCALAR, "cutoff argument")
+    INPUT, ADD, UNION, INTER = GateKind.INPUT, GateKind.ADD, GateKind.UNION, GateKind.INTER
     cut = {}
-    for g in c.gates:
-        if g.kind is GateKind.INPUT:
-            if g.value is INF:
-                cut[g.gid] = 1
-            elif isinstance(g.value, tuple):
-                cut[g.gid] = max(g.value) + 2
+    for gid, kind, preds, value in c.gates:
+        if kind is INPUT:
+            if value is INF:
+                cut[gid] = 1
+            elif isinstance(value, tuple):
+                cut[gid] = max(value) + 2
             else:
-                cut[g.gid] = g.value + 2
-        elif g.kind in (GateKind.UNION, GateKind.INTER):
-            cut[g.gid] = max(cut[g.preds[0]], cut[g.preds[1]])
-        elif g.kind is GateKind.COMP:
-            cut[g.gid] = cut[g.preds[0]]
-        elif g.kind is GateKind.ADD:
-            cut[g.gid] = cut[g.preds[0]] + cut[g.preds[1]]
-        else:  # DIV, SUB: the left operand's cutoff
-            cut[g.gid] = cut[g.preds[0]]
+                cut[gid] = value + 2
+        elif kind is ADD:
+            cut[gid] = cut[preds[0]] + cut[preds[1]]
+        elif kind is UNION or kind is INTER:
+            cut[gid] = max(cut[preds[0]], cut[preds[1]])
+        else:  # COMP, DIV, SUB: the left operand's cutoff
+            cut[gid] = cut[preds[0]]
     return CutoffProfile(mode=CutoffMode.STRUCTURAL, cutoffs=cut)
 
 

@@ -21,14 +21,18 @@ Text format (one circuit per document, LF line endings, ``#`` comments)::
     gate <id> comp <p>
     output <id>
 
-Numbers are ASCII digits. Gates must be declared before use (reverse
-topological order) and the ``output`` line comes last. Parsing and
-serialization round-trip to structural equality.
+Numbers are ASCII digits, at most ``sys.get_int_max_str_digits()`` of them
+(4300 by default). Gates must be declared before use (reverse topological
+order) and the ``output`` line comes last. Parsing and serialization
+round-trip to structural equality.
 """
 from __future__ import annotations
 
 import enum
+import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import FragmentError
 
@@ -111,8 +115,9 @@ class CircuitValidationError(CircuitError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
+    """One gate; a tuple, so it equals the plain tuple (gid, kind, preds, value)."""
+
     gid: int
     kind: GateKind
     preds: tuple[int, ...] = ()
@@ -131,10 +136,9 @@ class Circuit:
     _fragment: frozenset = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_id", {g.gid: g for g in self.gates})
-        _validate(self)
-        kinds = frozenset(g.kind for g in self.gates) - {GateKind.INPUT}
-        object.__setattr__(self, "_fragment", kinds)
+        by_id, fragment = _validate(self)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_fragment", fragment)
 
     def gate(self, gid: int) -> Gate:
         return self._by_id[gid]
@@ -150,27 +154,56 @@ class Circuit:
         return len(self.gates)
 
 
-def _validate(c: Circuit):
-    """The one structural check, for parsed and built circuits alike."""
+def _validate(c: Circuit) -> tuple[dict, frozenset]:
+    """The one structural check, for parsed and built circuits alike.
+
+    Returns the gates by id and the fragment (the non-input kinds). A gate
+    that passes the cheap test in the loop is sound; any other goes to
+    _gate_problem, which words what is wrong (it finds nothing for, say, a
+    label of an int subclass).
+    """
     if c.dim < 1:
         raise CircuitValidationError(f"dim must be >= 1, got {c.dim}")
     if not c.vector and c.dim != 1:
         raise CircuitValidationError("scalar circuits have dim 1")
     if not c.gates:
         raise CircuitValidationError("circuit has no gates")
-    allowed = VECTOR_KINDS if c.vector else SCALAR_KINDS
+    vector, dim = c.vector, c.dim
+    allowed = VECTOR_KINDS if vector else SCALAR_KINDS
+    INPUT = GateKind.INPUT  # a local: Enum attribute reads are slow
     seen = set()
+    by_id = {}
+    kinds = set()
     for pos, g in enumerate(c.gates):
-        problem = _gate_problem(c, g, seen, allowed)
-        if problem:
-            raise CircuitValidationError(problem, pos)
-        seen.add(g.gid)
+        gid, kind, preds, value = g
+        if kind is INPUT:
+            if vector:
+                fine = value is INF or (
+                    type(value) is tuple and len(value) == dim and all(map(_is_nat, value))
+                )
+            else:
+                fine = type(value) is int and value >= 0
+            fine = fine and not preds
+        else:
+            fine = (kind in allowed and value is None and len(preds) == ARITY[kind]
+                    and seen.issuperset(preds))
+        if not (fine and gid >= 0 and gid not in seen and type(g) is Gate):
+            problem = _gate_problem(c, g, seen, allowed)
+            if problem:
+                raise CircuitValidationError(problem, pos)
+        seen.add(gid)
+        by_id[gid] = g
+        kinds.add(kind)
     if c.output not in seen:
         raise CircuitValidationError(f"output gate {c.output} is not declared", len(c.gates))
+    kinds.discard(INPUT)
+    return by_id, frozenset(kinds)
 
 
 def _gate_problem(c: Circuit, g: Gate, seen: set, allowed: frozenset) -> str | None:
     """What is wrong with g, given the ids declared before it; None if nothing."""
+    if not isinstance(g, Gate):  # a plain tuple unpacks like one, but has no fields
+        return f"gates must be Gate records, got {type(g).__name__} {g!r}"
     if g.gid < 0:
         return f"gate id must be a natural number, got {g.gid}"
     if g.gid in seen:
@@ -181,7 +214,7 @@ def _gate_problem(c: Circuit, g: Gate, seen: set, allowed: frozenset) -> str | N
         return f"gate {g.gid}: {g.kind} takes {ARITY[g.kind]} predecessors, got {len(g.preds)}"
     for p in g.preds:
         if p not in seen:
-            if p in c._by_id:
+            if any(h.gid == p for h in c.gates):
                 return (f"gate {g.gid}: gate {p} is not declared yet"
                         " (gates may only reference earlier gates)")
             return f"gate {g.gid}: reference to undeclared gate {p}"
@@ -211,30 +244,67 @@ def parse_circuit(text: str) -> Circuit:
     The parser only reads tokens. ``Circuit`` checks the structure, and its
     errors are reported at the line of the offending gate (or output line),
     or at the header when the circuit as a whole is at fault.
+
+    Gate lines are read in the loop. Every accepted token is ASCII, so on an
+    ASCII line ``isdigit`` is the ASCII-digit rule; a line the loop refuses
+    goes to _reject_gate, which words the first check it fails.
     """
     header = None
     header_line = 0
+    vector = False
     gates = []
     linenos = []  # the line of each gate, then of the output line
     output = None
     last_line = 0  # the last line that holds a token
+    INPUT = GateKind.INPUT  # a local: Enum attribute reads are slow
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        toks = raw.partition("#")[0].split()
+        if "#" in raw:
+            raw = raw.partition("#")[0]
+        toks = raw.split()
         if not toks:
             continue
         last_line = lineno
         if header is None:
             header = _parse_header(toks, lineno)
+            vector = header[0]
             header_line = lineno
         elif output is not None:
             raise CircuitParseError("content after output line", lineno)
         elif toks[0] == "gate":
-            gates.append(_parse_gate(toks, lineno, header[0]))
+            g = None
+            kind = _KIND_NAMES.get(toks[2]) if len(toks) > 2 else None
+            if kind is not None and toks[1].isdigit() and (
+                raw.isascii() or all(map(str.isascii, toks))  # non-ASCII spaces only
+            ):
+                try:
+                    gid = int(toks[1])
+                    if kind is not INPUT:
+                        if len(toks) == 5 and toks[3].isdigit() and toks[4].isdigit():
+                            g = Gate(gid, kind, (int(toks[3]), int(toks[4])))
+                        elif all(map(str.isdigit, toks[3:])):  # comp, or an arity Circuit refuses
+                            g = Gate(gid, kind, tuple(map(int, toks[3:])))
+                    elif len(toks) == 4:
+                        label = toks[3]
+                        if label == "inf":
+                            value = INF
+                        elif vector:
+                            coords = label.split(",")
+                            ok = all(map(str.isdigit, coords))
+                            value = tuple(map(int, coords)) if ok else None
+                        else:
+                            value = int(label) if label.isdigit() else None
+                        if value is not None:
+                            g = Gate(gid, kind, (), value)
+                except ValueError:  # more digits than int() converts
+                    g = None
+            if g is None:
+                _reject_gate(toks, lineno, vector)
+            gates.append(g)
             linenos.append(lineno)
         elif toks[0] == "output":
             if len(toks) != 2:
                 raise CircuitParseError("output line takes exactly one gate id", lineno)
-            output = _parse_nat(toks[1], lineno, "output id")
+            output = parse_nat(toks[1], "output id", lineno)
             linenos.append(lineno)
         else:
             raise CircuitParseError(f"expected 'gate' or 'output', got {toks[0]!r}", lineno, 1)
@@ -242,9 +312,8 @@ def parse_circuit(text: str) -> Circuit:
         raise CircuitParseError("missing header line")
     if output is None:
         raise CircuitParseError("missing output line", last_line)
-    vector, dim = header
     try:
-        return Circuit(gates=tuple(gates), output=output, dim=dim, vector=vector)
+        return Circuit(gates=tuple(gates), output=output, dim=header[1], vector=vector)
     except CircuitValidationError as e:
         raise CircuitParseError(str(e), header_line if e.pos is None else linenos[e.pos]) from e
 
@@ -253,36 +322,40 @@ def _parse_header(toks, lineno):
     if toks[:2] == ["circuit", "v1"] and len(toks) == 2:
         return (False, 1)
     if toks[:2] == ["vcircuit", "v1"] and len(toks) == 4 and toks[2] == "dim":
-        return (True, _parse_nat(toks[3], lineno, "dim"))
+        return (True, parse_nat(toks[3], "dim", lineno))
     raise CircuitParseError("expected 'circuit v1' or 'vcircuit v1 dim <m>'", lineno, 1)
 
 
-def _parse_gate(toks, lineno, vector):
+def _reject_gate(toks, lineno, vector):
+    """Raise the error of a gate line parse_circuit refused: its first failed check."""
     if len(toks) < 3:
         raise CircuitParseError("gate line too short", lineno)
-    gid = _parse_nat(toks[1], lineno, "gate id")
+    parse_nat(toks[1], "gate id", lineno)
     kind = _KIND_NAMES.get(toks[2])
     if kind is None:
         raise CircuitParseError(f"unknown gate kind {toks[2]!r}", lineno)
-    if kind is GateKind.INPUT:
-        if len(toks) != 4:
-            raise CircuitParseError("input gate takes exactly one label", lineno)
-        return Gate(gid, kind, (), _parse_label(toks[3], lineno, vector))
-    return Gate(gid, kind, tuple(_parse_nat(t, lineno, "predecessor id") for t in toks[3:]))
+    if kind is not GateKind.INPUT:
+        for t in toks[3:]:
+            parse_nat(t, "predecessor id", lineno)
+    elif len(toks) != 4:
+        raise CircuitParseError("input gate takes exactly one label", lineno)
+    elif toks[3] != "inf":
+        for t in toks[3].split(",") if vector else toks[3:]:
+            parse_nat(t, "input coordinate" if vector else "input label", lineno)
+    raise AssertionError(f"line {lineno}: gate line refused, but every check passes")
 
 
-def _parse_label(tok, lineno, vector):
-    if tok == "inf":
-        return INF
-    if not vector:
-        return _parse_nat(tok, lineno, "input label")
-    return tuple(_parse_nat(p, lineno, "input coordinate") for p in tok.split(","))
-
-
-def _parse_nat(tok, lineno, what):
+def parse_nat(tok: str, what: str, lineno: int | None = None) -> int:
+    """A natural number written in ASCII digits; CircuitParseError otherwise."""
     if not (tok.isascii() and tok.isdigit()):
         raise CircuitParseError(f"{what} must be a natural number, got {tok!r}", lineno)
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise CircuitParseError(
+            f"{what} has {len(tok)} digits; numbers are limited to {limit} digits", lineno
+        ) from None
 
 
 def serialize_circuit(c: Circuit) -> str:
@@ -345,12 +418,15 @@ def encoding_length(c: Circuit) -> int:
     vector: that, summed over coordinates; inf: 1). The output id is counted
     once at the end.
     """
-    total = 0
-    for g in c.gates:
-        total += bits(g.gid) + 3 + sum(bits(p) for p in g.preds)
-        if g.kind is GateKind.INPUT:
-            total += _label_bits(g.value)
-    return total + bits(c.output)
+    return sum(map(_gate_bits, c.gates)) + bits(c.output)
+
+
+def _gate_bits(g: Gate) -> int:
+    """One gate's share of the encoding length."""
+    total = bits(g.gid) + 3 + sum(bits(p) for p in g.preds)
+    if g.kind is GateKind.INPUT:
+        total += _label_bits(g.value)
+    return total
 
 
 def _label_bits(v):
@@ -375,3 +451,25 @@ def subcircuit_at(c: Circuit, gid: int) -> Circuit:
         stack.extend(c.gate(h).preds)
     kept = tuple(g for g in c.gates if g.gid in needed)
     return Circuit(gates=kept, output=gid, dim=c.dim, vector=c.vector)
+
+
+def subcircuit_lengths(c: Circuit) -> dict[int, int]:
+    """encoding_length(subcircuit_at(c, g)) for every gate g, in one pass.
+
+    Each gate's ancestors (itself included) are a bitset over gate positions,
+    built in declaration order. Gates are grouped by their share of the
+    encoding length, so a length is one popcount per distinct share.
+    """
+    ancestors = {}
+    by_share = defaultdict(int)  # share in bits -> positions of the gates with it
+    for pos, g in enumerate(c.gates):
+        mask = 1 << pos
+        for p in g.preds:
+            mask |= ancestors[p]
+        ancestors[g.gid] = mask
+        by_share[_gate_bits(g)] |= 1 << pos
+    shares = by_share.items()
+    return {
+        gid: sum(w * (mask & m).bit_count() for w, m in shares) + bits(gid)
+        for gid, mask in ancestors.items()
+    }

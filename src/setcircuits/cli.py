@@ -30,6 +30,7 @@ from .circuit import (
     GateKind,
     fragment_of,
     parse_circuit,
+    parse_nat,
     serialize_circuit,
 )
 from .engines import (
@@ -74,15 +75,13 @@ def _load_circuit(path: str) -> Circuit:
 
 
 def _parse_query(text: str, c: Circuit):
+    """A query, with numbers written as in circuit files (ASCII digits)."""
     if not c.vector:
-        b = int(text)
-        if b < 0:
-            raise ValueError("query must be a natural number")
-        return b
+        return parse_nat(text, "query")
     if text.strip().lower() == "inf":
         return INF
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != c.dim or any(p < 0 for p in parts):
+    parts = [parse_nat(p, "query coordinate") for p in text.split(",")]
+    if len(parts) != c.dim:
         raise ValueError(f"query must be {c.dim} comma-separated naturals or 'inf'")
     return tuple(parts)
 

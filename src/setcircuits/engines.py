@@ -30,6 +30,7 @@ Fragments mixing comp with both add and mul are refused
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -95,51 +96,53 @@ def eval_singleton(c: Circuit) -> dict:
     gate id to that element or to None for the empty set.
     """
     require_fragment(c, SINGLETON_SCALAR, "singleton evaluation", vector=False)
+    INPUT, INTER, ADD, MUL = GateKind.INPUT, GateKind.INTER, GateKind.ADD, GateKind.MUL
     val: dict = {}
-    for g in c.gates:
-        if g.kind is GateKind.INPUT:
-            val[g.gid] = g.value
+    for gid, kind, preds, value in c.gates:
+        if kind is INPUT:
+            val[gid] = value
             continue
-        a, b = (val[p] for p in g.preds)
+        a, b = val[preds[0]], val[preds[1]]
         if a is None or b is None:
-            val[g.gid] = None
-        elif g.kind is GateKind.INTER:
-            val[g.gid] = a if a == b else None
-        elif g.kind is GateKind.ADD:
-            val[g.gid] = a + b
-        elif g.kind is GateKind.MUL:
-            val[g.gid] = a * b
+            val[gid] = None
+        elif kind is INTER:
+            val[gid] = a if a == b else None
+        elif kind is ADD:
+            val[gid] = a + b
+        elif kind is MUL:
+            val[gid] = a * b
         else:  # DIV
-            val[g.gid] = a // b if b != 0 and a % b == 0 else None
+            val[gid] = a // b if b != 0 and a % b == 0 else None
     return val
 
 
 def eval_singleton_vector(c: Circuit) -> dict:
     """Per-gate value for {inter, add, sub} vector circuits (tuple, INF, or None)."""
     require_fragment(c, SINGLETON_VECTOR, "singleton vector evaluation", vector=True)
+    INPUT, INTER, ADD = GateKind.INPUT, GateKind.INTER, GateKind.ADD
     val: dict = {}
-    for g in c.gates:
-        if g.kind is GateKind.INPUT:
-            val[g.gid] = g.value
+    for gid, kind, preds, value in c.gates:
+        if kind is INPUT:
+            val[gid] = value
             continue
-        a, b = (val[p] for p in g.preds)
+        a, b = val[preds[0]], val[preds[1]]
         if a is None or b is None:
-            val[g.gid] = None
-        elif g.kind is GateKind.INTER:
-            val[g.gid] = a if a == b else None
-        elif g.kind is GateKind.ADD:
+            val[gid] = None
+        elif kind is INTER:
+            val[gid] = a if a == b else None
+        elif kind is ADD:
             if a is INF or b is INF:
-                val[g.gid] = INF
+                val[gid] = INF
             else:
-                val[g.gid] = tuple(x + y for x, y in zip(a, b))
+                val[gid] = tuple(map(operator.add, a, b))
         else:  # SUB
             if b is INF:
-                val[g.gid] = None
+                val[gid] = None
             elif a is INF:
-                val[g.gid] = INF
+                val[gid] = INF
             else:
-                d = tuple(x - y for x, y in zip(a, b))
-                val[g.gid] = d if all(x >= 0 for x in d) else None
+                d = tuple(map(operator.sub, a, b))
+                val[gid] = d if min(d) >= 0 else None
     return val
 
 
@@ -149,16 +152,16 @@ def eval_singleton_vector(c: Circuit) -> dict:
 def eval_exact(c: Circuit, budget: EngineBudget = DEFAULT_BUDGET) -> dict:
     """Materialize every gate's finite set for comp-free circuits."""
     require_fragment(c, EXACT_VECTOR if c.vector else EXACT_SCALAR, "exact evaluation")
+    INPUT = GateKind.INPUT
     sets: dict = {}
-    for g in c.gates:
-        if g.kind is GateKind.INPUT:
-            sets[g.gid] = frozenset({g.value})
+    for gid, kind, preds, value in c.gates:
+        if kind is INPUT:
+            sets[gid] = frozenset((value,))
             continue
-        a, b = (sets[p] for p in g.preds)
-        out = exact_apply(g.kind, a, b)
+        out = exact_apply(kind, sets[preds[0]], sets[preds[1]])
         if len(out) > budget.max_set_elems:
-            raise BudgetExceeded("set-size", f"gate {g.gid} holds {len(out)} elements")
-        sets[g.gid] = out
+            raise BudgetExceeded("set-size", f"gate {gid} holds {len(out)} elements")
+        sets[gid] = out
     return sets
 
 
@@ -182,19 +185,20 @@ def eval_clamped_scalar(
     profile's cutoffs.
     """
     require_fragment(c, CLAMPABLE_SCALAR, "clamped scalar evaluation", vector=False)
-    prof = _resolve_profile(c, mode)
+    cut = _resolve_profile(c, mode).cutoffs
+    max_cells = budget.max_grid_cells
+    INPUT, COMP = GateKind.INPUT, GateKind.COMP
     reps: dict = {}
-    for g in c.gates:
-        n = prof[g.gid]
-        if n + 1 > budget.max_grid_cells:
-            raise BudgetExceeded("grid", f"gate {g.gid} needs a {n + 1}-cell bitmap")
-        if g.kind is GateKind.INPUT:
-            reps[g.gid] = NatSetRep.from_elements([g.value], cutoff=n)
-        elif g.kind is GateKind.COMP:
-            reps[g.gid] = natrep_apply(g.kind, reps[g.preds[0]], None, n, budget.max_grid_cells)
+    for gid, kind, preds, value in c.gates:
+        n = cut[gid]
+        if n + 1 > max_cells:
+            raise BudgetExceeded("grid", f"gate {gid} needs a {n + 1}-cell bitmap")
+        if kind is INPUT:
+            reps[gid] = NatSetRep.from_elements((value,), cutoff=n)
+        elif kind is COMP:
+            reps[gid] = natrep_apply(kind, reps[preds[0]], None, n, max_cells)
         else:
-            a, b = (reps[p] for p in g.preds)
-            reps[g.gid] = natrep_apply(g.kind, a, b, n, budget.max_grid_cells)
+            reps[gid] = natrep_apply(kind, reps[preds[0]], reps[preds[1]], n, max_cells)
     return reps, reps[c.output]
 
 
@@ -205,19 +209,20 @@ def eval_clamped_vector(
 ):
     """Per-gate VecSetRep for {union, inter, comp, add, sub} vector circuits."""
     require_fragment(c, CLAMPABLE_VECTOR, "clamped vector evaluation", vector=True)
-    prof = _resolve_profile(c, mode)
+    cut = _resolve_profile(c, mode).cutoffs
+    max_cells = budget.max_grid_cells
+    INPUT, COMP = GateKind.INPUT, GateKind.COMP
     reps: dict = {}
-    for g in c.gates:
-        n = prof[g.gid]
-        if (n + 1) ** c.dim > budget.max_grid_cells:
-            raise BudgetExceeded("grid", f"gate {g.gid} needs ({n + 1})^{c.dim} cells")
-        if g.kind is GateKind.INPUT:
-            reps[g.gid] = vecrep_from_label(g.value, c.dim, n)
-        elif g.kind is GateKind.COMP:
-            reps[g.gid] = vecrep_apply(g.kind, reps[g.preds[0]], None, n, budget.max_grid_cells)
+    for gid, kind, preds, value in c.gates:
+        n = cut[gid]
+        if (n + 1) ** c.dim > max_cells:
+            raise BudgetExceeded("grid", f"gate {gid} needs ({n + 1})^{c.dim} cells")
+        if kind is INPUT:
+            reps[gid] = vecrep_from_label(value, c.dim, n)
+        elif kind is COMP:
+            reps[gid] = vecrep_apply(kind, reps[preds[0]], None, n, max_cells)
         else:
-            a, b = (reps[p] for p in g.preds)
-            reps[g.gid] = vecrep_apply(g.kind, a, b, n, budget.max_grid_cells)
+            reps[gid] = vecrep_apply(kind, reps[preds[0]], reps[preds[1]], n, max_cells)
     return reps, reps[c.output]
 
 

@@ -26,6 +26,12 @@ from dataclasses import dataclass
 from .circuit import INF, GateKind
 from .errors import BudgetExceeded
 
+# the *_apply functions run once per gate, and Enum attribute reads are slow
+_UNION, _INTER, _COMP, _ADD, _MUL, _DIV, _SUB = (
+    GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.ADD, GateKind.MUL, GateKind.DIV,
+    GateKind.SUB,
+)
+
 
 # ---------------------------------------------------------------------------
 # exact finite sets
@@ -36,17 +42,17 @@ def exact_apply(kind: GateKind, a: frozenset, b: frozenset | None = None) -> fro
     Scalar elements are naturals; vector elements are tuples (plus INF).
     comp is refused: complements of finite sets are not finite.
     """
-    if kind is GateKind.UNION:
+    if kind is _UNION:
         return a | b
-    if kind is GateKind.INTER:
+    if kind is _INTER:
         return a & b
-    if kind is GateKind.ADD:
+    if kind is _ADD:
         return _exact_add(a, b)
-    if kind is GateKind.MUL:
+    if kind is _MUL:
         return frozenset(x * y for x in a for y in b)
-    if kind is GateKind.DIV:
+    if kind is _DIV:
         return frozenset(x // y for x in a for y in b if y != 0 and x % y == 0)
-    if kind is GateKind.SUB:
+    if kind is _SUB:
         return _exact_sub(a, b)
     raise ValueError(f"exact_apply cannot apply {kind}")
 
@@ -137,14 +143,14 @@ def natrep_apply(
         raise ValueError(f"result_cutoff must be >= 1, got {n}")
     if n + 1 > max_grid_cells:
         raise BudgetExceeded("grid", f"scalar bitmap of {n + 1} cells")
-    if kind is GateKind.COMP:
+    if kind is _COMP:
         full = (1 << (n + 1)) - 1
         return NatSetRep(cutoff=n, mask=full ^ _extend(a, n))
-    if kind is GateKind.UNION or kind is GateKind.INTER:
-        ea, eb = _extend(a, n), _extend(b, n)
-        mask = (ea | eb) if kind is GateKind.UNION else (ea & eb)
-        return NatSetRep(cutoff=n, mask=mask)
-    if kind is GateKind.ADD:
+    if kind is _UNION:
+        return NatSetRep(cutoff=n, mask=_extend(a, n) | _extend(b, n))
+    if kind is _INTER:
+        return NatSetRep(cutoff=n, mask=_extend(a, n) & _extend(b, n))
+    if kind is _ADD:
         ea, eb = _extend(a, n), _extend(b, n)
         acc = 0
         full = (1 << (n + 1)) - 1
@@ -153,19 +159,17 @@ def natrep_apply(
             acc |= eb << (low.bit_length() - 1)
             ea ^= low
         return NatSetRep(cutoff=n, mask=acc & full)
-    if kind is GateKind.DIV:
+    if kind is _DIV:
         return _natrep_div(a, b, n)
     raise ValueError(f"natrep_apply cannot apply {kind}")
 
 
 def _extend(rep: NatSetRep, n: int) -> int:
     """Literal membership bits of rep over [0, n] (unfolding the tail)."""
-    if n <= rep.cutoff:
-        # keep literal bits below n; bit n becomes membership of the number n
-        mask = rep.mask & ((1 << n) - 1)
-        if rep.member(n):
-            mask |= 1 << n
-        return mask
+    if n == rep.cutoff:
+        return rep.mask
+    if n < rep.cutoff:
+        return rep.mask & ((1 << (n + 1)) - 1)  # bits 0..n are all literal
     mask = rep.mask
     if rep.tail:
         mask |= ((1 << (n - rep.cutoff)) - 1) << (rep.cutoff + 1)
@@ -176,17 +180,19 @@ def _natrep_div(a: NatSetRep, b: NatSetRep, n: int) -> NatSetRep:
     # c in A div B  <=>  exists w >= 1: w in B and c*w in A.
     # For w > max(n_A, n_B) both tests are constant in w, so searching
     # w <= max(n_A, n_B) + 1 is exact.
-    wmax = max(a.cutoff, b.cutoff) + 1
+    na, amask, bmask = a.cutoff, a.mask, b.mask
+    wmax = max(na, b.cutoff) + 1
     mask = 0
     full = (1 << (n + 1)) - 1
+    a_tail = amask >> na & 1
     for w in range(1, wmax + 1):
-        if not b.member(w):
+        if not bmask >> min(w, b.cutoff) & 1:
             continue
-        lit = a.cutoff // w  # beyond this, c*w clamps to a's tail
+        lit = na // w  # beyond this, c*w clamps to a's tail
         for c in range(0, min(n, lit) + 1):
-            if a.member(c * w):
+            if amask >> (c * w) & 1:
                 mask |= 1 << c
-        if a.tail and lit < n:
+        if a_tail and lit < n:
             mask |= ((1 << (n - lit)) - 1) << (lit + 1)
         if (mask & full) == full:
             break
@@ -269,16 +275,16 @@ def vecrep_apply(
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     _check_grid_budget(n, dim, max_grid_cells)
 
-    if kind is GateKind.COMP:
+    if kind is _COMP:
         cells = frozenset(p for p in _grid(n, dim) if not a.member(p))
         return VecSetRep(dim=dim, cutoff=n, cells=cells, inf=not a.inf)
-    if kind is GateKind.UNION:
+    if kind is _UNION:
         cells = frozenset(p for p in _grid(n, dim) if a.member(p) or b.member(p))
         return VecSetRep(dim=dim, cutoff=n, cells=cells, inf=a.inf or b.inf)
-    if kind is GateKind.INTER:
+    if kind is _INTER:
         cells = frozenset(p for p in _grid(n, dim) if a.member(p) and b.member(p))
         return VecSetRep(dim=dim, cutoff=n, cells=cells, inf=a.inf and b.inf)
-    if kind is GateKind.ADD:
+    if kind is _ADD:
         # total decompositions over the whole grid: prod over axes of 1+2+...+(n+1)
         work = (((n + 1) * (n + 2)) // 2) ** dim
         if work > max_grid_cells:
@@ -288,7 +294,7 @@ def vecrep_apply(
             b.inf and (a.finite_nonempty() or a.inf)
         )
         return VecSetRep(dim=dim, cutoff=n, cells=cells, inf=inf)
-    if kind is GateKind.SUB:
+    if kind is _SUB:
         w = max(a.cutoff, b.cutoff)
         if (n + 1) ** dim * (w + 1) ** dim > max_grid_cells:
             raise BudgetExceeded("grid", f"sub search ({n + 1})^{dim} x ({w + 1})^{dim}")

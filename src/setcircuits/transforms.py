@@ -93,12 +93,13 @@ class ExponentMap:
 
 def _map_gates(c: Circuit, emap: ExponentMap) -> Circuit:
     swap = {GateKind.MUL: GateKind.ADD, GateKind.DIV: GateKind.SUB}
+    INPUT = GateKind.INPUT  # a local: Enum attribute reads are slow
     gates = []
-    for g in c.gates:
-        if g.kind is GateKind.INPUT:
-            gates.append(Gate(gid=g.gid, kind=g.kind, value=emap.apply(g.value)))
+    for gid, kind, preds, value in c.gates:
+        if kind is INPUT:
+            gates.append(Gate(gid, kind, (), emap.apply(value)))
         else:
-            gates.append(Gate(gid=g.gid, kind=swap.get(g.kind, g.kind), preds=g.preds))
+            gates.append(Gate(gid, swap.get(kind, kind), preds))
     return Circuit(gates=tuple(gates), output=c.output, dim=emap.dim, vector=True)
 
 

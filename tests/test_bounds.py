@@ -1,16 +1,22 @@
+import random
+
 import pytest
 
+from circgen import SCALAR_FULL, VECTOR_FULL, random_scalar, random_vector
 from setcircuits import (
     CutoffMode,
     FragmentError,
+    GateKind,
     certified_cutoff,
     cutoff_profile,
     encoding_length,
+    fragment_of,
     parse_circuit,
     structural_cutoff,
     subcircuit_at,
     value_bound,
 )
+from setcircuits.circuit import subcircuit_lengths
 
 PRIMES_VEC_TEXT = """\
 vcircuit v1 dim 2
@@ -85,6 +91,21 @@ def test_certified_uses_subcircuit_sizes():
     prof = certified_cutoff(c)
     for gid in (1, 2, 3):
         assert prof[gid] == 2 ** encoding_length(subcircuit_at(c, gid)) + 1
+
+
+def test_subcircuit_lengths_in_one_pass():
+    # the one-pass lengths equal the encoding of each gate's own subcircuit,
+    # on circuits with shared predecessors, repeated ids in preds and inf labels
+    rng = random.Random(7)
+    for _ in range(150):
+        if rng.random() < 0.5:
+            c = random_scalar(rng, SCALAR_FULL, max_gates=14, max_label=300)
+        else:
+            c = random_vector(rng, VECTOR_FULL, dim=rng.randint(1, 4), max_gates=14, max_coord=40)
+        sizes = subcircuit_lengths(c)
+        assert sizes == {g.gid: encoding_length(subcircuit_at(c, g.gid)) for g in c.gates}
+        if c.vector or GateKind.MUL not in fragment_of(c):  # certified cutoffs refuse mul
+            assert certified_cutoff(c).cutoffs == {g: (1 << n) + 1 for g, n in sizes.items()}
 
 
 def test_cutoffs_refuse_mul():

@@ -1,5 +1,10 @@
+import random
+import re
+import sys
+
 import pytest
 
+from circgen import SCALAR_FULL, VECTOR_FULL, random_scalar, random_vector
 from setcircuits import (
     INF,
     Circuit,
@@ -50,6 +55,17 @@ def test_parse_vector_header():
     assert parse_circuit(serialize_circuit(c)) == c
 
 
+BIG = "1" * 5000
+# numbers past int()'s 4,300-digit limit, in each place a number goes
+DIGIT_LIMIT_REJECTS = [
+    pytest.param(f"circuit v1\ngate {BIG} input 0\noutput 1\n", 2, id="big-gate-id"),
+    pytest.param(f"circuit v1\ngate 1 input {BIG}\noutput 1\n", 2, id="big-label"),
+    pytest.param(f"vcircuit v1 dim 2\ngate 1 input 0,{BIG}\noutput 1\n", 2, id="big-coordinate"),
+    pytest.param(f"circuit v1\ngate 1 input 0\ngate 2 comp {BIG}\noutput 2\n", 3, id="big-pred"),
+    pytest.param(f"circuit v1\ngate 1 input 0\noutput {BIG}\n", 3, id="big-output"),
+    pytest.param(f"vcircuit v1 dim {BIG}\ngate 1 input inf\noutput 1\n", 1, id="big-dim"),
+]
+
 # (text, the line the error names); structural errors name the offending
 # gate's line, the output line, or the header for the circuit as a whole
 PARSE_REJECTS = [
@@ -69,6 +85,7 @@ PARSE_REJECTS = [
     ("vcircuit v1 dim 0\ngate 1 input inf\noutput 1\n", 1),  # dim 0
     ("circuit v1\ngate 1 input \u00b2\noutput 1\n", 2),  # superscript two is not a digit
     ("circuit v1\ngate \u0661 input \u0663\noutput 1\n", 2),  # Arabic-Indic digits
+    *DIGIT_LIMIT_REJECTS,
 ]
 
 
@@ -77,6 +94,13 @@ def test_parse_rejects(text, line):
     with pytest.raises(CircuitParseError) as info:
         parse_circuit(text)
     assert info.value.line == line
+
+
+def test_digit_limit_is_named():
+    limit = sys.get_int_max_str_digits()
+    for case in DIGIT_LIMIT_REJECTS:
+        with pytest.raises(CircuitParseError, match=f"5000 digits; numbers are limited to {limit}"):
+            parse_circuit(case.values[0])
 
 
 def test_parse_error_carries_location():
@@ -101,6 +125,20 @@ def test_validation_direct_construction():
         Circuit((Gate(1, GateKind.UNION, preds=(1, 1)),), output=1)  # self-loop
     with pytest.raises(CircuitValidationError):
         Circuit((), output=1)
+    for label in (-3, True, "3", 2.0, None):
+        with pytest.raises(CircuitValidationError, match="scalar input label"):
+            Circuit((Gate(1, GateKind.INPUT, value=label),), output=1)
+    with pytest.raises(CircuitValidationError, match="2-tuple"):
+        Circuit((Gate(1, GateKind.INPUT, value=(1, -1)),), output=1, dim=2, vector=True)
+
+    class Nat(int):
+        pass
+
+    # labels of an int subclass fail the cheap test but are sound
+    assert Circuit((Gate(1, GateKind.INPUT, value=Nat(3)),), output=1).gate(1).value == 3
+    # a Gate equals the plain tuple of its fields, but a tuple is no Gate
+    with pytest.raises(CircuitValidationError, match="Gate records"):
+        Circuit(((1, GateKind.INPUT, (), 3),), output=1)
     # pos: the offending gate's index, len(gates) for the output, None for the whole circuit
     two = (Gate(1, GateKind.INPUT, value=2), Gate(1, GateKind.INPUT, value=3))
     for gates, output, pos in ((two, 1, 1), (two[:1], 7, 1), ((), 1, None)):
@@ -154,3 +192,94 @@ def test_inf_singleton_repr_and_identity():
     assert repr(INF) == "inf"
     text = "vcircuit v1 dim 1\ngate 1 input inf\noutput 1\n"
     assert parse_circuit(text).gate(1).value is INF
+
+
+def test_gate_contract():
+    g = Gate(gid=3, kind=GateKind.ADD, preds=(1, 2))
+    assert g == Gate(3, GateKind.ADD, (1, 2), None) == (3, GateKind.ADD, (1, 2), None)
+    assert Gate(1, GateKind.INPUT).preds == () and Gate(1, GateKind.INPUT).value is None
+    assert Gate(gid=1, kind=GateKind.INPUT, value=4).value == 4
+    with pytest.raises(AttributeError):
+        g.gid = 4
+    assert hash(g) == hash(Gate(3, GateKind.ADD, (1, 2)))
+
+
+def _random_circuits(rng, n):
+    for _ in range(n):
+        if rng.random() < 0.6:
+            yield random_scalar(rng, SCALAR_FULL, max_gates=9, max_label=rng.choice((9, 10**6)))
+        else:
+            yield random_vector(rng, VECTOR_FULL, dim=rng.randint(1, 3), max_gates=9, max_coord=12)
+
+
+def test_roundtrip_random_circuits():
+    rng = random.Random(11)
+    for c in _random_circuits(rng, 400):
+        assert parse_circuit(serialize_circuit(c)) == c
+
+
+def mutated_texts(seed: int, n: int) -> list[str]:
+    """Serialized random circuits with one to three token-level mutations each:
+    drop, duplicate or swap tokens; non-ASCII digits, signs, '_' or a
+    5000-digit number in place of a number; comments and blank lines; a
+    no-break space between tokens."""
+    rng = random.Random(seed)
+    digits = ("\u0660", "\uff10", "\u06f0", "\u0966")  # zeros of other digit sets
+    texts = []
+    for c in _random_circuits(rng, n):
+        lines = [line.split() for line in serialize_circuit(c).splitlines()]
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(lines))
+            toks = lines[i]
+            op = rng.randrange(7)
+            if op == 0 and toks:
+                del toks[rng.randrange(len(toks))]
+            elif op == 1 and toks:
+                j = rng.randrange(len(toks))
+                toks.insert(j, toks[j])
+            elif op == 2:
+                k = rng.randrange(len(lines))
+                if toks and lines[k]:
+                    j, m = rng.randrange(len(toks)), rng.randrange(len(lines[k]))
+                    toks[j], lines[k][m] = lines[k][m], toks[j]
+            elif op == 3:
+                nums = [j for j, t in enumerate(toks) if t.isascii() and t.isdigit()]
+                if nums:
+                    j = rng.choice(nums)
+                    t = toks[j]
+                    toks[j] = rng.choice((
+                        "".join(chr(ord(rng.choice(digits)) + int(d)) for d in t),
+                        "+" + t, "-" + t, t[:1] + "_" + t[1:] if len(t) > 1 else "_" + t,
+                        "1" * 5000, "\u00b2",
+                    ))
+            elif op == 4:
+                toks.append("# " + rng.choice(("note", "gate 9 input 1", "\u00e9t\u00e9", "")))
+            elif op == 5:
+                lines.insert(i, rng.choice(([], ["#", "x"], ["\t"])))
+            else:
+                lines[i] = ["\u00a0".join(toks)] if toks else toks
+        texts.append("\n".join(" ".join(t) for t in lines) + "\n")
+    return texts
+
+
+ACCEPTED_TOKEN = re.compile(r"[a-z]+|v1|[0-9]+(,[0-9]+)*", re.ASCII)
+
+
+def test_mutated_texts_parse_or_name_a_line():
+    # the parser's contract: a text parses to a circuit that round-trips, or
+    # raises CircuitParseError at a line that holds a token
+    accepted = 0
+    for text in mutated_texts(5, 5000):
+        try:
+            c = parse_circuit(text)
+        except CircuitParseError as e:
+            token_lines = [i for i, line in enumerate(text.split("\n"), start=1)
+                           if line.partition("#")[0].split()]
+            assert e.line in token_lines or (e.line is None and not token_lines), (text, e)
+        else:
+            accepted += 1
+            assert parse_circuit(serialize_circuit(c)) == c
+            # no sign, '_', space or non-ASCII digit gets into an accepted number
+            body = " ".join(line.partition("#")[0] for line in text.split("\n"))
+            assert all(ACCEPTED_TOKEN.fullmatch(t) for t in body.split()), text
+    assert 500 < accepted < 4500

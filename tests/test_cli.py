@@ -137,6 +137,33 @@ class TestMember:
         assert main(["member", circ(NATS_TEXT), "1,2"]) == 2
 
 
+# queries take numbers as circuit files do: ASCII digits, and no sign, space or _
+NOT_NATURALS = ["\u0669\u0667", " +97", "+97", "9_7", "-1", "97 ", "\uff19\uff17",
+                pytest.param("1" * 5000, id="5000-digits")]
+
+
+class TestQueryDigits:
+    @pytest.mark.parametrize("q", NOT_NATURALS)
+    def test_scalar_queries(self, circ, capsys, q):
+        p = circ(PRIMES_TEXT)
+        for argv in (["member", p, q], ["bench", p, f"--query={q}"],
+                     ["transform", p, "--to", "primefact", f"--query={q}"]):
+            assert main(argv) == 2
+            assert "natural number" in capsys.readouterr().err or len(q) > 4300
+        assert main(["member", p, "97"]) == 0
+
+    @pytest.mark.parametrize("q", NOT_NATURALS)
+    def test_vector_coordinates(self, circ, capsys, q):
+        p = circ("vcircuit v1 dim 2\ngate 1 input 1,2\ngate 2 add 1 1\noutput 2\n", "v.circ")
+        assert main(["member", p, f"2,{q}"]) == 2
+        assert main(["bench", p, f"--query={q},4"]) == 2
+        assert main(["member", p, "2,4"]) == 0
+
+    def test_digit_limit_is_named(self, circ, capsys):
+        assert main(["member", circ(PRIMES_TEXT), "1" * 5000]) == 2
+        assert "limited to" in capsys.readouterr().err
+
+
 class TestEval:
     def test_exact_listing(self, circ, capsys):
         p = circ("circuit v1\ngate 1 input 2\ngate 2 add 1 1\noutput 2\n")

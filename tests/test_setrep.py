@@ -121,6 +121,35 @@ def test_natrep_ops_match_literal_sets(kind):
         assert got_lit == want, (kind, a, b, n)
 
 
+def _padded_rep(rng, k, cutoff):
+    """A set whose membership is constant from k on, kept at cutoff >= k."""
+    tail = rng.random() < 0.5
+    elems = [z for z in range(k) if rng.random() < 0.4] + (list(range(k, cutoff)) if tail else [])
+    return NatSetRep.from_elements(elems, cutoff, tail=tail)
+
+
+@pytest.mark.parametrize("kind", [GateKind.UNION, GateKind.INTER, GateKind.COMP])
+def test_natrep_result_cutoff_below_operands(kind):
+    # a certified result cutoff may sit below an operand's own cutoff; the
+    # operand's bits are then cut at n, and bit n stands for every z >= n
+    rng = random.Random(hash(kind.value) & 0xFFFF)
+    for _ in range(80):
+        ka, kb = rng.randint(1, 6), rng.randint(1, 6)
+        a = _padded_rep(rng, ka, ka + rng.randint(0, 6))
+        b = _padded_rep(rng, kb, kb + rng.randint(0, 6))
+        n = max(ka, kb)
+        got = natrep_apply(kind, a, None if kind is GateKind.COMP else b, n)
+        w = 2 * (a.cutoff + b.cutoff) + 3
+        la, lb = _lit_set(a, w), _lit_set(b, w)
+        if kind is GateKind.UNION:
+            want = la | lb
+        elif kind is GateKind.INTER:
+            want = la & lb
+        else:
+            want = set(range(w + 1)) - la
+        assert _lit_set(got, w) == want, (kind, a, b, n)
+
+
 def test_natrep_mul_refused():
     a = NatSetRep.from_elements([1], cutoff=3)
     with pytest.raises(ValueError):
