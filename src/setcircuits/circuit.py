@@ -359,15 +359,27 @@ def parse_nat(tok: str, what: str, lineno: int | None = None) -> int:
 
 
 def serialize_circuit(c: Circuit) -> str:
-    """Canonical text form; parse(serialize(c)) == c."""
+    """Canonical text form; parse(serialize(c)) == c.
+
+    A label with more digits than a circuit file may hold raises
+    CircuitValidationError at its gate.
+    """
     out = []
     if c.vector:
         out.append(f"vcircuit v1 dim {c.dim}")
     else:
         out.append("circuit v1")
-    for g in c.gates:
+    for pos, g in enumerate(c.gates):
         if g.kind is GateKind.INPUT:
-            out.append(f"gate {g.gid} input {_format_label(g.value)}")
+            try:
+                label = _format_label(g.value)
+            except ValueError:  # more digits than str() converts
+                limit = sys.get_int_max_str_digits()
+                raise CircuitValidationError(
+                    f"gate {g.gid}: input label has more than {limit} digits, the limit for numbers",
+                    pos,
+                ) from None
+            out.append(f"gate {g.gid} input {label}")
         else:
             preds = " ".join(str(p) for p in g.preds)
             out.append(f"gate {g.gid} {g.kind} {preds}")

@@ -9,7 +9,6 @@ Subcommands:
 * transform  rewrite a circuit (vectorize, eliminate inter, push comp, expand)
 * gen        build a circuit from a combinatorial instance (JSON)
 * xcheck     run all applicable engines against each other
-* bench      CSV timing rows over one or more circuits
 
 Exit codes: 0 decided/ok, 1 xcheck disagreement, 2 parse or validation
 error, 3 I/O error, 4 unsupported fragment, 5 budget exceeded.
@@ -19,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from .bounds import CutoffMode, cutoff_profile, value_bound
@@ -273,23 +271,6 @@ def _cmd_xcheck(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    budget = _budget(args)
-    queries = args.query or ["0", "1", "2"]
-    print("circuit,b,engine,member,micros,memo_entries")
-    for path in args.circuits:
-        c = _load_circuit(path)
-        for qtext in queries:
-            b = _parse_query(qtext, c)
-            t0 = time.perf_counter()
-            v = decide(c, b, engine=args.engine, cutoff_mode=args.cutoff_mode, budget=budget)
-            micros = 0 if args.deterministic else int((time.perf_counter() - t0) * 1e6)
-            memo = v.stats.get("memo_entries", 0)
-            qcol = "inf" if b is INF else (",".join(map(str, b)) if isinstance(b, tuple) else b)
-            print(f"{path},{qcol},{v.engine},{str(v.member).lower()},{micros},{memo}")
-    return EXIT_OK
-
-
 def _write_out(text: str, output: str | None):
     if output:
         Path(output).write_text(text, encoding="utf-8")
@@ -356,15 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff-mode", default="structural", choices=["structural", "certified"])
     _add_budget_args(p)
     p.set_defaults(func=_cmd_xcheck)
-
-    p = sub.add_parser("bench", help="CSV timing rows")
-    p.add_argument("circuits", nargs="+")
-    p.add_argument("--query", action="append", help="repeatable; default 0 1 2")
-    p.add_argument("--engine", default="auto")
-    p.add_argument("--cutoff-mode", default="structural", choices=["structural", "certified"])
-    p.add_argument("--deterministic", action="store_true", help="zero the micros column")
-    _add_budget_args(p)
-    p.set_defaults(func=_cmd_bench)
 
     return top
 

@@ -8,17 +8,17 @@ Each engine decides "is b in I(C)?" for a class of circuits:
 * eval_exact: comp-free fragments; every gate's finite set is materialized,
   guarded by an element budget.
 * eval_clamped_scalar / eval_clamped_vector: comp-capable, mul-free
-  fragments; per-gate clamped representations at a certified or structural
-  cutoff profile.
+  fragments; per-gate clamped representations (NatSetRep, VecSetRep) built
+  bottom-up at a certified or structural cutoff profile. VecSetRep is the
+  one set representation of every vector route.
 * search_member: the same fragments as the clamped engines, but top-down: a
   memoized recursion over (gate, clamped query value) that unfolds the set
-  definitions, guessing decompositions at add/div/sub. Serves as the in-repo
-  independent check of the clamped evaluators.
+  definitions, guessing decompositions at add/div/sub. It shares no set
+  representation with the clamped evaluators, so xcheck_circuit uses it as
+  their independent check.
 * certificate_search / verify_certificate: comp-free fragments via formula
   expansion and depth-first search over per-gate value assignments; produces
   a checkable witness.
-* eval_grid_reference: numpy-based reference for vector circuits at one
-  uniform grid width; used by xcheck as an independent implementation.
 
 The engine table _ENGINES is the one place an engine's domain, fragment and
 preparation are declared; decide(), applicable_engines() and
@@ -35,13 +35,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from .bounds import (
     CLAMPABLE_SCALAR,
     CLAMPABLE_VECTOR,
     CutoffMode,
-    CutoffProfile,
     cutoff_profile,
     structural_cutoff,
 )
@@ -168,15 +165,9 @@ def eval_exact(c: Circuit, budget: EngineBudget = DEFAULT_BUDGET) -> dict:
 # ---------------------------------------------------------------------------
 # clamped evaluation
 
-def _resolve_profile(c, mode) -> CutoffProfile:
-    if isinstance(mode, CutoffProfile):
-        return mode
-    return cutoff_profile(c, mode)
-
-
 def eval_clamped_scalar(
     c: Circuit,
-    mode: CutoffMode | str | CutoffProfile = CutoffMode.STRUCTURAL,
+    mode: CutoffMode | str = CutoffMode.STRUCTURAL,
     budget: EngineBudget = DEFAULT_BUDGET,
 ):
     """Per-gate NatSetRep for {union, inter, comp, add, div} circuits.
@@ -185,7 +176,7 @@ def eval_clamped_scalar(
     profile's cutoffs.
     """
     require_fragment(c, CLAMPABLE_SCALAR, "clamped scalar evaluation", vector=False)
-    cut = _resolve_profile(c, mode).cutoffs
+    cut = cutoff_profile(c, mode).cutoffs
     max_cells = budget.max_grid_cells
     INPUT, COMP = GateKind.INPUT, GateKind.COMP
     reps: dict = {}
@@ -204,12 +195,12 @@ def eval_clamped_scalar(
 
 def eval_clamped_vector(
     c: Circuit,
-    mode: CutoffMode | str | CutoffProfile = CutoffMode.STRUCTURAL,
+    mode: CutoffMode | str = CutoffMode.STRUCTURAL,
     budget: EngineBudget = DEFAULT_BUDGET,
 ):
     """Per-gate VecSetRep for {union, inter, comp, add, sub} vector circuits."""
     require_fragment(c, CLAMPABLE_VECTOR, "clamped vector evaluation", vector=True)
-    cut = _resolve_profile(c, mode).cutoffs
+    cut = cutoff_profile(c, mode).cutoffs
     max_cells = budget.max_grid_cells
     INPUT, COMP = GateKind.INPUT, GateKind.COMP
     reps: dict = {}
@@ -243,7 +234,7 @@ class _SearchState:
 def search_member(
     c: Circuit,
     x,
-    mode: CutoffMode | str | CutoffProfile = CutoffMode.STRUCTURAL,
+    mode: CutoffMode | str = CutoffMode.STRUCTURAL,
     budget: EngineBudget = DEFAULT_BUDGET,
 ) -> bool:
     """Decide x in I(C) by memoized recursion over (gate, clamped value).
@@ -259,7 +250,7 @@ def search_member(
 
 def _prepare_search(c, mode, budget):
     """One memo shared by every query; the fragment is the caller's to check."""
-    st = _SearchState(c, _resolve_profile(c, mode), budget)
+    st = _SearchState(c, cutoff_profile(c, mode), budget)
     walk = _search_vec if c.vector else _search_nat
 
     def member(x):
@@ -602,74 +593,6 @@ def verify_certificate(c: Circuit, b: int, witness: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# numpy grid reference for vector circuits
-
-def eval_grid_reference(c: Circuit, margin: int = 2, budget: EngineBudget = DEFAULT_BUDGET):
-    """Evaluate a vector circuit on one uniform clamped grid (numpy bool arrays).
-
-    The width is the maximum structural cutoff plus margin, so every
-    per-gate cutoff argument applies a fortiori. Returns (grids, inf_flags,
-    width) where grids[gid][p] is membership of the literal point p and
-    index width in a coordinate stands for "that coordinate >= width".
-    """
-    require_fragment(c, CLAMPABLE_VECTOR, "grid reference evaluation", vector=True)
-    prof = structural_cutoff(c)
-    width = max(prof.cutoffs.values()) + margin
-    m = c.dim
-    if (width + 1) ** m > budget.max_grid_cells:
-        raise BudgetExceeded("grid", f"reference grid ({width + 1})^{m}")
-    shape = (width + 1,) * m
-    grids: dict = {}
-    infs: dict = {}
-    for g in c.gates:
-        if g.kind is GateKind.INPUT:
-            arr = np.zeros(shape, dtype=bool)
-            if g.value is INF:
-                infs[g.gid] = True
-            else:
-                arr[tuple(g.value)] = True
-                infs[g.gid] = False
-            grids[g.gid] = arr
-            continue
-        if g.kind is GateKind.COMP:
-            grids[g.gid] = ~grids[g.preds[0]]
-            infs[g.gid] = not infs[g.preds[0]]
-            continue
-        a, b = (grids[p] for p in g.preds)
-        ia, ib = (infs[p] for p in g.preds)
-        if g.kind is GateKind.UNION:
-            grids[g.gid] = a | b
-            infs[g.gid] = ia or ib
-        elif g.kind is GateKind.INTER:
-            grids[g.gid] = a & b
-            infs[g.gid] = ia and ib
-        elif g.kind is GateKind.ADD:
-            out = np.zeros(shape, dtype=bool)
-            for y in np.argwhere(b):
-                src = tuple(slice(0, width + 1 - int(v)) for v in y)
-                dst = tuple(slice(int(v), width + 1) for v in y)
-                out[dst] |= a[src]
-            grids[g.gid] = out
-            infs[g.gid] = (ia and (b.any() or ib)) or (ib and (a.any() or ia))
-        else:  # SUB
-            ext = np.pad(a, [(0, width + 1)] * m, mode="edge")
-            out = np.zeros(shape, dtype=bool)
-            for y in np.argwhere(b):
-                window = tuple(slice(int(v), int(v) + width + 1) for v in y)
-                out |= ext[window]
-            grids[g.gid] = out
-            infs[g.gid] = ia and bool(b.any())
-    return grids, infs, width
-
-
-def grid_reference_member(grids, infs, width, gid, x) -> bool:
-    if x is INF:
-        return bool(infs[gid])
-    idx = tuple(min(v, width) for v in x)
-    return bool(grids[gid][idx])
-
-
-# ---------------------------------------------------------------------------
 # the engine table
 
 @dataclass(frozen=True)
@@ -704,11 +627,6 @@ def _prepare_certificate(c, mode, budget):
         return ok, stats, witness
 
     return member
-
-
-def _prepare_grid(c, mode, budget):
-    grids, infs, width = eval_grid_reference(c, budget=budget)
-    return lambda x: (grid_reference_member(grids, infs, width, c.output, x), {}, None)
 
 
 def _through_gcdfree(row: str):
@@ -778,7 +696,6 @@ _ENGINES: dict[tuple[str, bool], _Engine] = {
     ("exact", True): _Engine(EXACT_VECTOR, "none", _prepare_exact),
     ("clamped-vector", True): _Engine(CLAMPABLE_VECTOR, None, _prepare_clamped),
     ("search", True): _Engine(CLAMPABLE_VECTOR, None, _prepare_search),
-    ("grid-reference", True): _Engine(CLAMPABLE_VECTOR, "structural", _prepare_grid),
 }
 
 
@@ -801,7 +718,7 @@ def decide(
     tuple or INF queries and use the vector engines directly.
     """
     t0 = time.perf_counter()
-    if not isinstance(cutoff_mode, (CutoffMode, CutoffProfile)):
+    if not isinstance(cutoff_mode, CutoffMode):
         cutoff_mode = CutoffMode(cutoff_mode)  # also fails on routes that use no cutoff
     name = _pick_engine(c) if engine == "auto" else engine
     q = _check_query(c, b)
@@ -820,8 +737,7 @@ def decide(
         member = row.prepare(c, cutoff_mode, budget)
     ok, stats, witness = member(q)
     stats = {**stats, "gates": len(c), "micros": int((time.perf_counter() - t0) * 1e6)}
-    mode = cutoff_mode.mode if isinstance(cutoff_mode, CutoffProfile) else cutoff_mode
-    return MembershipVerdict(ok, name, row.cutoff or str(mode), stats, witness)
+    return MembershipVerdict(ok, name, row.cutoff or str(cutoff_mode), stats, witness)
 
 
 def _check_query(c: Circuit, b):
@@ -891,7 +807,7 @@ def xcheck_circuit(
     out abstains. Returns human-readable disagreement lines (empty means
     every engine that ran agrees).
     """
-    if not isinstance(cutoff_mode, (CutoffMode, CutoffProfile)):
+    if not isinstance(cutoff_mode, CutoffMode):
         cutoff_mode = CutoffMode(cutoff_mode)  # also fails where no engine uses a cutoff
     names = applicable_engines(c)
     if len(names) < 2:

@@ -103,6 +103,20 @@ def test_digit_limit_is_named():
             parse_circuit(case.values[0])
 
 
+def test_serialize_names_a_label_past_the_digit_limit():
+    # a built circuit may hold any label; its text form may not
+    limit = sys.get_int_max_str_digits()
+    huge = 10**5000
+    scalar = Circuit((Gate(1, GateKind.INPUT, value=2), Gate(4, GateKind.INPUT, value=huge),
+                      Gate(5, GateKind.UNION, (1, 4))), output=5)
+    vector = Circuit((Gate(7, GateKind.INPUT, value=(1, huge)),), output=7, vector=True, dim=2)
+    for c, gid, pos in ((scalar, 4, 1), (vector, 7, 0)):
+        match = f"gate {gid}: input label has more than {limit} digits"
+        with pytest.raises(CircuitValidationError, match=match) as info:
+            serialize_circuit(c)
+        assert info.value.pos == pos
+
+
 def test_parse_error_carries_location():
     try:
         parse_circuit("circuit v1\ngate 1 frobnicate 0\noutput 1\n")

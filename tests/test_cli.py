@@ -146,8 +146,7 @@ class TestQueryDigits:
     @pytest.mark.parametrize("q", NOT_NATURALS)
     def test_scalar_queries(self, circ, capsys, q):
         p = circ(PRIMES_TEXT)
-        for argv in (["member", p, q], ["bench", p, f"--query={q}"],
-                     ["transform", p, "--to", "primefact", f"--query={q}"]):
+        for argv in (["member", p, q], ["transform", p, "--to", "primefact", f"--query={q}"]):
             assert main(argv) == 2
             assert "natural number" in capsys.readouterr().err or len(q) > 4300
         assert main(["member", p, "97"]) == 0
@@ -156,7 +155,6 @@ class TestQueryDigits:
     def test_vector_coordinates(self, circ, capsys, q):
         p = circ("vcircuit v1 dim 2\ngate 1 input 1,2\ngate 2 add 1 1\noutput 2\n", "v.circ")
         assert main(["member", p, f"2,{q}"]) == 2
-        assert main(["bench", p, f"--query={q},4"]) == 2
         assert main(["member", p, "2,4"]) == 0
 
     def test_digit_limit_is_named(self, circ, capsys):
@@ -324,23 +322,3 @@ class TestXcheck:
         assert main(["xcheck", circ(NATS_TEXT)]) == 1
         out = capsys.readouterr().out
         assert "disagree" in out.lower()
-
-
-class TestBench:
-    def test_csv_shape(self, circ, capsys):
-        p = circ(EVEN_TEXT, "even.circ")
-        assert main(["bench", p, "--query", "3", "--query", "4", "--deterministic"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "circuit,b,engine,member,micros,memo_entries"
-        assert len(lines) == 3
-        for row in lines[1:]:
-            cells = row.split(",")
-            assert cells[0].endswith("even.circ")
-            assert cells[4] == "0"
-        assert lines[1].split(",")[1] == "3" and lines[1].split(",")[3] == "false"
-        assert lines[2].split(",")[1] == "4" and lines[2].split(",")[3] == "true"
-
-    def test_default_queries(self, circ, capsys):
-        assert main(["bench", circ(NATS_TEXT)]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert [r.split(",")[1] for r in lines[1:]] == ["0", "1", "2"]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -17,10 +18,8 @@ from setcircuits import (
     eval_clamped_scalar,
     eval_clamped_vector,
     eval_exact,
-    eval_grid_reference,
     eval_singleton,
     eval_singleton_vector,
-    grid_reference_member,
     parse_circuit,
     search_member,
     structural_cutoff,
@@ -296,31 +295,6 @@ class TestCertificate:
         assert v.engine == "certificate" and v.member is False
 
 
-class TestGridReference:
-    def test_agrees_with_reference(self):
-        rng = random.Random(151)
-        for _ in range(20):
-            c = bounded_vector(rng, CLAMPABLE_VECTOR, max_cutoff=7, dim=2, max_gates=4, max_coord=2)
-            grids, infs, width = eval_grid_reference(c)
-            for a in range(width):
-                for b in range(width):
-                    want = ref_member_vector(c, (a, b))
-                    got = grid_reference_member(grids, infs, width, c.output, (a, b))
-                    assert got == want, f"x={(a, b)}\n{c}"
-            assert grid_reference_member(grids, infs, width, c.output, INF) == ref_member_vector(c, INF)
-
-    def test_grid_budget(self):
-        c = parse_circuit(
-            "vcircuit v1 dim 3\n"
-            "gate 1 input 4,4,4\n"
-            "gate 2 add 1 1\n"
-            "gate 3 add 2 2\n"
-            "output 3\n"
-        )
-        with pytest.raises(BudgetExceeded):
-            eval_grid_reference(c, budget=EngineBudget(max_grid_cells=100))
-
-
 DISPATCH_CASES = [
     # (text, query, engine, cutoff_mode)
     ("circuit v1\ngate 1 input 6\ngate 2 mul 1 1\ngate 3 div 2 1\ngate 4 add 3 1\n"
@@ -524,6 +498,43 @@ class TestXcheck:
         )
         assert xcheck_circuit(c, max_b=12) == []
         assert sorted(calls) == ["to_vector_gcdfree", "to_vector_primefact"]
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("vcircuit v1 dim 2\ngate 1 input 1,2\ngate 2 comp 1\ngate 3 sub 2 1\noutput 3\n",
+             "clamped-vector"),
+            ("circuit v1\ngate 1 input 2\ngate 2 comp 1\ngate 3 add 2 1\noutput 3\n",
+             "clamped-scalar"),
+        ],
+    )
+    def test_a_flipped_engine_is_caught(self, monkeypatch, text, name):
+        # search is the only other engine here, so every query must disagree
+        c = parse_circuit(text)
+        assert applicable_engines(c) == [name, "search"]
+        row = engines._ENGINES[name, c.vector]
+
+        def prepare(c, mode, budget):
+            member = row.prepare(c, mode, budget)
+
+            def flipped(q):
+                ok, stats, witness = member(q)
+                return not ok, stats, witness
+
+            return flipped
+
+        monkeypatch.setitem(
+            engines._ENGINES, (name, c.vector), dataclasses.replace(row, prepare=prepare)
+        )
+        problems = xcheck_circuit(c, max_b=6, budget=TIGHT)
+        if c.vector:
+            top = min(6, structural_cutoff(c)[c.output] + 2)
+            assert len(problems) == (top + 1) ** 2 + 1
+            assert problems[-1].startswith("query inf: ")
+        else:
+            assert len(problems) == 7
+        for line in problems:
+            assert f"{name}=" in line and "search=" in line, line
 
     def test_no_disagreements_on_random_corpus(self):
         rng = random.Random(157)
