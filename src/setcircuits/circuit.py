@@ -32,6 +32,7 @@ import enum
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import FragmentError
@@ -68,6 +69,11 @@ ARITY = {
 
 SCALAR_KINDS = frozenset(ARITY) - {GateKind.SUB}
 VECTOR_KINDS = frozenset(ARITY) - {GateKind.MUL, GateKind.DIV}
+# vector -> the arity of each interior kind that domain allows
+_INTERIOR_ARITY = {
+    vector: {k: ARITY[k] for k in kinds if k is not GateKind.INPUT}
+    for vector, kinds in ((False, SCALAR_KINDS), (True, VECTOR_KINDS))
+}
 
 
 class _Infinity:
@@ -163,18 +169,17 @@ def _validate(c: Circuit) -> tuple[dict, frozenset]:
     label of an int subclass).
     """
     if c.dim < 1:
-        raise CircuitValidationError(f"dim must be >= 1, got {c.dim}")
+        raise CircuitValidationError(f"dim must be >= 1, got {_shown(c.dim)}")
     if not c.vector and c.dim != 1:
         raise CircuitValidationError("scalar circuits have dim 1")
     if not c.gates:
         raise CircuitValidationError("circuit has no gates")
     vector, dim = c.vector, c.dim
-    allowed = VECTOR_KINDS if vector else SCALAR_KINDS
+    arity = _INTERIOR_ARITY[vector]
     INPUT = GateKind.INPUT  # a local: Enum attribute reads are slow
     seen = set()
     by_id = {}
-    kinds = set()
-    for pos, g in enumerate(c.gates):
+    for g in c.gates:
         gid, kind, preds, value = g
         if kind is INPUT:
             if vector:
@@ -185,17 +190,16 @@ def _validate(c: Circuit) -> tuple[dict, frozenset]:
                 fine = type(value) is int and value >= 0
             fine = fine and not preds
         else:
-            fine = (kind in allowed and value is None and len(preds) == ARITY[kind]
-                    and seen.issuperset(preds))
+            fine = value is None and len(preds) == arity.get(kind) and seen.issuperset(preds)
         if not (fine and gid >= 0 and gid not in seen and type(g) is Gate):
-            problem = _gate_problem(c, g, seen, allowed)
-            if problem:
-                raise CircuitValidationError(problem, pos)
+            problem = _gate_problem(c, g, seen, VECTOR_KINDS if vector else SCALAR_KINDS)
+            if problem:  # every gate before g is in by_id, once
+                raise CircuitValidationError(problem, len(by_id))
         seen.add(gid)
         by_id[gid] = g
-        kinds.add(kind)
     if c.output not in seen:
-        raise CircuitValidationError(f"output gate {c.output} is not declared", len(c.gates))
+        raise CircuitValidationError(f"output gate {_shown(c.output)} is not declared", len(c.gates))
+    kinds = set(map(itemgetter(1), c.gates))
     kinds.discard(INPUT)
     return by_id, frozenset(kinds)
 
@@ -203,29 +207,48 @@ def _validate(c: Circuit) -> tuple[dict, frozenset]:
 def _gate_problem(c: Circuit, g: Gate, seen: set, allowed: frozenset) -> str | None:
     """What is wrong with g, given the ids declared before it; None if nothing."""
     if not isinstance(g, Gate):  # a plain tuple unpacks like one, but has no fields
-        return f"gates must be Gate records, got {type(g).__name__} {g!r}"
+        return f"gates must be Gate records, got {type(g).__name__} {_shown(g)}"
+    gid = _shown(g.gid)
     if g.gid < 0:
-        return f"gate id must be a natural number, got {g.gid}"
+        return f"gate id must be a natural number, got {gid}"
     if g.gid in seen:
-        return f"duplicate gate id {g.gid}"
+        return f"duplicate gate id {gid}"
     if g.kind not in allowed:
-        return f"gate {g.gid}: {g.kind} not allowed in {'vector' if c.vector else 'scalar'} circuits"
+        return f"gate {gid}: {g.kind} not allowed in {'vector' if c.vector else 'scalar'} circuits"
     if len(g.preds) != ARITY[g.kind]:
-        return f"gate {g.gid}: {g.kind} takes {ARITY[g.kind]} predecessors, got {len(g.preds)}"
+        return f"gate {gid}: {g.kind} takes {ARITY[g.kind]} predecessors, got {len(g.preds)}"
     for p in g.preds:
         if p not in seen:
             if any(h.gid == p for h in c.gates):
-                return (f"gate {g.gid}: gate {p} is not declared yet"
+                return (f"gate {gid}: gate {_shown(p)} is not declared yet"
                         " (gates may only reference earlier gates)")
-            return f"gate {g.gid}: reference to undeclared gate {p}"
+            return f"gate {gid}: reference to undeclared gate {_shown(p)}"
     v = g.value
     if g.kind is not GateKind.INPUT:
-        return None if v is None else f"gate {g.gid}: only input gates carry a value"
+        return None if v is None else f"gate {gid}: only input gates carry a value"
     if not c.vector:
-        return None if _is_nat(v) else f"gate {g.gid}: scalar input label must be a natural number"
+        return None if _is_nat(v) else f"gate {gid}: scalar input label must be a natural number"
     if v is INF or (isinstance(v, tuple) and len(v) == c.dim and all(map(_is_nat, v))):
         return None
-    return f"gate {g.gid}: vector input label must be a {c.dim}-tuple of naturals or inf"
+    return f"gate {gid}: vector input label must be a {_shown(c.dim)}-tuple of naturals or inf"
+
+
+def _shown(x, what: str | None = None, pos: int | None = None) -> str:
+    """str(x), for messages and the text form.
+
+    str refuses an int of more than sys.get_int_max_str_digits() digits. A
+    message then shows a stand-in; the text form cannot, so with what given
+    this raises CircuitValidationError saying what is too long, at pos.
+    """
+    try:
+        return str(x)
+    except ValueError:  # a number with more digits than str() converts
+        limit = sys.get_int_max_str_digits()
+        if what is None:
+            return f"<a number of more than {limit} digits>"
+        raise CircuitValidationError(
+            f"{what} has more than {limit} digits, the limit for numbers", pos
+        ) from None
 
 
 def _is_nat(x) -> bool:
@@ -245,9 +268,12 @@ def parse_circuit(text: str) -> Circuit:
     errors are reported at the line of the offending gate (or output line),
     or at the header when the circuit as a whole is at fault.
 
-    Gate lines are read in the loop. Every accepted token is ASCII, so on an
-    ASCII line ``isdigit`` is the ASCII-digit rule; a line the loop refuses
-    goes to _reject_gate, which words the first check it fails.
+    Gate lines are read in the loop, where ``int`` is the ASCII-digit rule:
+    on a token with no sign, no ``_`` and only ASCII characters it accepts
+    exactly the digit strings. The text is searched for those characters
+    once; only a text that has some has each gate line's tokens searched.
+    A line the loop refuses goes to _reject_gate, which words the first
+    check it fails.
     """
     header = None
     header_line = 0
@@ -257,10 +283,13 @@ def parse_circuit(text: str) -> Circuit:
     output = None
     last_line = 0  # the last line that holds a token
     INPUT = GateKind.INPUT  # a local: Enum attribute reads are slow
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        if "#" in raw:
-            raw = raw.partition("#")[0]
-        toks = raw.split()
+    kind_of = _KIND_NAMES.get
+    new = tuple.__new__  # Gate's own __new__ is a Python function; Circuit checks the fields
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [raw.partition("#")[0] for raw in lines]
+    plain = _plain(text)
+    for lineno, toks in enumerate(map(str.split, lines), start=1):
         if not toks:
             continue
         last_line = lineno
@@ -272,30 +301,25 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitParseError("content after output line", lineno)
         elif toks[0] == "gate":
             g = None
-            kind = _KIND_NAMES.get(toks[2]) if len(toks) > 2 else None
-            if kind is not None and toks[1].isdigit() and (
-                raw.isascii() or all(map(str.isascii, toks))  # non-ASCII spaces only
-            ):
+            kind = kind_of(toks[2]) if len(toks) > 2 else None
+            if kind is not None and (plain or all(map(_plain, toks))):
                 try:
                     gid = int(toks[1])
                     if kind is not INPUT:
-                        if len(toks) == 5 and toks[3].isdigit() and toks[4].isdigit():
-                            g = Gate(gid, kind, (int(toks[3]), int(toks[4])))
-                        elif all(map(str.isdigit, toks[3:])):  # comp, or an arity Circuit refuses
-                            g = Gate(gid, kind, tuple(map(int, toks[3:])))
+                        if len(toks) == 5:
+                            g = new(Gate, (gid, kind, (int(toks[3]), int(toks[4])), None))
+                        else:  # comp, or an arity Circuit refuses
+                            g = new(Gate, (gid, kind, tuple(map(int, toks[3:])), None))
                     elif len(toks) == 4:
                         label = toks[3]
                         if label == "inf":
                             value = INF
                         elif vector:
-                            coords = label.split(",")
-                            ok = all(map(str.isdigit, coords))
-                            value = tuple(map(int, coords)) if ok else None
+                            value = tuple(map(int, label.split(",")))
                         else:
-                            value = int(label) if label.isdigit() else None
-                        if value is not None:
-                            g = Gate(gid, kind, (), value)
-                except ValueError:  # more digits than int() converts
+                            value = int(label)
+                        g = new(Gate, (gid, kind, (), value))
+                except ValueError:  # not digits, or more digits than int() converts
                     g = None
             if g is None:
                 _reject_gate(toks, lineno, vector)
@@ -316,6 +340,11 @@ def parse_circuit(text: str) -> Circuit:
         return Circuit(gates=tuple(gates), output=output, dim=header[1], vector=vector)
     except CircuitValidationError as e:
         raise CircuitParseError(str(e), header_line if e.pos is None else linenos[e.pos]) from e
+
+
+def _plain(s: str) -> bool:
+    """Whether int() takes exactly the ASCII-digit strings among s's tokens."""
+    return s.isascii() and not ("+" in s or "-" in s or "_" in s)
 
 
 def _parse_header(toks, lineno):
@@ -361,38 +390,24 @@ def parse_nat(tok: str, what: str, lineno: int | None = None) -> int:
 def serialize_circuit(c: Circuit) -> str:
     """Canonical text form; parse(serialize(c)) == c.
 
-    A label with more digits than a circuit file may hold raises
-    CircuitValidationError at its gate.
+    A number with more digits than a circuit file may hold raises
+    CircuitValidationError: a gate id or label at its gate, dim at no
+    position. Predecessors and the output are ids written before them.
     """
-    out = []
-    if c.vector:
-        out.append(f"vcircuit v1 dim {c.dim}")
-    else:
-        out.append("circuit v1")
+    out = [f"vcircuit v1 dim {_shown(c.dim, 'dim')}" if c.vector else "circuit v1"]
     for pos, g in enumerate(c.gates):
-        if g.kind is GateKind.INPUT:
-            try:
-                label = _format_label(g.value)
-            except ValueError:  # more digits than str() converts
-                limit = sys.get_int_max_str_digits()
-                raise CircuitValidationError(
-                    f"gate {g.gid}: input label has more than {limit} digits, the limit for numbers",
-                    pos,
-                ) from None
-            out.append(f"gate {g.gid} input {label}")
+        gid = _shown(g.gid, "gate id", pos)
+        v = g.value
+        if g.kind is not GateKind.INPUT:
+            out.append(f"gate {gid} {g.kind} " + " ".join(map(str, g.preds)))
+        elif v is INF:
+            out.append(f"gate {gid} input inf")
         else:
-            preds = " ".join(str(p) for p in g.preds)
-            out.append(f"gate {g.gid} {g.kind} {preds}")
+            what = f"gate {gid}: input label"
+            nums = v if isinstance(v, tuple) else (v,)
+            out.append(f"gate {gid} input " + ",".join([_shown(x, what, pos) for x in nums]))
     out.append(f"output {c.output}")
     return "\n".join(out) + "\n"
-
-
-def _format_label(v):
-    if v is INF:
-        return "inf"
-    if isinstance(v, tuple):
-        return ",".join(str(x) for x in v)
-    return str(v)
 
 
 # ---------------------------------------------------------------------------

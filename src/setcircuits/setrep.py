@@ -12,6 +12,14 @@ Three layers:
   separate flag for the adjoined point inf. Membership of x reads the cell at
   componentwise min(x, n).
 
+NatSetRep and VecSetRep are tuples. Their constructors check the fields
+(cutoff >= 1, no mask bit past the cutoff; dim >= 1, every cell inside the
+grid), as the guard for reps built by a caller. The kernels below build their
+results through _new, the bare tuple constructor, without those checks: a
+kernel result is in range by construction (its mask is cut at the result
+cutoff, its cells are drawn from the result grid), and a check per gate would
+cost more than most of the operations it guards.
+
 The clamped operations are exact under the clamped reading provided the
 caller certifies the result cutoff (see the bounds module). Division and
 subtraction need finite witness searches; the enumeration bounds below are
@@ -21,7 +29,8 @@ clamped into it without changing either membership test.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from itertools import filterfalse
 
 from .circuit import INF, GateKind
 from .errors import BudgetExceeded
@@ -31,6 +40,7 @@ _UNION, _INTER, _COMP, _ADD, _MUL, _DIV, _SUB = (
     GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.ADD, GateKind.MUL, GateKind.DIV,
     GateKind.SUB,
 )
+_new = tuple.__new__  # the unchecked constructor of kernel results
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +59,14 @@ def exact_apply(kind: GateKind, a: frozenset, b: frozenset | None = None) -> fro
     if kind is _ADD:
         return _exact_add(a, b)
     if kind is _MUL:
+        if len(b) == 1:  # one factor: the loop over a runs in C
+            (y,) = b
+            return frozenset(map(y.__mul__, a))
         return frozenset(x * y for x in a for y in b)
     if kind is _DIV:
+        if len(b) == 1:
+            (y,) = b
+            return frozenset(map(y.__rfloordiv__, filterfalse(y.__rmod__, a)) if y else ())
         return frozenset(x // y for x in a for y in b if y != 0 and x % y == 0)
     if kind is _SUB:
         return _exact_sub(a, b)
@@ -90,18 +106,21 @@ def _exact_sub(a, b):
 # ---------------------------------------------------------------------------
 # scalar clamped bitmaps
 
-@dataclass(frozen=True)
-class NatSetRep:
-    """Bitmap over [0, cutoff]; bit cutoff folds the constant tail."""
+class NatSetRep(namedtuple("NatSetRep", "cutoff mask")):
+    """Bitmap over [0, cutoff]; bit cutoff folds the constant tail.
 
-    cutoff: int
-    mask: int  # bit z set <=> min(z, cutoff) in the set
+    The tuple (cutoff, mask), bit z of mask set <=> min(z, cutoff) in the set.
+    """
 
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        if self.mask >> (self.cutoff + 1):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, cutoff: int, mask: int):
+        if cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+        if mask >> (cutoff + 1):
             raise ValueError("mask has bits beyond the cutoff")
+        return _new(cls, (cutoff, mask))
 
     @property
     def tail(self) -> bool:
@@ -116,12 +135,14 @@ class NatSetRep:
 
     @classmethod
     def from_elements(cls, elems, cutoff: int, tail: bool = False):
+        if cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
         mask = (1 << cutoff) if tail else 0
         for z in elems:
             if z >= cutoff:
                 raise ValueError(f"element {z} not below cutoff {cutoff}")
             mask |= 1 << z
-        return cls(cutoff=cutoff, mask=mask)
+        return _new(cls, (cutoff, mask))
 
 
 def natrep_apply(
@@ -144,21 +165,19 @@ def natrep_apply(
     if n + 1 > max_grid_cells:
         raise BudgetExceeded("grid", f"scalar bitmap of {n + 1} cells")
     if kind is _COMP:
-        full = (1 << (n + 1)) - 1
-        return NatSetRep(cutoff=n, mask=full ^ _extend(a, n))
+        return _new(NatSetRep, (n, ((1 << (n + 1)) - 1) ^ _extend(a, n)))
     if kind is _UNION:
-        return NatSetRep(cutoff=n, mask=_extend(a, n) | _extend(b, n))
+        return _new(NatSetRep, (n, _extend(a, n) | _extend(b, n)))
     if kind is _INTER:
-        return NatSetRep(cutoff=n, mask=_extend(a, n) & _extend(b, n))
+        return _new(NatSetRep, (n, _extend(a, n) & _extend(b, n)))
     if kind is _ADD:
         ea, eb = _extend(a, n), _extend(b, n)
         acc = 0
-        full = (1 << (n + 1)) - 1
         while ea:
             low = ea & -ea
             acc |= eb << (low.bit_length() - 1)
             ea ^= low
-        return NatSetRep(cutoff=n, mask=acc & full)
+        return _new(NatSetRep, (n, acc & ((1 << (n + 1)) - 1)))
     if kind is _DIV:
         return _natrep_div(a, b, n)
     raise ValueError(f"natrep_apply cannot apply {kind}")
@@ -166,65 +185,67 @@ def natrep_apply(
 
 def _extend(rep: NatSetRep, n: int) -> int:
     """Literal membership bits of rep over [0, n] (unfolding the tail)."""
-    if n == rep.cutoff:
-        return rep.mask
-    if n < rep.cutoff:
-        return rep.mask & ((1 << (n + 1)) - 1)  # bits 0..n are all literal
-    mask = rep.mask
-    if rep.tail:
-        mask |= ((1 << (n - rep.cutoff)) - 1) << (rep.cutoff + 1)
+    k, mask = rep
+    if n == k:
+        return mask
+    if n < k:
+        return mask & ((1 << (n + 1)) - 1)  # bits 0..n are all literal
+    if mask >> k:  # the tail: every z in (k, n] is in the set
+        mask |= ((1 << (n - k)) - 1) << (k + 1)
     return mask
 
 
 def _natrep_div(a: NatSetRep, b: NatSetRep, n: int) -> NatSetRep:
     # c in A div B  <=>  exists w >= 1: w in B and c*w in A.
-    # For w > max(n_A, n_B) both tests are constant in w, so searching
-    # w <= max(n_A, n_B) + 1 is exact.
-    na, amask, bmask = a.cutoff, a.mask, b.mask
-    wmax = max(na, b.cutoff) + 1
-    mask = 0
+    # A witness w > n_A sees c*w >= w > n_A for every c >= 1, so it gives
+    # 0 when 0 is in A and every c >= 1 when A has the tail: all such w act
+    # as n_A + 1, so only the witnesses in B up to n_A are visited one by one.
+    na, amask = a
+    nb, bmask = b
     full = (1 << (n + 1)) - 1
-    a_tail = amask >> na & 1
-    for w in range(1, wmax + 1):
-        if not bmask >> min(w, b.cutoff) & 1:
-            continue
+    mask = 0
+    if (bmask >> (na + 1)) if nb > na else (bmask >> nb):  # B holds some w > n_A
+        mask = (amask & 1) | (full ^ 1 if amask >> na else 0)
+    ws = _extend(b, na) >> 1  # bit w - 1 set <=> w in B, for 1 <= w <= n_A
+    w = 0
+    while ws and mask != full:
+        skip = (ws & -ws).bit_length()
+        ws >>= skip
+        w += skip
         lit = na // w  # beyond this, c*w clamps to a's tail
-        for c in range(0, min(n, lit) + 1):
+        for c in range(min(n, lit) + 1):
             if amask >> (c * w) & 1:
                 mask |= 1 << c
-        if a_tail and lit < n:
-            mask |= ((1 << (n - lit)) - 1) << (lit + 1)
-        if (mask & full) == full:
-            break
-    return NatSetRep(cutoff=n, mask=mask & full)
+        if lit < n and amask >> na:
+            mask |= full ^ ((1 << (lit + 1)) - 1)
+    return _new(NatSetRep, (n, mask))
 
 
 # ---------------------------------------------------------------------------
 # vector clamped grids
 
-@dataclass(frozen=True)
-class VecSetRep:
+class VecSetRep(namedtuple("VecSetRep", "dim cutoff cells inf")):
     """Clamped table over the closed grid [0, cutoff]^dim plus an inf flag.
 
-    A cell with some coordinates equal to cutoff stands for the whole class
-    of vectors with those coordinates >= cutoff (and the others as given);
-    the representation is valid when true membership is constant on each
-    such class.
+    The tuple (dim, cutoff, cells, inf): cells is a frozenset of tuples in
+    [0, cutoff]^dim. A cell with some coordinates equal to cutoff stands for
+    the whole class of vectors with those coordinates >= cutoff (and the
+    others as given); the representation is valid when true membership is
+    constant on each such class.
     """
 
-    dim: int
-    cutoff: int
-    cells: frozenset  # tuples in [0, cutoff]^dim
-    inf: bool = False
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        for p in self.cells:
-            if len(p) != self.dim or any(x < 0 or x > self.cutoff for x in p):
-                raise ValueError(f"cell {p} outside grid [0,{self.cutoff}]^{self.dim}")
+    def __new__(cls, dim: int, cutoff: int, cells: frozenset, inf: bool = False):
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        if cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+        for p in cells:
+            if len(p) != dim or any(x < 0 or x > cutoff for x in p):
+                raise ValueError(f"cell {p} outside grid [0,{cutoff}]^{dim}")
+        return _new(cls, (dim, cutoff, cells, inf))
 
     def member(self, x) -> bool:
         if x is INF:
@@ -277,13 +298,13 @@ def vecrep_apply(
 
     if kind is _COMP:
         cells = frozenset(p for p in _grid(n, dim) if not a.member(p))
-        return VecSetRep(dim=dim, cutoff=n, cells=cells, inf=not a.inf)
+        return _new(VecSetRep, (dim, n, cells, not a.inf))
     if kind is _UNION:
         cells = frozenset(p for p in _grid(n, dim) if a.member(p) or b.member(p))
-        return VecSetRep(dim=dim, cutoff=n, cells=cells, inf=a.inf or b.inf)
+        return _new(VecSetRep, (dim, n, cells, a.inf or b.inf))
     if kind is _INTER:
         cells = frozenset(p for p in _grid(n, dim) if a.member(p) and b.member(p))
-        return VecSetRep(dim=dim, cutoff=n, cells=cells, inf=a.inf and b.inf)
+        return _new(VecSetRep, (dim, n, cells, a.inf and b.inf))
     if kind is _ADD:
         # total decompositions over the whole grid: prod over axes of 1+2+...+(n+1)
         work = (((n + 1) * (n + 2)) // 2) ** dim
@@ -293,14 +314,14 @@ def vecrep_apply(
         inf = (a.inf and (b.finite_nonempty() or b.inf)) or (
             b.inf and (a.finite_nonempty() or a.inf)
         )
-        return VecSetRep(dim=dim, cutoff=n, cells=cells, inf=inf)
+        return _new(VecSetRep, (dim, n, cells, inf))
     if kind is _SUB:
         w = max(a.cutoff, b.cutoff)
         if (n + 1) ** dim * (w + 1) ** dim > max_grid_cells:
             raise BudgetExceeded("grid", f"sub search ({n + 1})^{dim} x ({w + 1})^{dim}")
         cells = frozenset(p for p in _grid(n, dim) if _point_in_sub(a, b, p, w))
         inf = a.inf and b.finite_nonempty()
-        return VecSetRep(dim=dim, cutoff=n, cells=cells, inf=inf)
+        return _new(VecSetRep, (dim, n, cells, inf))
     raise ValueError(f"vecrep_apply cannot apply {kind}")
 
 
@@ -326,7 +347,7 @@ def _point_in_sub(a: VecSetRep, b: VecSetRep, p, w: int) -> bool:
 def vecrep_from_label(value, dim: int, cutoff: int) -> VecSetRep:
     """Rep of a singleton input label ({v} or {inf}) at the given cutoff."""
     if value is INF:
-        return VecSetRep(dim=dim, cutoff=cutoff, cells=frozenset(), inf=True)
-    if any(v >= cutoff for v in value):
-        raise ValueError(f"label {value} not strictly below cutoff {cutoff}")
-    return VecSetRep(dim=dim, cutoff=cutoff, cells=frozenset({tuple(value)}), inf=False)
+        return _new(VecSetRep, (dim, cutoff, frozenset(), True))
+    if len(value) != dim or not all(0 <= v < cutoff for v in value):
+        raise ValueError(f"label {value} not a {dim}-vector strictly below cutoff {cutoff}")
+    return _new(VecSetRep, (dim, cutoff, frozenset({tuple(value)}), False))

@@ -117,6 +117,46 @@ def test_serialize_names_a_label_past_the_digit_limit():
         assert info.value.pos == pos
 
 
+# numbers past the digit limit of str(int): ids, predecessors, output and dim
+HUGE = 10**5000
+HUGE_SHOWN = f"<a number of more than {sys.get_int_max_str_digits()} digits>"
+
+
+def _raises_at(pos, match, call):
+    with pytest.raises(CircuitValidationError, match=re.escape(match)) as info:
+        call()
+    assert info.value.pos == pos
+
+
+def test_huge_gate_id_serializes_to_a_typed_error():
+    c = Circuit((Gate(HUGE, GateKind.INPUT, value=1), Gate(2, GateKind.COMP, (HUGE,))), output=HUGE)
+    _raises_at(0, "gate id has more than", lambda: serialize_circuit(c))
+
+
+def test_huge_duplicate_id_is_named():
+    gates = (Gate(HUGE, GateKind.INPUT, value=1), Gate(HUGE, GateKind.INPUT, value=2))
+    _raises_at(1, f"duplicate gate id {HUGE_SHOWN}", lambda: Circuit(gates, output=HUGE))
+
+
+def test_huge_undeclared_predecessor_is_named():
+    gates = (Gate(1, GateKind.INPUT, value=1), Gate(2, GateKind.UNION, (1, HUGE)))
+    _raises_at(1, f"gate 2: reference to undeclared gate {HUGE_SHOWN}",
+               lambda: Circuit(gates, output=2))
+
+
+def test_huge_undeclared_output_is_named():
+    gates = (Gate(1, GateKind.INPUT, value=1),)
+    _raises_at(1, f"output gate {HUGE_SHOWN} is not declared", lambda: Circuit(gates, output=HUGE))
+
+
+def test_huge_dim_is_named():
+    label = Gate(1, GateKind.INPUT, value=(1, 2))
+    _raises_at(0, f"gate 1: vector input label must be a {HUGE_SHOWN}-tuple",
+               lambda: Circuit((label,), output=1, dim=HUGE, vector=True))
+    c = Circuit((Gate(1, GateKind.INPUT, value=INF),), output=1, dim=HUGE, vector=True)
+    _raises_at(None, "dim has more than", lambda: serialize_circuit(c))
+
+
 def test_parse_error_carries_location():
     try:
         parse_circuit("circuit v1\ngate 1 frobnicate 0\noutput 1\n")

@@ -39,6 +39,25 @@ def test_exact_apply_refuses_comp():
         exact_apply(GateKind.COMP, frozenset({1}), None)
 
 
+def _random_naturals(rng, k):
+    big = rng.random() < 0.3  # elements past 2^64
+    return frozenset(rng.randrange(2**70 if big else 40) for _ in range(k))
+
+
+def test_exact_div_mul_match_comprehensions():
+    rng = random.Random("exact-div-mul")
+    for _ in range(400):
+        a = _random_naturals(rng, rng.choice((0, 1, 2, 5, 30)))
+        b = _random_naturals(rng, rng.choice((0, 1, 1, 2, 4)))
+        if rng.random() < 0.3:
+            b |= {0}
+        if rng.random() < 0.3:  # exact quotients past 2^64
+            a |= {x * y for x in a for y in b}
+        div = frozenset(x // y for x in a for y in b if y != 0 and x % y == 0)
+        assert exact_apply(GateKind.DIV, a, b) == div, (a, b)
+        assert exact_apply(GateKind.MUL, a, b) == frozenset(x * y for x in a for y in b), (a, b)
+
+
 # ---------------------------------------------------------------------------
 # scalar clamped tables
 
@@ -58,6 +77,30 @@ def test_natrep_basics():
 def test_natrep_from_elements_requires_room():
     with pytest.raises(ValueError):
         NatSetRep.from_elements([5], cutoff=5)  # 5 is the tail class, not literal
+    with pytest.raises(ValueError):
+        NatSetRep.from_elements([], cutoff=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: NatSetRep(cutoff=0, mask=1),
+    lambda: NatSetRep(cutoff=2, mask=0b1000),
+    lambda: VecSetRep(dim=2, cutoff=1, cells=frozenset({(2, 0)})),
+    lambda: VecSetRep(dim=0, cutoff=1, cells=frozenset()),
+    lambda: NatSetRep(cutoff=2, mask=0b101)._replace(cutoff=1),
+    lambda: VecSetRep._make((1, 2, frozenset({(3,)}), False)),
+], ids=["nat-cutoff-0", "nat-bit-past-cutoff", "vec-cell-outside", "vec-dim-0", "nat-replace",
+        "vec-make"])
+def test_public_constructors_check_their_fields(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_reps_are_tuples():
+    assert NatSetRep(cutoff=2, mask=0b101) == (2, 0b101)
+    assert NatSetRep.from_elements([0], cutoff=2, tail=True) == NatSetRep(2, 0b101)
+    v = VecSetRep(dim=1, cutoff=2, cells=frozenset({(1,)}))
+    assert v == (1, 2, frozenset({(1,)}), False) and not v.inf
+    assert repr(NatSetRep(2, 5)) == "NatSetRep(cutoff=2, mask=5)"
 
 
 def test_natrep_comp_has_tail():
@@ -82,8 +125,23 @@ def test_natrep_div_with_infinite_dividend():
     assert q.tail
 
 
-def _random_rep(rng, cutoff):
-    elems = [z for z in range(cutoff) if rng.random() < 0.4]
+def test_natrep_div_witness_between_cutoffs():
+    # the only witness, 20, lies between n_A + 1 and n_B
+    a = NatSetRep(cutoff=2, mask=0b100)  # every z >= 2
+    b = NatSetRep.from_elements([20], cutoff=35)
+    q = natrep_apply(GateKind.DIV, a, b, 10)
+    assert literal(q, 30) == set(range(1, 31))
+
+
+def test_natrep_div_tail_reaches_the_result_cutoff():
+    # w = 1 reads A literally up to n_A = n - 1; bit n comes from A's tail
+    a = NatSetRep(cutoff=3, mask=0b1000)  # every z >= 3
+    b = NatSetRep.from_elements([1], cutoff=2)
+    assert literal(natrep_apply(GateKind.DIV, a, b, 4), 12) == set(range(3, 13))
+
+
+def _random_rep(rng, cutoff, density=0.4):
+    elems = [z for z in range(cutoff) if rng.random() < density]
     return NatSetRep.from_elements(elems, cutoff, tail=rng.random() < 0.4)
 
 
@@ -93,10 +151,12 @@ def _lit_set(rep, n):
 
 @pytest.mark.parametrize("kind", [GateKind.UNION, GateKind.INTER, GateKind.ADD, GateKind.DIV])
 def test_natrep_ops_match_literal_sets(kind):
-    rng = random.Random(hash(kind.value) & 0xFFFF)
+    rng = random.Random(f"natrep-ops-{kind.value}")
+    top = 40 if kind is GateKind.DIV else 7  # div: B tails past n_A + 1 too
     for _ in range(80):
-        na, nb = rng.randint(1, 7), rng.randint(1, 7)
-        a, b = _random_rep(rng, na), _random_rep(rng, nb)
+        na, nb = rng.randint(1, top), rng.randint(1, top)
+        density = rng.choice((0.05, 0.4))
+        a, b = _random_rep(rng, na, density), _random_rep(rng, nb, density)
         if kind is GateKind.ADD:
             n = na + nb + rng.randint(0, 3)
         else:
@@ -111,12 +171,9 @@ def test_natrep_ops_match_literal_sets(kind):
             want = {z for z in range(w + 1) if z in la and z in lb}
         elif kind is GateKind.ADD:
             want = {z for z in range(w + 1) if any(a_ in la and (z - a_) in lb for a_ in range(z + 1))}
-        else:
-            want = {
-                z
-                for z in range(w + 1)
-                if any(bb != 0 and z * bb in la for bb in lb)
-            }
+        else:  # a witness past n + 2 is never needed, and z * bb stays in la's window
+            want = {z for bb in lb if bb for z in range(min(w, w * (n + 2) // bb) + 1)
+                    if z * bb in la}
         got_lit = _lit_set(got, w)
         assert got_lit == want, (kind, a, b, n)
 
@@ -132,7 +189,7 @@ def _padded_rep(rng, k, cutoff):
 def test_natrep_result_cutoff_below_operands(kind):
     # a certified result cutoff may sit below an operand's own cutoff; the
     # operand's bits are then cut at n, and bit n stands for every z >= n
-    rng = random.Random(hash(kind.value) & 0xFFFF)
+    rng = random.Random(f"natrep-below-{kind.value}")
     for _ in range(80):
         ka, kb = rng.randint(1, 6), rng.randint(1, 6)
         a = _padded_rep(rng, ka, ka + rng.randint(0, 6))
