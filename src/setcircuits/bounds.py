@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuit import (
     INF,
@@ -39,6 +40,8 @@ from .circuit import (
     subcircuit_lengths,
 )
 from .errors import FragmentError
+
+_new = tuple.__new__  # builds a CutoffProfile without NamedTuple's Python-level __new__
 
 CLAMPABLE_SCALAR = frozenset(
     {GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.ADD, GateKind.DIV}
@@ -56,8 +59,14 @@ class CutoffMode(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CutoffProfile:
+# module constants: Enum attribute reads are slow, and these run on every decide
+_CERTIFIED, _STRUCTURAL = CutoffMode.CERTIFIED, CutoffMode.STRUCTURAL
+_INPUT, _ADD, _UNION, _INTER = GateKind.INPUT, GateKind.ADD, GateKind.UNION, GateKind.INTER
+
+
+class CutoffProfile(NamedTuple):
+    """The tuple (mode, cutoffs); indexing takes a gate id, as cutoffs does."""
+
     mode: CutoffMode
     cutoffs: dict  # gate id -> int
 
@@ -69,34 +78,33 @@ def certified_cutoff(c: Circuit) -> CutoffProfile:
     """Per-gate 2^|C_g| + 1. Values are exact ints (often enormous)."""
     require_fragment(c, CLAMPABLE_VECTOR if c.vector else CLAMPABLE_SCALAR, "cutoff argument")
     cut = {gid: (1 << size) + 1 for gid, size in subcircuit_lengths(c).items()}
-    return CutoffProfile(mode=CutoffMode.CERTIFIED, cutoffs=cut)
+    return _new(CutoffProfile, (_CERTIFIED, cut))
 
 
 def structural_cutoff(c: Circuit) -> CutoffProfile:
     """The per-gate recurrence; cutoffs stay near the circuit's label scale."""
-    require_fragment(c, CLAMPABLE_VECTOR if c.vector else CLAMPABLE_SCALAR, "cutoff argument")
-    INPUT, ADD, UNION, INTER = GateKind.INPUT, GateKind.ADD, GateKind.UNION, GateKind.INTER
+    vector = c.vector
+    require_fragment(c, CLAMPABLE_VECTOR if vector else CLAMPABLE_SCALAR, "cutoff argument")
     cut = {}
     for gid, kind, preds, value in c.gates:
-        if kind is INPUT:
-            if value is INF:
-                cut[gid] = 1
-            elif isinstance(value, tuple):
-                cut[gid] = max(value) + 2
-            else:
+        if kind is _INPUT:
+            if not vector:
                 cut[gid] = value + 2
-        elif kind is ADD:
+            elif value is INF:
+                cut[gid] = 1
+            else:
+                cut[gid] = max(value) + 2
+        elif kind is _ADD:
             cut[gid] = cut[preds[0]] + cut[preds[1]]
-        elif kind is UNION or kind is INTER:
+        elif kind is _UNION or kind is _INTER:
             cut[gid] = max(cut[preds[0]], cut[preds[1]])
         else:  # COMP, DIV, SUB: the left operand's cutoff
             cut[gid] = cut[preds[0]]
-    return CutoffProfile(mode=CutoffMode.STRUCTURAL, cutoffs=cut)
+    return _new(CutoffProfile, (_STRUCTURAL, cut))
 
 
-def cutoff_profile(c: Circuit, mode: CutoffMode | str = CutoffMode.STRUCTURAL) -> CutoffProfile:
-    mode = CutoffMode(mode) if not isinstance(mode, CutoffMode) else mode
-    if mode is CutoffMode.CERTIFIED:
+def cutoff_profile(c: Circuit, mode: CutoffMode | str = _STRUCTURAL) -> CutoffProfile:
+    if mode is not _STRUCTURAL and CutoffMode(mode) is _CERTIFIED:
         return certified_cutoff(c)
     return structural_cutoff(c)
 

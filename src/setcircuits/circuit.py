@@ -160,6 +160,17 @@ class Circuit:
         return len(self.gates)
 
 
+def derived_circuit(gates, output, dim, vector, by_id, fragment) -> Circuit:
+    """A Circuit built without _validate, for a gate-by-gate image of a
+    validated circuit (same ids, order and arities) whose caller builds the
+    by-id map and the fragment alongside the gates."""
+    c = object.__new__(Circuit)
+    c.__dict__.update(
+        gates=gates, output=output, dim=dim, vector=vector, _by_id=by_id, _fragment=fragment
+    )
+    return c
+
+
 def _validate(c: Circuit) -> tuple[dict, frozenset]:
     """The one structural check, for parsed and built circuits alike.
 
@@ -426,9 +437,8 @@ def require_fragment(c: Circuit, allowed: frozenset, what: str, vector: bool | N
     if vector is not None and c.vector != vector:
         dom = "vector" if vector else "scalar"
         raise FragmentError(f"{what} runs on {dom} circuits")
-    extra = c._fragment - allowed
-    if extra:
-        names = ", ".join(sorted(str(k) for k in extra))
+    if not c._fragment <= allowed:  # a subset test builds no set
+        names = ", ".join(sorted(str(k) for k in c._fragment - allowed))
         raise FragmentError(f"{what} does not support gates of kind: {names}")
 
 

@@ -32,7 +32,8 @@ from __future__ import annotations
 import itertools
 import operator
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Callable
 
 from .bounds import (
@@ -55,6 +56,13 @@ from .setrep import (
 )
 from .transforms import GCDFREE_SCALAR, PRIMEFACT_SCALAR, to_vector_gcdfree, to_vector_primefact
 
+# module constants: Enum attribute reads are slow, and decide() pays each one
+_INPUT, _UNION, _INTER, _COMP, _ADD, _MUL = (
+    GateKind.INPUT, GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.ADD, GateKind.MUL,
+)
+_STRUCTURAL = CutoffMode.STRUCTURAL
+_new = tuple.__new__  # the unchecked constructor of tuple records built here
+
 SINGLETON_SCALAR = frozenset({GateKind.INTER, GateKind.ADD, GateKind.MUL, GateKind.DIV})
 SINGLETON_VECTOR = frozenset({GateKind.INTER, GateKind.ADD, GateKind.SUB})
 EXACT_SCALAR = frozenset(
@@ -74,13 +82,19 @@ class EngineBudget:
 DEFAULT_BUDGET = EngineBudget()
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
-    member: bool
-    engine: str
-    cutoff_mode: str  # "certified" | "structural" | "none"
-    stats: dict = field(default_factory=dict)
-    witness: dict | None = None
+class MembershipVerdict(namedtuple("MembershipVerdict", "member engine cutoff_mode stats witness")):
+    """The tuple (member, engine, cutoff_mode, stats, witness).
+
+    cutoff_mode is "certified", "structural" or "none"; stats defaults to a
+    new dict per verdict. decide() builds verdicts with tuple.__new__, as the
+    setrep kernels build their results.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, member: bool, engine: str, cutoff_mode: str, stats: dict | None = None,
+                witness: dict | None = None):
+        return _new(cls, (member, engine, cutoff_mode, {} if stats is None else stats, witness))
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +107,7 @@ def eval_singleton(c: Circuit) -> dict:
     gate id to that element or to None for the empty set.
     """
     require_fragment(c, SINGLETON_SCALAR, "singleton evaluation", vector=False)
-    INPUT, INTER, ADD, MUL = GateKind.INPUT, GateKind.INTER, GateKind.ADD, GateKind.MUL
+    INPUT, INTER, ADD, MUL = _INPUT, _INTER, _ADD, _MUL
     val: dict = {}
     for gid, kind, preds, value in c.gates:
         if kind is INPUT:
@@ -116,7 +130,7 @@ def eval_singleton(c: Circuit) -> dict:
 def eval_singleton_vector(c: Circuit) -> dict:
     """Per-gate value for {inter, add, sub} vector circuits (tuple, INF, or None)."""
     require_fragment(c, SINGLETON_VECTOR, "singleton vector evaluation", vector=True)
-    INPUT, INTER, ADD = GateKind.INPUT, GateKind.INTER, GateKind.ADD
+    INPUT, INTER, ADD = _INPUT, _INTER, _ADD
     val: dict = {}
     for gid, kind, preds, value in c.gates:
         if kind is INPUT:
@@ -149,7 +163,7 @@ def eval_singleton_vector(c: Circuit) -> dict:
 def eval_exact(c: Circuit, budget: EngineBudget = DEFAULT_BUDGET) -> dict:
     """Materialize every gate's finite set for comp-free circuits."""
     require_fragment(c, EXACT_VECTOR if c.vector else EXACT_SCALAR, "exact evaluation")
-    INPUT = GateKind.INPUT
+    INPUT = _INPUT
     sets: dict = {}
     for gid, kind, preds, value in c.gates:
         if kind is INPUT:
@@ -167,7 +181,7 @@ def eval_exact(c: Circuit, budget: EngineBudget = DEFAULT_BUDGET) -> dict:
 
 def eval_clamped_scalar(
     c: Circuit,
-    mode: CutoffMode | str = CutoffMode.STRUCTURAL,
+    mode: CutoffMode | str = _STRUCTURAL,
     budget: EngineBudget = DEFAULT_BUDGET,
 ):
     """Per-gate NatSetRep for {union, inter, comp, add, div} circuits.
@@ -178,14 +192,14 @@ def eval_clamped_scalar(
     require_fragment(c, CLAMPABLE_SCALAR, "clamped scalar evaluation", vector=False)
     cut = cutoff_profile(c, mode).cutoffs
     max_cells = budget.max_grid_cells
-    INPUT, COMP = GateKind.INPUT, GateKind.COMP
+    INPUT, COMP = _INPUT, _COMP
     reps: dict = {}
     for gid, kind, preds, value in c.gates:
         n = cut[gid]
         if n + 1 > max_cells:
             raise BudgetExceeded("grid", f"gate {gid} needs a {n + 1}-cell bitmap")
-        if kind is INPUT:
-            reps[gid] = NatSetRep.from_elements((value,), cutoff=n)
+        if kind is INPUT:  # both profiles put a label below its gate's cutoff
+            reps[gid] = _new(NatSetRep, (n, 1 << value))
         elif kind is COMP:
             reps[gid] = natrep_apply(kind, reps[preds[0]], None, n, max_cells)
         else:
@@ -195,14 +209,14 @@ def eval_clamped_scalar(
 
 def eval_clamped_vector(
     c: Circuit,
-    mode: CutoffMode | str = CutoffMode.STRUCTURAL,
+    mode: CutoffMode | str = _STRUCTURAL,
     budget: EngineBudget = DEFAULT_BUDGET,
 ):
     """Per-gate VecSetRep for {union, inter, comp, add, sub} vector circuits."""
     require_fragment(c, CLAMPABLE_VECTOR, "clamped vector evaluation", vector=True)
     cut = cutoff_profile(c, mode).cutoffs
     max_cells = budget.max_grid_cells
-    INPUT, COMP = GateKind.INPUT, GateKind.COMP
+    INPUT, COMP = _INPUT, _COMP
     reps: dict = {}
     for gid, kind, preds, value in c.gates:
         n = cut[gid]
@@ -234,7 +248,7 @@ class _SearchState:
 def search_member(
     c: Circuit,
     x,
-    mode: CutoffMode | str = CutoffMode.STRUCTURAL,
+    mode: CutoffMode | str = _STRUCTURAL,
     budget: EngineBudget = DEFAULT_BUDGET,
 ) -> bool:
     """Decide x in I(C) by memoized recursion over (gate, clamped value).
@@ -566,30 +580,32 @@ def verify_certificate(c: Circuit, b: int, witness: dict) -> bool:
     if witness.get(f.output) != b:
         return False
 
-    def check(gid) -> bool:
-        if gid not in witness:
-            return False
-        v = witness[gid]
-        if not isinstance(v, int) or v < 0:
-            return False
-        g = f.gate(gid)
-        if g.kind is GateKind.INPUT:
-            return v == g.value
-        if g.kind is GateKind.UNION:
-            return any(witness.get(p) == v and check(p) for p in g.preds)
-        p1, p2 = g.preds
-        if g.kind is GateKind.INTER:
-            return witness.get(p1) == v == witness.get(p2) and check(p1) and check(p2)
-        if not (check(p1) and check(p2)):
-            return False
-        a, w = witness[p1], witness[p2]
-        if g.kind is GateKind.ADD:
-            return v == a + w
-        if g.kind is GateKind.MUL:
-            return v == a * w
-        return w >= 1 and a == v * w  # DIV
-
-    return check(f.output)
+    # ok[gid]: the witness holds a valid assignment of gid's subformula. Each
+    # gate of a formula feeds at most one other, so one pass in declaration
+    # order settles every gate before the gate that reads it.
+    ok: dict = {}
+    for gid, kind, preds, value in f.gates:
+        v = witness.get(gid)
+        if not isinstance(v, int) or v < 0:  # None: gid is not in the witness
+            ok[gid] = False
+        elif kind is _INPUT:
+            ok[gid] = v == value
+        elif kind is _UNION:
+            ok[gid] = any(witness.get(p) == v and ok[p] for p in preds)
+        elif kind is _INTER:
+            p1, p2 = preds
+            ok[gid] = witness.get(p1) == v == witness.get(p2) and ok[p1] and ok[p2]
+        elif not (ok[preds[0]] and ok[preds[1]]):
+            ok[gid] = False
+        else:
+            a, w = witness[preds[0]], witness[preds[1]]
+            if kind is _ADD:
+                ok[gid] = v == a + w
+            elif kind is _MUL:
+                ok[gid] = v == a * w
+            else:  # DIV
+                ok[gid] = w >= 1 and a == v * w
+    return ok[f.output]
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +615,9 @@ def verify_certificate(c: Circuit, b: int, witness: dict) -> bool:
 class _Engine:
     fragment: frozenset  # the gate kinds the engine accepts
     cutoff: str | None  # the cutoff mode it reports; None: the mode it was given
-    # prepare(c, cutoff_mode, budget) returns member(q) -> (member, stats, witness).
-    # The caller checks the fragment. Layer functions are looked up by their
+    # prepare(c, cutoff_mode, budget) returns member(q) -> (member, stats, witness),
+    # with a new stats dict per call that the caller may fill in. The caller
+    # checks the fragment. Layer functions are looked up by their
     # module-global names at call time, never stored here, so a wrapper
     # installed on those names sees every call.
     prepare: Callable
@@ -645,7 +662,7 @@ def _through_gcdfree(row: str):
             try:
                 ok, stats, witness = vmember(emap.apply(b))
             except NotRepresentable:
-                return False, extra, None
+                return False, {**extra}, None
             return ok, {**stats, **extra}, witness
 
         return member
@@ -669,7 +686,7 @@ def _through_primefact(c, mode, budget):
 
     def member(b):
         if b == 0:
-            return rep.member(INF), extra, None
+            return rep.member(INF), {**extra}, None
         head, rest = emap.split(b)
         for lo, hi, step in emap.spill_bounds(rest):
             ok = rep.member(head + (lo,))
@@ -706,7 +723,7 @@ def decide(
     c: Circuit,
     b,
     engine: str = "auto",
-    cutoff_mode: CutoffMode | str = CutoffMode.STRUCTURAL,
+    cutoff_mode: CutoffMode | str = _STRUCTURAL,
     budget: EngineBudget = DEFAULT_BUDGET,
 ) -> MembershipVerdict:
     """Decide b in I(C), routing by fragment unless an engine is forced.
@@ -718,7 +735,7 @@ def decide(
     tuple or INF queries and use the vector engines directly.
     """
     t0 = time.perf_counter()
-    if not isinstance(cutoff_mode, CutoffMode):
+    if cutoff_mode is not _STRUCTURAL:
         cutoff_mode = CutoffMode(cutoff_mode)  # also fails on routes that use no cutoff
     name = _pick_engine(c) if engine == "auto" else engine
     q = _check_query(c, b)
@@ -736,8 +753,10 @@ def decide(
         row = _ENGINES[name, False]
         member = row.prepare(c, cutoff_mode, budget)
     ok, stats, witness = member(q)
-    stats = {**stats, "gates": len(c), "micros": int((time.perf_counter() - t0) * 1e6)}
-    return MembershipVerdict(ok, name, row.cutoff or str(cutoff_mode), stats, witness)
+    stats["gates"] = len(c.gates)
+    stats["micros"] = int((time.perf_counter() - t0) * 1e6)
+    # _value_ is the plain attribute behind CutoffMode's value and str()
+    return _new(MembershipVerdict, (ok, name, row.cutoff or cutoff_mode._value_, stats, witness))
 
 
 def _check_query(c: Circuit, b):
@@ -762,16 +781,16 @@ def _pick_engine(c: Circuit) -> str:
         if frag <= EXACT_VECTOR:
             return "exact"
         return "clamped-vector"
-    has_comp = GateKind.COMP in frag
-    has_add = GateKind.ADD in frag
-    has_mul = GateKind.MUL in frag
+    has_comp = _COMP in frag
+    has_add = _ADD in frag
+    has_mul = _MUL in frag
     if has_comp and has_add and has_mul:
         raise OpenFragmentError(
             "unsupported fragment: comp with both add and mul; decidability open"
         )
     if not has_comp:
         if has_mul and not has_add:
-            return "singleton-vector" if GateKind.UNION not in frag else "exact-vector"
+            return "singleton-vector" if _UNION not in frag else "exact-vector"
         if frag <= SINGLETON_SCALAR:
             return "singleton"
         return "exact"
@@ -796,7 +815,7 @@ def applicable_engines(c: Circuit) -> list[str]:
 def xcheck_circuit(
     c: Circuit,
     max_b: int = 24,
-    cutoff_mode: CutoffMode | str = CutoffMode.STRUCTURAL,
+    cutoff_mode: CutoffMode | str = _STRUCTURAL,
     budget: EngineBudget = DEFAULT_BUDGET,
 ) -> list[str]:
     """Run every applicable engine on a shared query range; report disagreements.

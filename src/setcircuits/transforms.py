@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import INF, Circuit, Gate, GateKind, fragment_of, require_fragment
+from .circuit import INF, Circuit, Gate, GateKind, derived_circuit, fragment_of, require_fragment
 from .errors import BudgetExceeded, FragmentError
 from .numtheory import divide_out, exponents_over_basis, factorize, gcd_free_basis, is_prime
 
@@ -91,16 +91,27 @@ class ExponentMap:
         yield omega, omega, "factored"
 
 
+_INPUT = GateKind.INPUT  # a module constant: Enum attribute reads are slow
+_SWAP = {GateKind.MUL: GateKind.ADD, GateKind.DIV: GateKind.SUB}
+
+
 def _map_gates(c: Circuit, emap: ExponentMap) -> Circuit:
-    swap = {GateKind.MUL: GateKind.ADD, GateKind.DIV: GateKind.SUB}
-    INPUT = GateKind.INPUT  # a local: Enum attribute reads are slow
+    """The vector image of c, valid by construction, so not checked again:
+    it keeps c's ids, order and arities, swaps mul and div for add and sub,
+    and emap takes each label to a dim-tuple of naturals or to inf."""
+    new, apply = tuple.__new__, emap.apply
     gates = []
-    for gid, kind, preds, value in c.gates:
-        if kind is INPUT:
-            gates.append(Gate(gid, kind, (), emap.apply(value)))
-        else:
-            gates.append(Gate(gid, swap.get(kind, kind), preds))
-    return Circuit(gates=tuple(gates), output=c.output, dim=emap.dim, vector=True)
+    by_id = {}
+    for g in c.gates:
+        gid, kind, preds, value = g
+        if kind is _INPUT:
+            g = new(Gate, (gid, kind, (), apply(value)))
+        elif kind in _SWAP:
+            g = new(Gate, (gid, _SWAP[kind], preds, None))
+        gates.append(g)
+        by_id[gid] = g
+    fragment = frozenset(_SWAP.get(k, k) for k in fragment_of(c))
+    return derived_circuit(tuple(gates), c.output, emap.dim, True, by_id, fragment)
 
 
 def to_vector_gcdfree(c: Circuit, b: int):
@@ -115,7 +126,7 @@ def to_vector_gcdfree(c: Circuit, b: int):
     a's, and a / w has the differences as its exponents.
     """
     require_fragment(c, GCDFREE_SCALAR, "gcd-free vectorization", vector=False)
-    labels = [g.value for g in c.gates if g.kind is GateKind.INPUT]
+    labels = [g.value for g in c.gates if g.kind is _INPUT]
     emap = ExponentMap(kind="gcd-free", base=gcd_free_basis(labels).base)
     return _map_gates(c, emap), emap.apply(b), emap
 
@@ -145,7 +156,7 @@ def to_vector_primefact(c: Circuit, b: int):
     require_fragment(c, PRIMEFACT_SCALAR, "prime-factor vectorization", vector=False)
     primes = set()
     for g in c.gates:
-        if g.kind is GateKind.INPUT and g.value >= 1:
+        if g.kind is _INPUT and g.value >= 1:
             primes.update(factorize(g.value))
     emap = ExponentMap(kind="prime-factors", base=tuple(sorted(primes)))
     return _map_gates(c, emap), emap.apply(b), emap
@@ -220,15 +231,20 @@ def expand_formula(c: Circuit, max_gates: int = 10**5) -> Circuit:
     budget aborts with BudgetExceeded rather than exhausting memory.
     """
     gates: list[Gate] = []
-
-    def clone(gid: int) -> int:
-        g = c.gate(gid)
-        preds = tuple(clone(p) for p in g.preds)
+    # a frame per gate being cloned: the gate and the new ids of the
+    # predecessors cloned so far. A gate is numbered once all its
+    # predecessors are, so ids come out in post-order from the output.
+    stack = [(c.gate(c.output), [])]
+    while True:
+        g, done = stack[-1]
+        if len(done) < len(g.preds):
+            stack.append((c.gate(g.preds[len(done)]), []))
+            continue
+        stack.pop()
         if len(gates) >= max_gates:
             raise BudgetExceeded("expansion", f"formula exceeds {max_gates} gates")
         new_id = len(gates) + 1
-        gates.append(Gate(gid=new_id, kind=g.kind, preds=preds, value=g.value))
-        return new_id
-
-    out = clone(c.output)
-    return Circuit(gates=tuple(gates), output=out, dim=c.dim, vector=c.vector)
+        gates.append(Gate(gid=new_id, kind=g.kind, preds=tuple(done), value=g.value))
+        if not stack:
+            return Circuit(gates=tuple(gates), output=new_id, dim=c.dim, vector=c.vector)
+        stack[-1][1].append(new_id)

@@ -80,3 +80,16 @@ def bounded_vector(rng, ops, max_cutoff, **kw) -> Circuit:
         prof = structural_cutoff(c)
         if max(prof.cutoffs.values()) <= max_cutoff:
             return c
+
+
+def deep_chain(kind: GateKind, n: int = 10**4) -> Circuit:
+    """n gates, each interior one reading the gate before it: comp chains
+    gate k = comp(k - 1) on input 2, union chains gate k = union(k - 1, 1) on
+    input 0, whose set is {0} at every gate."""
+    if kind is GateKind.COMP:
+        gates = [Gate(1, GateKind.INPUT, value=2)]
+        gates += [Gate(k, kind, (k - 1,)) for k in range(2, n + 1)]
+    else:
+        gates = [Gate(1, GateKind.INPUT, value=0)]
+        gates += [Gate(k, kind, (k - 1, 1)) for k in range(2, n + 1)]
+    return Circuit(tuple(gates), output=n)

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from setcircuits import parse_circuit
+from setcircuits import GateKind, parse_circuit, serialize_circuit
 from setcircuits.cli import main
 
+from circgen import deep_chain
 from test_circuit import PARSE_REJECTS
 
 PRIMES_TEXT = """\
@@ -322,3 +323,18 @@ class TestXcheck:
         assert main(["xcheck", circ(NATS_TEXT)]) == 1
         out = capsys.readouterr().out
         assert "disagree" in out.lower()
+
+
+class TestDeepInputs:
+    """Every input ends in a verdict or a typed error: on 10^4-gate chains no
+    command may raise or exit 1, the code for engines that disagree."""
+
+    @pytest.mark.parametrize("kind", [GateKind.COMP, GateKind.UNION])
+    def test_chains_exit_with_documented_codes(self, circ, capsys, kind):
+        p = circ(serialize_circuit(deep_chain(kind)))
+        for argv in (["validate", p], ["eval", p], ["bounds", p], ["member", p, "2"]):
+            assert main(argv) in (0, 2, 3, 4, 5), argv
+        capsys.readouterr()
+        assert main(["transform", p, "--to", "formula"]) == 0
+        formula = parse_circuit(_strip_comments(capsys.readouterr().out))
+        assert len(formula) == (10**4 if kind is GateKind.COMP else 2 * 10**4 - 1)

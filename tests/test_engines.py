@@ -11,6 +11,7 @@ from setcircuits import (
     EngineBudget,
     FragmentError,
     GateKind,
+    MembershipVerdict,
     OpenFragmentError,
     applicable_engines,
     certificate_search,
@@ -32,6 +33,7 @@ from circgen import (
     VECTOR_FULL,
     bounded_scalar,
     bounded_vector,
+    deep_chain,
     random_scalar,
     random_vector,
 )
@@ -268,6 +270,18 @@ class TestCertificate:
         assert not verify_certificate(c, 7, bad)
         assert not verify_certificate(c, 8, wit)
 
+    def test_deep_chain(self):
+        # every gate of the union chain's formula holds 0: one value per gate
+        # is a witness, and verification walks all 19,999 of them
+        c = deep_chain(GateKind.UNION)
+        wit = {gid: 0 for gid in range(1, 2 * len(c))}
+        assert verify_certificate(c, 0, wit)
+        assert not verify_certificate(c, 1, wit)
+        wit[1] = 1  # the deepest leaf fails, and gate 3 follows its other leaf
+        assert verify_certificate(c, 0, wit)
+        wit.update((gid, 1) for gid in range(2, 2 * len(c), 2))  # every leaf fails
+        assert not verify_certificate(c, 0, wit)
+
     def test_formula_budget(self):
         text = ["circuit v1", "gate 1 input 1"]
         for i in range(2, 14):
@@ -380,6 +394,90 @@ class TestDecideDispatch:
         b = decide(c, 7, engine="search")
         assert a.member == b.member is True
         assert b.engine == "search"
+
+
+# the stats keys of each DISPATCH_CASES route, by (vector circuit, engine)
+ROUTE_STATS = {
+    (False, "singleton"): {"gates", "micros"},
+    (False, "exact-vector"): {"transform", "dim", "gates", "micros"},
+    (False, "singleton-vector"): {"transform", "dim", "gates", "micros"},
+    (False, "exact"): {"gates", "micros"},
+    (False, "clamped-scalar"): {"gates", "micros"},
+    (False, "clamped-vector"): {"transform", "dim", "spill", "step", "gates", "micros"},
+    (True, "singleton-vector"): {"gates", "micros"},
+    (True, "exact"): {"gates", "micros"},
+    (True, "clamped-vector"): {"gates", "micros"},
+}
+
+# the layers each route reaches through engines' module-global names: the
+# bindings perfbench/selftest.py lists in CALLER_BINDINGS, plus the eval_*
+# functions. The benchmark's tracer wraps exactly these names.
+TRACED_BINDINGS = (
+    "natrep_apply", "vecrep_apply", "exact_apply", "cutoff_profile", "structural_cutoff",
+    "to_vector_gcdfree", "to_vector_primefact", "eval_singleton", "eval_singleton_vector",
+    "eval_exact", "eval_clamped_scalar", "eval_clamped_vector",
+)
+ROUTE_LAYERS = {
+    (False, "singleton"): {"eval_singleton"},
+    (False, "exact-vector"): {"to_vector_gcdfree", "eval_exact", "exact_apply"},
+    (False, "singleton-vector"): {"to_vector_gcdfree", "eval_singleton_vector"},
+    (False, "exact"): {"eval_exact", "exact_apply"},
+    (False, "clamped-scalar"): {"eval_clamped_scalar", "cutoff_profile", "natrep_apply"},
+    (False, "clamped-vector"): {
+        "to_vector_primefact", "eval_clamped_vector", "cutoff_profile", "vecrep_apply"
+    },
+    (True, "singleton-vector"): {"eval_singleton_vector"},
+    (True, "exact"): {"eval_exact", "exact_apply"},
+    (True, "clamped-vector"): {"eval_clamped_vector", "cutoff_profile", "vecrep_apply"},
+}
+
+
+class TestVerdictRecord:
+    def test_fields(self):
+        assert MembershipVerdict._fields == ("member", "engine", "cutoff_mode", "stats", "witness")
+        a, b = MembershipVerdict(True, "exact", "none"), MembershipVerdict(True, "exact", "none")
+        assert a.stats == {} and a.stats is not b.stats and a.witness is None
+        assert a == (True, "exact", "none", {}, None)
+
+    @pytest.mark.parametrize("text,query,engine,mode", DISPATCH_CASES)
+    def test_routes_keep_strings_and_stats(self, text, query, engine, mode):
+        c = parse_circuit(text)
+        first, second = decide(c, query), decide(c, query)
+        for v in (first, second):
+            assert type(v) is MembershipVerdict and type(v.member) is bool
+            assert (v.engine, v.cutoff_mode) == (engine, mode)
+            assert type(v.cutoff_mode) is str
+            assert set(v.stats) == ROUTE_STATS[c.vector, engine]
+        assert first.stats is not second.stats
+
+    @pytest.mark.parametrize("given", ["certified", CutoffMode.CERTIFIED])
+    def test_cutoff_mode_is_a_string(self, given):
+        # certified cutoffs make the DISPATCH_CASES clamped routes too slow
+        c = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 comp 1\noutput 2\n")
+        v = decide(c, 3, cutoff_mode=given)
+        assert v.cutoff_mode == "certified" and type(v.cutoff_mode) is str
+        for text, query, _, mode in DISPATCH_CASES:
+            if mode == "none":
+                assert decide(parse_circuit(text), query, cutoff_mode=given).cutoff_mode == "none"
+
+    @pytest.mark.parametrize("text,query,engine,mode", DISPATCH_CASES)
+    def test_routes_reach_their_traced_layers(self, monkeypatch, text, query, engine, mode):
+        c = parse_circuit(text)
+        called = set()
+
+        def counting(name):
+            orig = getattr(engines, name)
+
+            def layer(*args, **kw):
+                called.add(name)
+                return orig(*args, **kw)
+
+            return layer
+
+        for name in TRACED_BINDINGS:
+            monkeypatch.setattr(engines, name, counting(name))
+        assert decide(c, query).engine == engine
+        assert called == ROUTE_LAYERS[c.vector, engine]
 
 
 def _engines_of_domain(vector: bool) -> list[str]:

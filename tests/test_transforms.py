@@ -31,7 +31,7 @@ from setcircuits import (
 from setcircuits.numtheory import miller_rabin, primes_upto
 from setcircuits.reductions import primes_circuit
 
-from circgen import bounded_scalar, random_scalar
+from circgen import bounded_scalar, deep_chain, random_scalar
 from refeval import exact_sets_bruteforce
 
 
@@ -86,6 +86,28 @@ class TestGcdFreeVectorization:
                     continue
                 got = decide(vc, q).member
                 assert got == (b in out), f"b={b}\n{c}"
+
+
+class TestImagesAreValidCircuits:
+    """The vector images are derived without a second check; a checked
+    Circuit built from the same gates must be equal to them."""
+
+    @pytest.mark.parametrize("to_vector, ops", [
+        (to_vector_gcdfree, (GateKind.UNION, GateKind.INTER, GateKind.MUL, GateKind.DIV)),
+        (to_vector_primefact, (GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.MUL,
+                               GateKind.DIV)),
+    ])
+    def test_image_equals_checked_circuit(self, to_vector, ops):
+        rng = random.Random(167)
+        for _ in range(150):
+            c = random_scalar(rng, ops, max_gates=7, max_label=30)
+            vc = to_vector(c, 0)[0]
+            checked = Circuit(vc.gates, output=vc.output, dim=vc.dim, vector=True)
+            assert vc == checked and vc.vector and vc.dim >= 1, str(c)
+            assert fragment_of(vc) == fragment_of(checked)
+            for g in c.gates:
+                assert type(vc.gate(g.gid)) is Gate
+                assert vc.gate(g.gid) == checked.gate(g.gid)
 
 
 class TestPrimeFactorVectorization:
@@ -407,3 +429,20 @@ class TestExpandFormula:
             want = exact_sets_bruteforce(c)[c.output]
             got = exact_sets_bruteforce(f)[f.output]
             assert want == got, str(c)
+
+    def test_deep_chains(self):
+        n = 10**4
+        comps = deep_chain(GateKind.COMP, n)
+        assert expand_formula(comps) == comps  # no gate is shared
+        # the shared input is cloned once per union, numbered in post-order
+        # from the output: an input at 1 and at every even id, union 2k + 1
+        # reading 2k - 1 and 2k
+        unions = deep_chain(GateKind.UNION, n)
+        leaf = Gate(1, GateKind.INPUT, value=0)
+        gates = [leaf]
+        for k in range(1, n):
+            gates += [leaf._replace(gid=2 * k), Gate(2 * k + 1, GateKind.UNION, (2 * k - 1, 2 * k))]
+        assert expand_formula(unions) == Circuit(tuple(gates), output=2 * n - 1)
+        with pytest.raises(BudgetExceeded, match="formula exceeds 19998 gates") as e:
+            expand_formula(unions, max_gates=2 * n - 2)
+        assert e.value.kind == "expansion"
