@@ -12,8 +12,10 @@ Each engine decides "is b in I(C)?" for a class of circuits:
   bottom-up at a certified or structural cutoff profile. VecSetRep is the
   one set representation of every vector route.
 * search_member: the same fragments as the clamped engines, but top-down: a
-  memoized recursion over (gate, clamped query value) that unfolds the set
-  definitions, guessing decompositions at add/div/sub. It shares no set
+  memoized search over (gate, clamped query value) that unfolds the set
+  definitions, guessing decompositions at add/div/sub. It runs on an
+  explicit stack (_trampoline), as does the certificate search, so circuit
+  depth is not bounded by Python's recursion limit. It shares no set
   representation with the clamped evaluators, so xcheck_circuit uses it as
   their independent check.
 * certificate_search / verify_certificate: comp-free fragments via formula
@@ -30,6 +32,7 @@ Fragments mixing comp with both add and mul are refused
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import time
 from collections import namedtuple
@@ -57,8 +60,9 @@ from .setrep import (
 from .transforms import GCDFREE_SCALAR, PRIMEFACT_SCALAR, to_vector_gcdfree, to_vector_primefact
 
 # module constants: Enum attribute reads are slow, and decide() pays each one
-_INPUT, _UNION, _INTER, _COMP, _ADD, _MUL = (
+_INPUT, _UNION, _INTER, _COMP, _ADD, _MUL, _DIV, _SUB = (
     GateKind.INPUT, GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.ADD, GateKind.MUL,
+    GateKind.DIV, GateKind.SUB,
 )
 _STRUCTURAL = CutoffMode.STRUCTURAL
 _new = tuple.__new__  # the unchecked constructor of tuple records built here
@@ -251,7 +255,7 @@ def search_member(
     mode: CutoffMode | str = _STRUCTURAL,
     budget: EngineBudget = DEFAULT_BUDGET,
 ) -> bool:
-    """Decide x in I(C) by memoized recursion over (gate, clamped value).
+    """Decide x in I(C) by memoized top-down search over (gate, clamped value).
 
     Queries are clamped at each gate's cutoff before dispatch, so the state
     space is finite; decompositions at add (a + b = x), div (w and w*x) and
@@ -265,112 +269,134 @@ def search_member(
 def _prepare_search(c, mode, budget):
     """One memo shared by every query; the fragment is the caller's to check."""
     st = _SearchState(c, cutoff_profile(c, mode), budget)
-    walk = _search_vec if c.vector else _search_nat
 
     def member(x):
-        res = walk(st, c.output, x)
+        res = _search(st, c.output, x)
         return res, {"memo_entries": len(st.memo) + len(st.nonempty_memo)}, None
 
     return member
 
 
-def _search_nat(st: _SearchState, gid: int, v: int) -> bool:
-    n = st.prof[gid]
-    v = min(v, n)
-    key = (gid, v)
-    if key in st.memo:
-        return st.memo[key]
-    if len(st.memo) >= st.budget.max_memo_entries:
-        raise BudgetExceeded("memo", "membership search state space")
-    g = st.c.gate(gid)
-    if g.kind is GateKind.INPUT:
-        res = v == g.value
-    elif g.kind is GateKind.UNION:
-        res = _search_nat(st, g.preds[0], v) or _search_nat(st, g.preds[1], v)
-    elif g.kind is GateKind.INTER:
-        res = _search_nat(st, g.preds[0], v) and _search_nat(st, g.preds[1], v)
-    elif g.kind is GateKind.COMP:
-        res = not _search_nat(st, g.preds[0], v)
-    elif g.kind is GateKind.ADD:
+def _trampoline(req, enter, memo):
+    """Answer req with the search frames on an explicit stack, not Python's.
+
+    A frame is a generator over one (gate, value) pair: it yields the
+    requests it needs answered, in the order the recursive definition asks
+    them, receives each answer and returns its own. A request is a
+    (gate, value) pair or a frame without a memo key. enter(pair) answers a
+    pair from the memo as (None, answer), or opens it as (frame, memo key);
+    the frame's answer is stored at that key when it returns. Deep circuits
+    thus need no Python recursion.
+    """
+    stack = []
+    while True:
+        if type(req) is tuple:
+            frame, res = enter(req)  # res: the answer, or the key of the frame
+        else:
+            frame, res = req, None
+        if frame is not None:
+            stack.append((frame, res))
+            res = None
+        while True:
+            if not stack:
+                return res
+            frame, key = stack[-1]
+            try:
+                req = frame.send(res)
+                break
+            except StopIteration as stop:
+                stack.pop()
+                res = stop.value
+                if key is not None:
+                    memo[key] = res
+
+
+def _search(st: _SearchState, gid: int, x) -> bool:
+    memo, prof, gate, limit = st.memo, st.prof, st.c.gate, st.budget.max_memo_entries
+    vector = st.c.vector
+
+    def enter(req):
+        gid, v = req
+        n = prof[gid]
+        if not vector:
+            v = min(v, n)
+        elif v is not INF:
+            v = tuple(min(x, n) for x in v)
+        key = (gid, v)
+        if key in memo:
+            return None, memo[key]
+        if len(memo) >= limit:
+            raise BudgetExceeded("memo", "membership search state space")
+        return _search_frame(st, gate(gid), v), key
+
+    return _trampoline((gid, x), enter, memo)
+
+
+def _search_frame(st: _SearchState, g, v):
+    """Frame: whether the clamped value v is in I(g), scalar or vector."""
+    kind = g.kind
+    if kind is _INPUT:
+        return v == g.value or (v is INF and g.value is INF)
+    if kind is _UNION:
+        return (yield (g.preds[0], v)) or (yield (g.preds[1], v))
+    if kind is _INTER:
+        return (yield (g.preds[0], v)) and (yield (g.preds[1], v))
+    if kind is _COMP:
+        return not (yield (g.preds[0], v))
+    if kind is _ADD and st.c.vector:
+        return (yield from _search_vec_add(st, g, v))
+    if kind is _ADD:
         p1, p2 = g.preds
-        res = any(
-            _search_nat(st, p2, a) and _search_nat(st, p1, v - a) for a in range(v + 1)
-        )
-    elif g.kind is GateKind.DIV:
+        for a in range(v + 1):
+            if (yield (p2, a)) and (yield (p1, v - a)):
+                return True
+        return False
+    if kind is _DIV:
         p1, p2 = g.preds
         wmax = max(st.prof[p1], st.prof[p2]) + 1
-        res = any(
-            _search_nat(st, p2, w) and _search_nat(st, p1, v * w)
-            for w in range(1, wmax + 1)
-        )
-    else:
-        raise FragmentError(f"membership search cannot handle {g.kind}")
-    st.memo[key] = res
-    return res
+        for w in range(1, wmax + 1):
+            if (yield (p2, w)) and (yield (p1, v * w)):
+                return True
+        return False
+    if kind is _SUB:
+        return (yield from _search_vec_sub(st, g, v))
+    raise FragmentError(f"membership search cannot handle {kind}")
 
 
-def _search_vec(st: _SearchState, gid: int, v) -> bool:
-    n = st.prof[gid]
-    if v is not INF:
-        v = tuple(min(x, n) for x in v)
-    key = (gid, v)
-    if key in st.memo:
-        return st.memo[key]
-    if len(st.memo) >= st.budget.max_memo_entries:
-        raise BudgetExceeded("memo", "membership search state space")
-    g = st.c.gate(gid)
-    if g.kind is GateKind.INPUT:
-        res = v == g.value or (v is INF and g.value is INF)
-    elif g.kind is GateKind.UNION:
-        res = _search_vec(st, g.preds[0], v) or _search_vec(st, g.preds[1], v)
-    elif g.kind is GateKind.INTER:
-        res = _search_vec(st, g.preds[0], v) and _search_vec(st, g.preds[1], v)
-    elif g.kind is GateKind.COMP:
-        res = not _search_vec(st, g.preds[0], v)
-    elif g.kind is GateKind.ADD:
-        res = _search_vec_add(st, g, v)
-    elif g.kind is GateKind.SUB:
-        res = _search_vec_sub(st, g, v)
-    else:
-        raise FragmentError(f"membership search cannot handle {g.kind}")
-    st.memo[key] = res
-    return res
-
-
-def _search_vec_add(st, g, v) -> bool:
+def _search_vec_add(st, g, v):
     p1, p2 = g.preds
     if v is INF:
-        return (_search_vec(st, p1, INF) and _vec_nonempty(st, p2, with_inf=True)) or (
-            _search_vec(st, p2, INF) and _vec_nonempty(st, p1, with_inf=True)
+        return ((yield (p1, INF)) and (yield _vec_nonempty(st, p2, with_inf=True))) or (
+            (yield (p2, INF)) and (yield _vec_nonempty(st, p1, with_inf=True))
         )
     for y in itertools.product(*(range(x + 1) for x in v)):
-        if _search_vec(st, p2, y) and _search_vec(st, p1, tuple(a - b for a, b in zip(v, y))):
+        if (yield (p2, y)) and (yield (p1, tuple(a - b for a, b in zip(v, y)))):
             return True
     return False
 
 
-def _search_vec_sub(st, g, v) -> bool:
+def _search_vec_sub(st, g, v):
     p1, p2 = g.preds
     if v is INF:
-        return _search_vec(st, p1, INF) and _vec_nonempty(st, p2, with_inf=False)
+        return (yield (p1, INF)) and (yield _vec_nonempty(st, p2, with_inf=False))
     w = max(st.prof[p1], st.prof[p2])
     dims = st.c.dim
     for y in itertools.product(range(w + 1), repeat=dims):
-        if _search_vec(st, p2, y) and _search_vec(st, p1, tuple(a + b for a, b in zip(v, y))):
+        if (yield (p2, y)) and (yield (p1, tuple(a + b for a, b in zip(v, y)))):
             return True
     return False
 
 
-def _vec_nonempty(st: _SearchState, gid: int, with_inf: bool) -> bool:
-    """Whether I(gid) has any finite element (optionally counting inf too)."""
+def _vec_nonempty(st: _SearchState, gid: int, with_inf: bool):
+    """Frame: whether I(gid) has any finite element (optionally counting inf too)."""
     key = (gid, with_inf)
     if key in st.nonempty_memo:
         return st.nonempty_memo[key]
     n = st.prof[gid]
-    res = with_inf and _search_vec(st, gid, INF)
+    res = with_inf and (yield (gid, INF))
     if not res:
         for p in itertools.product(range(n + 1), repeat=st.c.dim):
-            if _search_vec(st, gid, p):
+            if (yield (gid, p)):
                 res = True
                 break
     st.nonempty_memo[key] = res
@@ -406,7 +432,7 @@ def certificate_search(c: Circuit, b: int, budget: EngineBudget = DEFAULT_BUDGET
     require_fragment(c, EXACT_SCALAR, "certificate search", vector=False)
     f = expand_formula(c, max_gates=budget.max_formula_gates)
     st = _CertState(f, _formula_value_bounds(f), budget)
-    ok = _cert_can(st, f.output, b)
+    ok = _cert_run(st, (f.output, b))
     witness = None
     if ok:
         witness = {}
@@ -440,73 +466,78 @@ def _cert_step(st: _CertState):
         raise BudgetExceeded("memo", "certificate search steps")
 
 
-def _cert_can(st: _CertState, gid: int, v: int) -> bool:
-    if v < 0 or v > st.ub[gid]:
+def _cert_run(st: _CertState, req):
+    """Answer one request of the certificate search (see _trampoline): a
+    (gate, value) pair, answered True when the gate can take the value, or a
+    _cert_any frame."""
+    memo, ub, gate = st.memo, st.ub, st.c.gate
+
+    def enter(req):
+        gid, v = req
+        if v < 0 or v > ub[gid]:
+            return None, False
+        key = (gid, v)
+        if key in memo:
+            return None, memo[key]
+        _cert_step(st)
+        return _cert_can(st, gate(gid), v), key
+
+    return _trampoline(req, enter, memo)
+
+
+def _cert_can(st: _CertState, g, v: int):
+    """Frame: whether gate g can take the value v."""
+    kind = g.kind
+    if kind is _INPUT:
+        return v == g.value
+    if kind is _UNION:
+        return (yield (g.preds[0], v)) or (yield (g.preds[1], v))
+    if kind is _INTER:
+        return (yield (g.preds[0], v)) and (yield (g.preds[1], v))
+    p1, p2 = g.preds
+    if kind is _ADD:
+        for a in range(v + 1):
+            if (yield (p2, a)) and (yield (p1, v - a)):
+                return True
         return False
-    key = (gid, v)
-    if key in st.memo:
-        return st.memo[key]
-    _cert_step(st)
-    g = st.c.gate(gid)
-    if g.kind is GateKind.INPUT:
-        res = v == g.value
-    elif g.kind is GateKind.UNION:
-        res = _cert_can(st, g.preds[0], v) or _cert_can(st, g.preds[1], v)
-    elif g.kind is GateKind.INTER:
-        res = _cert_can(st, g.preds[0], v) and _cert_can(st, g.preds[1], v)
-    elif g.kind is GateKind.ADD:
-        p1, p2 = g.preds
-        res = any(_cert_can(st, p2, a) and _cert_can(st, p1, v - a) for a in range(v + 1))
-    elif g.kind is GateKind.MUL:
-        res = _cert_can_mul(st, g, v)
-    else:  # DIV
-        res = _cert_can_div(st, g, v)
-    st.memo[key] = res
-    return res
-
-
-def _cert_can_mul(st, g, v) -> bool:
-    p1, p2 = g.preds
-    if v == 0:
-        return (_cert_can(st, p1, 0) and _cert_any(st, p2) is not None) or (
-            _cert_can(st, p2, 0) and _cert_any(st, p1) is not None
-        )
-    d = 1
-    while d * d <= v:
-        if v % d == 0:
-            _cert_step(st)
-            if _cert_can(st, p1, d) and _cert_can(st, p2, v // d):
-                return True
-            if d != v // d and _cert_can(st, p1, v // d) and _cert_can(st, p2, d):
-                return True
-        d += 1
-    return False
-
-
-def _cert_can_div(st, g, v) -> bool:
-    p1, p2 = g.preds
+    if kind is _MUL:
+        if v == 0:
+            return ((yield (p1, 0)) and (yield _cert_any(st, p2)) is not None) or (
+                (yield (p2, 0)) and (yield _cert_any(st, p1)) is not None
+            )
+        d = 1
+        while d * d <= v:
+            if v % d == 0:
+                _cert_step(st)
+                if (yield (p1, d)) and (yield (p2, v // d)):
+                    return True
+                if d != v // d and (yield (p1, v // d)) and (yield (p2, d)):
+                    return True
+            d += 1
+        return False
+    # DIV
     if v == 0:
         # 0 = a/w exactly when a = 0 and some nonzero w is available
-        if not _cert_can(st, p1, 0):
+        if not (yield (p1, 0)):
             return False
-        return _cert_any(st, p2, nonzero=True) is not None
+        return (yield _cert_any(st, p2, nonzero=True)) is not None
     wmax = min(st.ub[p2], st.ub[p1] // v)
     for w in range(1, wmax + 1):
         _cert_step(st)
-        if _cert_can(st, p2, w) and _cert_can(st, p1, v * w):
+        if (yield (p2, w)) and (yield (p1, v * w)):
             return True
     return False
 
 
 def _cert_any(st: _CertState, gid: int, nonzero: bool = False):
-    """Some value v with v in I(gid) (nonzero if asked), or None."""
+    """Frame: some value v with v in I(gid) (nonzero if asked), or None."""
     key = (gid, nonzero)
     if key in st.any_memo:
         return st.any_memo[key]
     found = None
     for v in range(1 if nonzero else 0, st.ub[gid] + 1):
         _cert_step(st)
-        if _cert_can(st, gid, v):
+        if (yield (gid, v)):
             found = v
             break
     st.any_memo[key] = found
@@ -514,55 +545,51 @@ def _cert_any(st: _CertState, gid: int, nonzero: bool = False):
 
 
 def _cert_collect(st: _CertState, gid: int, v: int, out: dict):
-    """Rebuild the successful assignment; only called where _cert_can holds."""
-    out[gid] = v
-    g = st.c.gate(gid)
-    if g.kind is GateKind.INPUT:
-        return
-    p1, p2 = g.preds[0], g.preds[-1]
-    if g.kind is GateKind.UNION:
-        side = p1 if _cert_can(st, p1, v) else p2
-        _cert_collect(st, side, v, out)
-    elif g.kind is GateKind.INTER:
-        _cert_collect(st, p1, v, out)
-        _cert_collect(st, p2, v, out)
-    elif g.kind is GateKind.ADD:
-        for a in range(v + 1):
-            if _cert_can(st, p2, a) and _cert_can(st, p1, v - a):
-                _cert_collect(st, p1, v - a, out)
-                _cert_collect(st, p2, a, out)
-                return
-    elif g.kind is GateKind.MUL:
-        if v == 0:
-            if _cert_can(st, p1, 0) and (w := _cert_any(st, p2)) is not None:
-                _cert_collect(st, p1, 0, out)
-                _cert_collect(st, p2, w, out)
+    """Rebuild the successful assignment; only called where gid can take v.
+
+    Depth first on an explicit stack: each gate before its operands, and the
+    first operand's subformula before the second's.
+    """
+    def can(gid, v):
+        return _cert_run(st, (gid, v))
+
+    def any_of(gid, nonzero=False):
+        return _cert_run(st, _cert_any(st, gid, nonzero))
+
+    todo = [(gid, v)]
+    while todo:
+        gid, v = todo.pop()
+        out[gid] = v
+        g = st.c.gate(gid)
+        kind = g.kind
+        if kind is _INPUT:
+            continue
+        p1, p2 = g.preds[0], g.preds[-1]
+        if kind is _UNION:
+            todo.append((p1 if can(p1, v) else p2, v))
+            continue
+        if kind is _INTER:
+            x = y = v
+        elif kind is _ADD:
+            y = next(a for a in range(v + 1) if can(p2, a) and can(p1, v - a))
+            x = v - y
+        elif kind is _MUL and v == 0:
+            if can(p1, 0) and (w := any_of(p2)) is not None:
+                x, y = 0, w
             else:
-                a = _cert_any(st, p1)
-                _cert_collect(st, p1, a, out)
-                _cert_collect(st, p2, 0, out)
-            return
-        d = 1
-        while d * d <= v:
-            if v % d == 0:
-                for x, y in ((d, v // d), (v // d, d)):
-                    if _cert_can(st, p1, x) and _cert_can(st, p2, y):
-                        _cert_collect(st, p1, x, out)
-                        _cert_collect(st, p2, y, out)
-                        return
-            d += 1
-    else:  # DIV
-        if v == 0:
-            w = _cert_any(st, p2, nonzero=True)
-            _cert_collect(st, p1, 0, out)
-            _cert_collect(st, p2, w, out)
-            return
-        wmax = min(st.ub[p2], st.ub[p1] // v)
-        for w in range(1, wmax + 1):
-            if _cert_can(st, p2, w) and _cert_can(st, p1, v * w):
-                _cert_collect(st, p1, v * w, out)
-                _cert_collect(st, p2, w, out)
-                return
+                x, y = any_of(p1), 0
+        elif kind is _MUL:
+            x, y = next(
+                (x, y) for d in range(1, math.isqrt(v) + 1) if v % d == 0
+                for x, y in ((d, v // d), (v // d, d)) if can(p1, x) and can(p2, y)
+            )
+        elif v == 0:  # DIV
+            x, y = 0, any_of(p2, nonzero=True)
+        else:
+            wmax = min(st.ub[p2], st.ub[p1] // v)
+            y = next(w for w in range(1, wmax + 1) if can(p2, w) and can(p1, v * w))
+            x = v * y
+        todo += ((p2, y), (p1, x))
 
 
 def verify_certificate(c: Circuit, b: int, witness: dict) -> bool:

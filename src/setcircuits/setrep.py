@@ -25,6 +25,15 @@ caller certifies the result cutoff (see the bounds module). Division and
 subtraction need finite witness searches; the enumeration bounds below are
 exact by a clamping argument: any witness outside the searched box can be
 clamped into it without changing either membership test.
+
+A one-axis VecSetRep is a NatSetRep table in other clothes (cell (x,) is bit
+x), so vecrep_apply computes dim 1 on int bitmaps, with the NatSetRep helpers:
+union, inter and comp are |, & and ^ against the box mask, and add is the
+shift-OR of natrep_apply (_add_bits). sub is the same with right shifts: p is
+in A - B iff p + y is in A for some y in B, and clamping y at
+w = max(n_A, n_B) keeps both membership tests, so A is unfolded to
+[0, n + w], shifted right by each set bit of B within [0, w], and cut to
+[0, n]. Dims >= 2 still visit every grid point.
 """
 from __future__ import annotations
 
@@ -171,16 +180,49 @@ def natrep_apply(
     if kind is _INTER:
         return _new(NatSetRep, (n, _extend(a, n) & _extend(b, n)))
     if kind is _ADD:
-        ea, eb = _extend(a, n), _extend(b, n)
-        acc = 0
-        while ea:
-            low = ea & -ea
-            acc |= eb << (low.bit_length() - 1)
-            ea ^= low
-        return _new(NatSetRep, (n, acc & ((1 << (n + 1)) - 1)))
+        # each shift counts n + 1 bits against the grid budget
+        max_shifts = max_grid_cells // (n + 1)
+        return _new(NatSetRep, (n, _add_bits(_extend(a, n), _extend(b, n), n, max_shifts)))
     if kind is _DIV:
         return _natrep_div(a, b, n)
     raise ValueError(f"natrep_apply cannot apply {kind}")
+
+
+def _add_bits(x: int, y: int, n: int, max_shifts: int) -> int:
+    """Bits over [0, n] of {u + v : bit u of x, bit v of y}, by shift-OR.
+
+    Shifts the denser operand by each set bit of the sparser one, lowest
+    first, and stops once every bit of [0, n] is set. An add that needs more
+    than max_shifts shifts is refused, so an add at a huge cutoff cannot run
+    one shift per set bit of a dense operand.
+    """
+    if x.bit_count() > y.bit_count():
+        x, y = y, x
+    full = (1 << (n + 1)) - 1
+    acc = shifts = 0
+    while x:
+        if shifts == max_shifts:
+            raise BudgetExceeded("grid", f"add of {n + 1}-bit operands needs over {max_shifts} shifts")
+        shifts += 1
+        low = x & -x
+        acc |= y << (low.bit_length() - 1)
+        if acc & full == full:
+            break
+        x ^= low
+    return acc & full
+
+
+def _sub_bits(x: int, y: int, n: int) -> int:
+    """Bits over [0, n] of {u - v >= 0 : bit u of x, bit v of y}, by shift-OR.
+
+    Shifts x right by each set bit of y; a difference below 0 drops out.
+    """
+    acc = 0
+    while y:
+        low = y & -y
+        acc |= x >> (low.bit_length() - 1)
+        y ^= low
+    return acc & ((1 << (n + 1)) - 1)
 
 
 def _extend(rep: NatSetRep, n: int) -> int:
@@ -295,6 +337,17 @@ def vecrep_apply(
     if b is not None and b.dim != dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     _check_grid_budget(n, dim, max_grid_cells)
+    if kind is _ADD:
+        # total decompositions over the whole grid: prod over axes of 1+2+...+(n+1)
+        work = (((n + 1) * (n + 2)) // 2) ** dim
+        if work > max_grid_cells:
+            raise BudgetExceeded("grid", f"add decomposition, ~{work} pairs")
+    elif kind is _SUB:
+        w = max(a.cutoff, b.cutoff)
+        if (n + 1) ** dim * (w + 1) ** dim > max_grid_cells:
+            raise BudgetExceeded("grid", f"sub search ({n + 1})^{dim} x ({w + 1})^{dim}")
+    if dim == 1:
+        return _vecrep_apply_1(kind, a, b, n)
 
     if kind is _COMP:
         cells = frozenset(p for p in _grid(n, dim) if not a.member(p))
@@ -306,23 +359,54 @@ def vecrep_apply(
         cells = frozenset(p for p in _grid(n, dim) if a.member(p) and b.member(p))
         return _new(VecSetRep, (dim, n, cells, a.inf and b.inf))
     if kind is _ADD:
-        # total decompositions over the whole grid: prod over axes of 1+2+...+(n+1)
-        work = (((n + 1) * (n + 2)) // 2) ** dim
-        if work > max_grid_cells:
-            raise BudgetExceeded("grid", f"add decomposition, ~{work} pairs")
         cells = frozenset(p for p in _grid(n, dim) if _point_in_add(a, b, p))
-        inf = (a.inf and (b.finite_nonempty() or b.inf)) or (
-            b.inf and (a.finite_nonempty() or a.inf)
-        )
-        return _new(VecSetRep, (dim, n, cells, inf))
+        return _new(VecSetRep, (dim, n, cells, _add_inf(a, b)))
+    if kind is _SUB:
+        cells = frozenset(p for p in _grid(n, dim) if _point_in_sub(a, b, p, w))
+        return _new(VecSetRep, (dim, n, cells, a.inf and b.finite_nonempty()))
+    raise ValueError(f"vecrep_apply cannot apply {kind}")
+
+
+def _add_inf(a: VecSetRep, b: VecSetRep) -> bool:
+    return (a.inf and (b.finite_nonempty() or b.inf)) or (
+        b.inf and (a.finite_nonempty() or a.inf)
+    )
+
+
+def _vecrep_apply_1(kind, a, b, n):
+    # One axis: cell (x,) is bit x of a NatSetRep-style mask at the same
+    # cutoff, so every kind runs on ints, as natrep_apply does. The caller
+    # has run the budget checks; n + 1 shifts of n + 1 bits are within twice
+    # the add pairs checked. sub reads A over [0, n + w] and B over [0, w],
+    # the box of _point_in_sub.
     if kind is _SUB:
         w = max(a.cutoff, b.cutoff)
-        if (n + 1) ** dim * (w + 1) ** dim > max_grid_cells:
-            raise BudgetExceeded("grid", f"sub search ({n + 1})^{dim} x ({w + 1})^{dim}")
-        cells = frozenset(p for p in _grid(n, dim) if _point_in_sub(a, b, p, w))
-        inf = a.inf and b.finite_nonempty()
-        return _new(VecSetRep, (dim, n, cells, inf))
+        mask = _sub_bits(_mask_1(a, n + w), _mask_1(b, w), n)
+        return _vecrep_1(n, mask, a.inf and b.finite_nonempty())
+    ea = _mask_1(a, n)
+    if kind is _COMP:
+        return _vecrep_1(n, ((1 << (n + 1)) - 1) ^ ea, not a.inf)
+    if kind is _UNION:
+        return _vecrep_1(n, ea | _mask_1(b, n), a.inf or b.inf)
+    if kind is _INTER:
+        return _vecrep_1(n, ea & _mask_1(b, n), a.inf and b.inf)
+    if kind is _ADD:
+        # n + 1 shifts at most: never refused past the estimate checked
+        return _vecrep_1(n, _add_bits(ea, _mask_1(b, n), n, n + 1), _add_inf(a, b))
     raise ValueError(f"vecrep_apply cannot apply {kind}")
+
+
+def _mask_1(rep: VecSetRep, n: int) -> int:
+    """Literal membership bits over [0, n] of a one-axis rep (see _extend)."""
+    mask = 0
+    for (x,) in rep.cells:
+        mask |= 1 << x
+    return _extend((rep.cutoff, mask), n)
+
+
+def _vecrep_1(n: int, mask: int, inf: bool) -> VecSetRep:
+    cells = frozenset([(x,) for x, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"])
+    return _new(VecSetRep, (1, n, cells, inf))
 
 
 def _point_in_add(a: VecSetRep, b: VecSetRep, p) -> bool:

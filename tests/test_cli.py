@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -332,9 +333,29 @@ class TestDeepInputs:
     @pytest.mark.parametrize("kind", [GateKind.COMP, GateKind.UNION])
     def test_chains_exit_with_documented_codes(self, circ, capsys, kind):
         p = circ(serialize_circuit(deep_chain(kind)))
-        for argv in (["validate", p], ["eval", p], ["bounds", p], ["member", p, "2"]):
+        for argv in (["validate", p], ["eval", p], ["bounds", p], ["member", p, "2"],
+                     ["member", p, "2", "--engine", "search"], ["xcheck", p]):
             assert main(argv) in (0, 2, 3, 4, 5), argv
         capsys.readouterr()
         assert main(["transform", p, "--to", "formula"]) == 0
         formula = parse_circuit(_strip_comments(capsys.readouterr().out))
         assert len(formula) == (10**4 if kind is GateKind.COMP else 2 * 10**4 - 1)
+
+    def test_certificate_fallback_on_a_deep_chain(self, circ, capsys):
+        # {0, 1} at every gate: one set element too many for exact, so member
+        # falls back to the certificate search over the 2,001-gate chain
+        gates = ["gate 1 input 0", "gate 2 input 1", "gate 3 union 1 2"]
+        gates += [f"gate {k} union {k - 1} 3" for k in range(4, 2002)]
+        p = circ("circuit v1\n" + "\n".join(gates) + "\noutput 2001\n")
+        assert main(["member", p, "1", "--max-set-elems", "1"]) in (0, 5)
+        assert "engine=certificate" in capsys.readouterr().out
+        assert main(["member", p, "2", "--max-set-elems", "1"]) in (0, 5)
+
+    @pytest.mark.parametrize("last", ["add 2 1", "add 2 2"])
+    def test_certified_add_at_a_huge_cutoff(self, circ, capsys, last):
+        # the certified cutoff of the add gate is past 4 * 10^6: the grid
+        # budget bounds its shifts, so member ends (decided or refused)
+        p = circ(f"circuit v1\ngate 1 input 2\ngate 2 comp 1\ngate 3 {last}\noutput 3\n")
+        start = time.perf_counter()
+        assert main(["member", p, "4", "--cutoff-mode", "certified"]) in (0, 5)
+        assert time.perf_counter() - start < 20

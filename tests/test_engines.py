@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import sys
+import time
 
 import pytest
 
@@ -7,6 +9,7 @@ from setcircuits import engines
 from setcircuits import (
     INF,
     BudgetExceeded,
+    Circuit,
     CutoffMode,
     EngineBudget,
     FragmentError,
@@ -38,6 +41,7 @@ from circgen import (
     random_vector,
 )
 from refeval import exact_sets_bruteforce, ref_member_scalar, ref_member_vector
+from test_circuit import PRIMES_TEXT
 
 TIGHT = EngineBudget(max_set_elems=10**5, max_grid_cells=3 * 10**5, max_memo_entries=3 * 10**5)
 
@@ -155,6 +159,23 @@ class TestClampedScalar:
         with pytest.raises(BudgetExceeded):
             eval_clamped_scalar(c, CutoffMode.CERTIFIED)
 
+    @pytest.mark.parametrize("last", ["add 2 1", "add 2 2"])
+    def test_certified_add_is_bounded_by_the_grid_budget(self, last):
+        # certified cutoff 4,194,305 at the add gate: comp({2}) + {2} takes
+        # one shift, comp({2}) + comp({2}) needs two of over 8 * 10^6 bits
+        c = parse_circuit(f"circuit v1\ngate 1 input 2\ngate 2 comp 1\ngate 3 {last}\noutput 3\n")
+        start = time.perf_counter()
+        if last == "add 2 1":
+            assert [decide(c, b, cutoff_mode="certified").member for b in (3, 4, 10**9)] == [
+                True, False, True
+            ]
+        else:
+            with pytest.raises(BudgetExceeded, match="grid"):
+                decide(c, 4, cutoff_mode="certified")
+            roomy = EngineBudget(max_grid_cells=2 * 10**7)
+            assert decide(c, 4, cutoff_mode="certified", budget=roomy).member is True
+        assert time.perf_counter() - start < 20
+
     def test_refuses_mul(self):
         c = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 mul 1 1\noutput 2\n")
         with pytest.raises(FragmentError):
@@ -198,6 +219,20 @@ class TestClampedVector:
         assert not out.member((0, big))
         assert not out.member((big, 0))
         assert ref_member_vector(c, (7, 7)) and not ref_member_vector(c, (0, 7))
+
+    def test_one_axis_gate_tables_match_reference(self):
+        # one-axis tables are computed on bitmaps: check every gate, not just
+        # the output, on [0, n + 2] and inf, and cross-check the engines
+        rng = random.Random(167)
+        for _ in range(60):
+            c = bounded_vector(rng, CLAMPABLE_VECTOR, max_cutoff=12, dim=1, max_gates=6, max_coord=4)
+            reps, _ = eval_clamped_vector(c, budget=TIGHT)
+            for i, g in enumerate(c.gates):
+                upto = Circuit(c.gates[: i + 1], output=g.gid, dim=1, vector=True)
+                rep = reps[g.gid]
+                for x in [(v,) for v in range(rep.cutoff + 3)] + [INF]:
+                    assert rep.member(x) == ref_member_vector(upto, x), f"gate {g.gid} x={x}\n{c}"
+            assert xcheck_circuit(c, max_b=8, budget=TIGHT) == [], str(c)
 
     def test_mul_and_div_cannot_reach_it(self):
         # multiplicative gates are rejected when the vector circuit is built,
@@ -328,6 +363,11 @@ DISPATCH_CASES = [
      (1, 2), "exact", "none"),
     ("vcircuit v1 dim 2\ngate 1 input 1,2\ngate 2 comp 1\ngate 3 sub 2 1\noutput 3\n",
      (0, 0), "clamped-vector", "structural"),
+    # perfbench/gen.py's primes circuit: its prime-factor image has one axis
+    (PRIMES_TEXT, 7, "clamped-vector", "structural"),
+    (PRIMES_TEXT, 30, "clamped-vector", "structural"),
+    ("vcircuit v1 dim 1\ngate 1 input 2\ngate 2 comp 1\ngate 3 sub 2 1\noutput 3\n",
+     (1,), "clamped-vector", "structural"),
 ]
 
 
@@ -409,9 +449,11 @@ ROUTE_STATS = {
     (True, "clamped-vector"): {"gates", "micros"},
 }
 
-# the layers each route reaches through engines' module-global names: the
-# bindings perfbench/selftest.py lists in CALLER_BINDINGS, plus the eval_*
-# functions. The benchmark's tracer wraps exactly these names.
+# the layers each route reaches: the functions behind the bindings
+# perfbench/selftest.py lists in CALLER_BINDINGS, plus the eval_* functions.
+# As the benchmark's tracer does, every setcircuits binding of each is
+# counted, so a call from inside setrep (say vecrep_apply calling
+# natrep_apply) shows as well as one through engines.
 TRACED_BINDINGS = (
     "natrep_apply", "vecrep_apply", "exact_apply", "cutoff_profile", "structural_cutoff",
     "to_vector_gcdfree", "to_vector_primefact", "eval_singleton", "eval_singleton_vector",
@@ -422,13 +464,18 @@ ROUTE_LAYERS = {
     (False, "exact-vector"): {"to_vector_gcdfree", "eval_exact", "exact_apply"},
     (False, "singleton-vector"): {"to_vector_gcdfree", "eval_singleton_vector"},
     (False, "exact"): {"eval_exact", "exact_apply"},
-    (False, "clamped-scalar"): {"eval_clamped_scalar", "cutoff_profile", "natrep_apply"},
+    (False, "clamped-scalar"): {
+        "eval_clamped_scalar", "cutoff_profile", "structural_cutoff", "natrep_apply"
+    },
     (False, "clamped-vector"): {
-        "to_vector_primefact", "eval_clamped_vector", "cutoff_profile", "vecrep_apply"
+        "to_vector_primefact", "eval_clamped_vector", "cutoff_profile", "structural_cutoff",
+        "vecrep_apply",
     },
     (True, "singleton-vector"): {"eval_singleton_vector"},
     (True, "exact"): {"eval_exact", "exact_apply"},
-    (True, "clamped-vector"): {"eval_clamped_vector", "cutoff_profile", "vecrep_apply"},
+    (True, "clamped-vector"): {
+        "eval_clamped_vector", "cutoff_profile", "structural_cutoff", "vecrep_apply"
+    },
 }
 
 
@@ -465,17 +512,21 @@ class TestVerdictRecord:
         c = parse_circuit(text)
         called = set()
 
-        def counting(name):
-            orig = getattr(engines, name)
-
+        def counting(name, orig):
             def layer(*args, **kw):
                 called.add(name)
                 return orig(*args, **kw)
 
             return layer
 
+        modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "setcircuits"]
         for name in TRACED_BINDINGS:
-            monkeypatch.setattr(engines, name, counting(name))
+            orig = getattr(engines, name)
+            layer = counting(name, orig)
+            for mod in modules:
+                for attr, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, attr, layer)
         assert decide(c, query).engine == engine
         assert called == ROUTE_LAYERS[c.vector, engine]
 

@@ -297,3 +297,179 @@ def test_vecrep_dim_mismatch():
     b = vecrep_from_label((0,), dim=1, cutoff=2)
     with pytest.raises(ValueError):
         vecrep_apply(GateKind.UNION, a, b, 2)
+
+
+# ---------------------------------------------------------------------------
+# one-axis tables: computed on bitmaps
+
+
+def _rep1(cutoff, elems, tail=False, inf=False):
+    cells = {(x,) for x in elems} | ({(cutoff,)} if tail else set())
+    return VecSetRep(dim=1, cutoff=cutoff, cells=frozenset(cells), inf=inf)
+
+
+def _want1(kind, a, b, n):
+    """The table at result cutoff n from literal membership: every cell is the
+    literal point, as the grid path computes it; witnesses searched wide."""
+    wide = 3 * (a.cutoff + (b.cutoff if b else 0) + n) + 5
+    cells = set()
+    for p in range(n + 1):
+        if kind is GateKind.COMP:
+            hit = not a.member((p,))
+        elif kind is GateKind.UNION:
+            hit = a.member((p,)) or b.member((p,))
+        elif kind is GateKind.INTER:
+            hit = a.member((p,)) and b.member((p,))
+        elif kind is GateKind.ADD:
+            hit = any(b.member((y,)) and a.member((p - y,)) for y in range(p + 1))
+        else:
+            hit = any(b.member((y,)) and a.member((p + y,)) for y in range(wide))
+        if hit:
+            cells.add((p,))
+    finite_a, finite_b = bool(a.cells), bool(b and b.cells)
+    inf = {
+        GateKind.COMP: lambda: not a.inf,
+        GateKind.UNION: lambda: a.inf or b.inf,
+        GateKind.INTER: lambda: a.inf and b.inf,
+        GateKind.ADD: lambda: (a.inf and (finite_b or b.inf)) or (b.inf and (finite_a or a.inf)),
+        GateKind.SUB: lambda: a.inf and finite_b,
+    }[kind]()
+    return VecSetRep(dim=1, cutoff=n, cells=frozenset(cells), inf=bool(inf))
+
+
+ONE_AXIS_KINDS = [GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.ADD, GateKind.SUB]
+
+
+@pytest.mark.parametrize("kind", ONE_AXIS_KINDS)
+def test_one_axis_tables_match_literal_membership(kind):
+    # operand cutoffs below, at and above the result cutoff; empty and full
+    # operands; inf on either side
+    rng = random.Random(f"one-axis-{kind.value}")
+    shapes = [
+        lambda k: _rep1(k, []),  # empty
+        lambda k: _rep1(k, range(k), tail=True),  # everything finite
+        lambda k: _rep1(k, [], tail=True),  # only the tail: sub needs y = w
+        lambda k: _rep1(k, [x for x in range(k) if rng.random() < 0.4], tail=rng.random() < 0.5),
+        lambda k: _rep1(k, [x for x in range(k) if rng.random() < 0.1]),
+    ]
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        ka = rng.choice((max(1, n - rng.randint(1, 3)), n, n + rng.randint(1, 4)))
+        kb = rng.choice((max(1, n - rng.randint(1, 3)), n, n + rng.randint(1, 4)))
+        a = rng.choice(shapes)(ka)._replace(inf=rng.random() < 0.3)
+        b = None if kind is GateKind.COMP else rng.choice(shapes)(kb)._replace(inf=rng.random() < 0.3)
+        got = vecrep_apply(kind, a, b, n)
+        assert got == _want1(kind, a, b, n), (kind, a, b, n)
+        assert type(got.inf) is bool
+
+
+@pytest.mark.parametrize("kind", ONE_AXIS_KINDS)
+def test_one_axis_budget_refusals_at_the_grid_sizes(kind):
+    # the refusal sizes of the grid path: n + 1 cells, (n+1)(n+2)/2 add
+    # pairs, (n+1)(w+1) sub pairs with w = max(n_A, n_B)
+    a, b = _rep1(6, [1, 4], tail=True), _rep1(9, [0, 2])
+    for n in (3, 6, 12):
+        need = {
+            GateKind.ADD: (n + 1) * (n + 2) // 2,
+            GateKind.SUB: (n + 1) * (max(a.cutoff, b.cutoff) + 1),
+        }.get(kind, n + 1)
+        operand = None if kind is GateKind.COMP else b
+        vecrep_apply(kind, a, operand, n, max_grid_cells=need)
+        with pytest.raises(BudgetExceeded, match="grid"):
+            vecrep_apply(kind, a, operand, n, max_grid_cells=need - 1)
+
+
+def test_one_axis_never_calls_natrep_apply(monkeypatch):
+    # the benchmark's tracer wraps every binding of natrep_apply, and the
+    # prime-factor route must show none
+    from setcircuits import setrep
+
+    def refuse(*args, **kw):
+        raise AssertionError("natrep_apply called")
+
+    monkeypatch.setattr(setrep, "natrep_apply", refuse)
+    a, b = _rep1(4, [1, 3], tail=True), _rep1(3, [0, 2])
+    for kind in ONE_AXIS_KINDS:
+        vecrep_apply(kind, a, None if kind is GateKind.COMP else b, 5)
+
+
+class _CountingInt(int):
+    """An int that counts the shifts taken of it."""
+
+    shifts = 0
+
+    def __lshift__(self, k):
+        _CountingInt.shifts += 1
+        return int(self) << k
+
+    def __rshift__(self, k):
+        _CountingInt.shifts += 1
+        return int(self) >> k
+
+
+def _count_shifts(monkeypatch, name, log):
+    """Wrap setrep's bitmap helper `name` so that every call's shifts land in log."""
+    from setcircuits import setrep
+
+    orig = getattr(setrep, name)
+
+    def counted(x, y, n, *rest):
+        _CountingInt.shifts = 0
+        try:
+            return orig(_CountingInt(x), _CountingInt(y), n, *rest)
+        finally:
+            log.append((n, _CountingInt.shifts))
+
+    monkeypatch.setattr(setrep, name, counted)
+
+
+def test_bitmap_kernels_shift_within_the_budget_they_checked(monkeypatch):
+    adds, subs = [], []
+    _count_shifts(monkeypatch, "_add_bits", adds)
+    _count_shifts(monkeypatch, "_sub_bits", subs)
+    rng = random.Random("shift-budget")
+    for _ in range(300):
+        na, nb = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.choice((0.05, 0.5, 0.95))
+        a, b = _random_rep(rng, na, density), _random_rep(rng, nb, density)
+        n = na + nb + rng.randint(0, 3)
+        budget = rng.randint(n + 1, (n + 1) ** 2)
+        adds.clear()
+        try:
+            natrep_apply(GateKind.ADD, a, b, n, max_grid_cells=budget)
+        except BudgetExceeded:
+            (m, shifts), = adds
+            assert shifts * (n + 1) <= budget < (shifts + 1) * (n + 1)  # refused at the next
+        else:
+            (m, shifts), = adds
+            assert m == n and shifts * (n + 1) <= budget
+        # one axis: add shifts at most n + 1 times, within twice the pairs
+        # checked; sub once per cell of B's box [0, w]
+        va = _rep1(na, [z for z in range(na) if a.member(z)], tail=a.tail)
+        vb = _rep1(nb, [z for z in range(nb) if b.member(z)], tail=b.tail)
+        adds.clear()
+        vecrep_apply(GateKind.ADD, va, vb, n)
+        (m, shifts), = adds
+        assert shifts <= n + 1 and shifts * (n + 1) <= (n + 1) * (n + 2)
+        subs.clear()
+        w = max(na, nb)
+        vecrep_apply(GateKind.SUB, va, vb, n)
+        (m, shifts), = subs
+        assert shifts <= w + 1 and shifts * (n + 1) <= (n + 1) * (w + 1)
+
+
+@pytest.mark.parametrize("budget", [10**7, 2 * 10**7, 3 * 10**7])
+def test_natrep_add_at_a_huge_cutoff_ends(budget):
+    # comp({2}) + {2} takes one shift; comp({2}) + comp({2}) is full after two
+    n = 4 * 10**6
+    not2 = NatSetRep(cutoff=3, mask=0b1011)
+    two = NatSetRep.from_elements([2], cutoff=3)
+    s = natrep_apply(GateKind.ADD, not2, two, n, max_grid_cells=budget)
+    assert not s.member(4) and s.member(3) and s.member(10**9)
+    if budget < 2 * (n + 1):
+        with pytest.raises(BudgetExceeded, match="grid"):
+            natrep_apply(GateKind.ADD, not2, not2, n, max_grid_cells=budget)
+    else:
+        assert natrep_apply(GateKind.ADD, not2, not2, n, max_grid_cells=budget).mask == (
+            (1 << (n + 1)) - 1
+        )
