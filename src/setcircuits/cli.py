@@ -89,7 +89,6 @@ def _budget(args) -> EngineBudget:
         max_set_elems=args.max_set_elems,
         max_grid_cells=args.max_grid_cells,
         max_memo_entries=args.max_memo,
-        max_formula_gates=getattr(args, "max_formula_gates", DEFAULT_BUDGET.max_formula_gates),
     )
 
 
@@ -123,9 +122,11 @@ def _cmd_member(args) -> int:
     if args.verbose:
         for k in sorted(v.stats):
             print(f"  {k}={v.stats[k]}")
-        if v.witness is not None:
-            pairs = ", ".join(f"{g}: {val}" for g, val in sorted(v.witness.items()))
-            print(f"  witness={{{pairs}}}")
+        if v.witness is not None:  # entries "gate:value <- its operand pairs", on one line
+            pair = "{0[0]}:{0[1]}".format
+            print("  witness=" + "; ".join(
+                " ".join([pair(k), "<-", *map(pair, ops)]) if ops else pair(k)
+                for k, ops in v.witness.items()))
     return EXIT_OK
 
 
@@ -223,33 +224,34 @@ def _cmd_transform(args) -> int:
 
 def _cmd_gen(args) -> int:
     payload = json.loads(Path(args.instance).read_text(encoding="utf-8"))
-    if args.kind == "exact-cover":
-        inst = ExactCoverInstance(
-            universe=tuple(payload["universe"]), sets=tuple(tuple(s) for s in payload["sets"])
-        )
-        red = from_exact_cover(inst)
-    elif args.kind == "gap":
-        inst = GapInstance(
-            edges=tuple((u, v) for u, v in payload["edges"]),
-            s=payload["s"],
-            t=payload["t"],
-            nodes=tuple(payload.get("nodes", ())),
-        )
-        red = from_gap(inst)
-    elif args.kind == "cvp":
-        inst = CvpInstance(
-            gates=tuple(tuple(row) for row in payload["gates"]),
-            output=payload["output"],
-            assignment=dict(payload.get("assignment", {})),
-        )
-        red = from_cvp(inst)
-    else:  # majority
-        inst = MajorityDagInstance(
-            root=payload["root"],
-            children={k: tuple(v) for k, v in payload["children"].items()},
-            labels=dict(payload["labels"]),
-        )
-        red = from_majority_dag(inst)
+    try:  # a payload of the wrong shape fails here, in the instance's own types
+        if args.kind == "exact-cover":
+            inst = ExactCoverInstance(
+                universe=tuple(payload["universe"]), sets=tuple(tuple(s) for s in payload["sets"])
+            )
+        elif args.kind == "gap":
+            inst = GapInstance(
+                edges=tuple((u, v) for u, v in payload["edges"]),
+                s=payload["s"],
+                t=payload["t"],
+                nodes=tuple(payload.get("nodes", ())),
+            )
+        elif args.kind == "cvp":
+            inst = CvpInstance(
+                gates=tuple(tuple(row) for row in payload["gates"]),
+                output=payload["output"],
+                assignment=dict(payload.get("assignment", {})),
+            )
+        else:  # majority
+            inst = MajorityDagInstance(
+                root=payload["root"],
+                children={k: tuple(v) for k, v in payload["children"].items()},
+                labels=dict(payload["labels"]),
+            )
+    except (TypeError, IndexError, AttributeError) as e:
+        raise ValueError(f"malformed {args.kind} instance: {e}") from e
+    red = {"exact-cover": from_exact_cover, "gap": from_gap, "cvp": from_cvp,
+           "majority": from_majority_dag}[args.kind](inst)
     lines = [f"# reduction {args.kind}", f"# note {red.note}", f"# query {red.query}"]
     if red.negate:
         lines.append("# negated-verdict")
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["gcdfree", "primefact", "cap-elim", "demorgan", "formula"],
     )
     p.add_argument("--query", help="also print this query's image under a vectorizing transform")
-    p.add_argument("--max-formula-gates", type=int, default=DEFAULT_BUDGET.max_formula_gates)
+    p.add_argument("--max-formula-gates", type=int, default=expand_formula.__defaults__[0])
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_transform)
 

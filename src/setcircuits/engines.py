@@ -18,9 +18,9 @@ Each engine decides "is b in I(C)?" for a class of circuits:
   depth is not bounded by Python's recursion limit. It shares no set
   representation with the clamped evaluators, so xcheck_circuit uses it as
   their independent check.
-* certificate_search / verify_certificate: comp-free fragments via formula
-  expansion and depth-first search over per-gate value assignments; produces
-  a checkable witness.
+* certificate_search / verify_certificate: comp-free fragments; a memoized
+  depth-first search over (gate, value) pairs of the circuit whose recorded
+  choices are a checkable witness.
 
 The engine table _ENGINES is the one place an engine's domain, fragment and
 preparation are declared; decide(), applicable_engines() and
@@ -46,7 +46,7 @@ from .bounds import (
     cutoff_profile,
     structural_cutoff,
 )
-from .circuit import INF, Circuit, GateKind, fragment_of, require_fragment
+from .circuit import INF, Circuit, GateKind, _is_nat, fragment_of, require_fragment
 from .errors import BudgetExceeded, FragmentError, OpenFragmentError
 from .numtheory import NotRepresentable
 from .setrep import (
@@ -80,7 +80,6 @@ class EngineBudget:
     max_set_elems: int = 10**6
     max_grid_cells: int = 10**7
     max_memo_entries: int = 10**7
-    max_formula_gates: int = 10**5
 
 
 DEFAULT_BUDGET = EngineBudget()
@@ -407,7 +406,7 @@ def _vec_nonempty(st: _SearchState, gid: int, with_inf: bool):
 # certificates for comp-free circuits
 
 class _CertState:
-    __slots__ = ("c", "ub", "budget", "memo", "any_memo", "steps")
+    __slots__ = ("c", "ub", "budget", "memo", "any_memo", "used", "steps")
 
     def __init__(self, c, ub, budget):
         self.c = c
@@ -415,48 +414,54 @@ class _CertState:
         self.budget = budget
         self.memo: dict = {}
         self.any_memo: dict = {}
+        self.used: dict = {}  # (gate id, value) found true -> the operand pairs it used
         self.steps = 0
 
 
 def certificate_search(c: Circuit, b: int, budget: EngineBudget = DEFAULT_BUDGET):
-    """Search a per-gate value assignment witnessing b in I(C).
+    """Search the choices that show b in I(C), on the circuit itself.
 
-    The circuit is expanded to a formula first; interval arithmetic over the
+    A memoized depth-first search asks whether a gate can take a value, for
+    (gate, value) pairs from (output, b) down. Interval arithmetic over the
     gates (union is max, inter is min, quotients never exceed the dividend)
-    yields per-gate value bounds that cap every guess, so the search is
-    complete. Returns (member, witness, stats); the witness maps gate ids of
-    the expanded formula to values along the active branches.
+    caps every guess, so the search is complete. Each pair found true records
+    the operand pairs it used, and the witness is those records read from
+    (output, b): it maps each (gate id, value) pair it holds to its operand
+    pairs, () for an input, one pair for union and one pair per predecessor,
+    in pred order, for inter, add, mul and div. Returns
+    (member, witness or None, stats).
     """
-    from .transforms import expand_formula
-
     require_fragment(c, EXACT_SCALAR, "certificate search", vector=False)
-    f = expand_formula(c, max_gates=budget.max_formula_gates)
-    st = _CertState(f, _formula_value_bounds(f), budget)
-    ok = _cert_run(st, (f.output, b))
+    st = _CertState(c, _cert_value_bounds(c), budget)
+    ok = _cert_run(st, (c.output, b))
     witness = None
     if ok:
         witness = {}
-        _cert_collect(st, f.output, b, witness)
-    stats = {"memo_entries": len(st.memo), "formula_gates": len(f), "steps": st.steps}
-    return ok, witness, stats
+        todo = [(c.output, b)]
+        while todo:
+            pair = todo.pop()
+            if pair not in witness:
+                witness[pair] = st.used[pair]
+                todo += reversed(witness[pair])
+    return ok, witness, {"memo_entries": len(st.memo), "steps": st.steps}
 
 
-def _formula_value_bounds(f: Circuit) -> dict:
+def _cert_value_bounds(c: Circuit) -> dict:
     """Sound per-gate upper bounds by interval arithmetic (comp-free scalar)."""
     ub: dict = {}
-    for g in f.gates:
-        if g.kind is GateKind.INPUT:
-            ub[g.gid] = g.value
-        elif g.kind is GateKind.UNION:
-            ub[g.gid] = max(ub[g.preds[0]], ub[g.preds[1]])
-        elif g.kind is GateKind.INTER:
-            ub[g.gid] = min(ub[g.preds[0]], ub[g.preds[1]])
-        elif g.kind is GateKind.ADD:
-            ub[g.gid] = ub[g.preds[0]] + ub[g.preds[1]]
-        elif g.kind is GateKind.MUL:
-            ub[g.gid] = ub[g.preds[0]] * ub[g.preds[1]]
+    for gid, kind, preds, value in c.gates:
+        if kind is _INPUT:
+            ub[gid] = value
+        elif kind is _UNION:
+            ub[gid] = max(ub[preds[0]], ub[preds[1]])
+        elif kind is _INTER:
+            ub[gid] = min(ub[preds[0]], ub[preds[1]])
+        elif kind is _ADD:
+            ub[gid] = ub[preds[0]] + ub[preds[1]]
+        elif kind is _MUL:
+            ub[gid] = ub[preds[0]] * ub[preds[1]]
         else:  # DIV: a quotient never exceeds its dividend
-            ub[g.gid] = ub[g.preds[0]]
+            ub[gid] = ub[preds[0]]
     return ub
 
 
@@ -486,47 +491,57 @@ def _cert_run(st: _CertState, req):
 
 
 def _cert_can(st: _CertState, g, v: int):
-    """Frame: whether gate g can take the value v."""
+    """Frame: whether gate g can take the value v. When it can, the operand
+    pairs it used are recorded at st.used[g.gid, v]."""
     kind = g.kind
     if kind is _INPUT:
-        return v == g.value
+        pairs = () if v == g.value else None
+    else:
+        p1, p2 = g.preds
+        pairs = None
     if kind is _UNION:
-        return (yield (g.preds[0], v)) or (yield (g.preds[1], v))
-    if kind is _INTER:
-        return (yield (g.preds[0], v)) and (yield (g.preds[1], v))
-    p1, p2 = g.preds
-    if kind is _ADD:
+        if (yield (p1, v)):
+            pairs = ((p1, v),)
+        elif (yield (p2, v)):
+            pairs = ((p2, v),)
+    elif kind is _INTER:
+        if (yield (p1, v)) and (yield (p2, v)):
+            pairs = ((p1, v), (p2, v))
+    elif kind is _ADD:
         for a in range(v + 1):
             if (yield (p2, a)) and (yield (p1, v - a)):
-                return True
+                pairs = ((p1, v - a), (p2, a))
+                break
+    elif kind is _MUL and v == 0:
+        if (yield (p1, 0)) and (w := (yield _cert_any(st, p2))) is not None:
+            pairs = ((p1, 0), (p2, w))
+        elif (yield (p2, 0)) and (w := (yield _cert_any(st, p1))) is not None:
+            pairs = ((p1, w), (p2, 0))
+    elif kind is _MUL:
+        for d in range(1, math.isqrt(v) + 1):
+            if v % d:
+                continue
+            _cert_step(st)
+            e = v // d
+            if (yield (p1, d)) and (yield (p2, e)):
+                pairs = ((p1, d), (p2, e))
+                break
+            if d != e and (yield (p1, e)) and (yield (p2, d)):
+                pairs = ((p1, e), (p2, d))
+                break
+    elif kind is _DIV and v == 0:  # 0 = a/w exactly when a = 0 and some nonzero w is available
+        if (yield (p1, 0)) and (w := (yield _cert_any(st, p2, nonzero=True))) is not None:
+            pairs = ((p1, 0), (p2, w))
+    elif kind is _DIV:
+        for w in range(1, min(st.ub[p2], st.ub[p1] // v) + 1):
+            _cert_step(st)
+            if (yield (p2, w)) and (yield (p1, v * w)):
+                pairs = ((p1, v * w), (p2, w))
+                break
+    if pairs is None:
         return False
-    if kind is _MUL:
-        if v == 0:
-            return ((yield (p1, 0)) and (yield _cert_any(st, p2)) is not None) or (
-                (yield (p2, 0)) and (yield _cert_any(st, p1)) is not None
-            )
-        d = 1
-        while d * d <= v:
-            if v % d == 0:
-                _cert_step(st)
-                if (yield (p1, d)) and (yield (p2, v // d)):
-                    return True
-                if d != v // d and (yield (p1, v // d)) and (yield (p2, d)):
-                    return True
-            d += 1
-        return False
-    # DIV
-    if v == 0:
-        # 0 = a/w exactly when a = 0 and some nonzero w is available
-        if not (yield (p1, 0)):
-            return False
-        return (yield _cert_any(st, p2, nonzero=True)) is not None
-    wmax = min(st.ub[p2], st.ub[p1] // v)
-    for w in range(1, wmax + 1):
-        _cert_step(st)
-        if (yield (p2, w)) and (yield (p1, v * w)):
-            return True
-    return False
+    st.used[g.gid, v] = pairs
+    return True
 
 
 def _cert_any(st: _CertState, gid: int, nonzero: bool = False):
@@ -544,95 +559,49 @@ def _cert_any(st: _CertState, gid: int, nonzero: bool = False):
     return found
 
 
-def _cert_collect(st: _CertState, gid: int, v: int, out: dict):
-    """Rebuild the successful assignment; only called where gid can take v.
+def verify_certificate(c: Circuit, b: int, witness) -> bool:
+    """Check a witness from certificate_search on the circuit.
 
-    Depth first on an explicit stack: each gate before its operands, and the
-    first operand's subformula before the second's.
+    (output, b) must be an entry. Each entry (gid, v): pairs must follow its
+    gate's local rule: an input has no pairs and v is its label; union has
+    one pair (p, v) with p a predecessor; inter, add, mul and div have one
+    pair per predecessor, in pred order, whose values x, y satisfy
+    x == v == y, x + y == v, x * y == v, or y >= 1 and x == v * y. Every
+    operand pair must be an entry too. Predecessors are declared before their
+    gate, so by induction along the declaration order every entry's gate can
+    take its value. A malformed witness gives False, not an error.
     """
-    def can(gid, v):
-        return _cert_run(st, (gid, v))
-
-    def any_of(gid, nonzero=False):
-        return _cert_run(st, _cert_any(st, gid, nonzero))
-
-    todo = [(gid, v)]
-    while todo:
-        gid, v = todo.pop()
-        out[gid] = v
-        g = st.c.gate(gid)
-        kind = g.kind
-        if kind is _INPUT:
-            continue
-        p1, p2 = g.preds[0], g.preds[-1]
-        if kind is _UNION:
-            todo.append((p1 if can(p1, v) else p2, v))
-            continue
-        if kind is _INTER:
-            x = y = v
-        elif kind is _ADD:
-            y = next(a for a in range(v + 1) if can(p2, a) and can(p1, v - a))
-            x = v - y
-        elif kind is _MUL and v == 0:
-            if can(p1, 0) and (w := any_of(p2)) is not None:
-                x, y = 0, w
-            else:
-                x, y = any_of(p1), 0
-        elif kind is _MUL:
-            x, y = next(
-                (x, y) for d in range(1, math.isqrt(v) + 1) if v % d == 0
-                for x, y in ((d, v // d), (v // d, d)) if can(p1, x) and can(p2, y)
-            )
-        elif v == 0:  # DIV
-            x, y = 0, any_of(p2, nonzero=True)
-        else:
-            wmax = min(st.ub[p2], st.ub[p1] // v)
-            y = next(w for w in range(1, wmax + 1) if can(p2, w) and can(p1, v * w))
-            x = v * y
-        todo += ((p2, y), (p1, x))
-
-
-def verify_certificate(c: Circuit, b: int, witness: dict) -> bool:
-    """Check a witness from certificate_search against the expanded formula.
-
-    Local rules per active gate: inputs match their label; union follows a
-    predecessor present in the witness with the same value; inter needs both
-    equal; add/mul are the exact arithmetic; div v = a/w needs w >= 1 and
-    a == v * w. The output must carry b.
-    """
-    from .transforms import expand_formula
-
     require_fragment(c, EXACT_SCALAR, "certificate verification", vector=False)
-    f = expand_formula(c)
-    if witness.get(f.output) != b:
+    if not isinstance(witness, dict) or (c.output, b) not in witness:
         return False
-
-    # ok[gid]: the witness holds a valid assignment of gid's subformula. Each
-    # gate of a formula feeds at most one other, so one pass in declaration
-    # order settles every gate before the gate that reads it.
-    ok: dict = {}
-    for gid, kind, preds, value in f.gates:
-        v = witness.get(gid)
-        if not isinstance(v, int) or v < 0:  # None: gid is not in the witness
-            ok[gid] = False
-        elif kind is _INPUT:
-            ok[gid] = v == value
+    for key, pairs in witness.items():
+        if type(key) is not tuple or len(key) != 2 or type(pairs) is not tuple:
+            return False
+        gid, v = key
+        if not _is_nat(v) or gid not in c or not all(
+            type(p) is tuple and len(p) == 2 and _is_nat(p[1]) for p in pairs
+        ):
+            return False
+        _, kind, preds, value = c.gate(gid)
+        if kind is _INPUT:
+            ok = pairs == () and v == value
         elif kind is _UNION:
-            ok[gid] = any(witness.get(p) == v and ok[p] for p in preds)
-        elif kind is _INTER:
-            p1, p2 = preds
-            ok[gid] = witness.get(p1) == v == witness.get(p2) and ok[p1] and ok[p2]
-        elif not (ok[preds[0]] and ok[preds[1]]):
-            ok[gid] = False
+            ok = len(pairs) == 1 and pairs[0][0] in preds and pairs[0][1] == v
+        elif tuple(p for p, _ in pairs) != preds:
+            ok = False
         else:
-            a, w = witness[preds[0]], witness[preds[1]]
-            if kind is _ADD:
-                ok[gid] = v == a + w
+            (_, x), (_, y) = pairs
+            if kind is _INTER:
+                ok = x == v == y
+            elif kind is _ADD:
+                ok = x + y == v
             elif kind is _MUL:
-                ok[gid] = v == a * w
+                ok = x * y == v
             else:  # DIV
-                ok[gid] = w >= 1 and a == v * w
-    return ok[f.output]
+                ok = y >= 1 and x == v * y
+        if not ok or not all(p in witness for p in pairs):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -87,19 +87,19 @@ def exact_cover_solvable(inst: ExactCoverInstance) -> bool:
             m |= 1 << index[e]
         masks.append(m)
 
-    seen = set()
-
-    def go(covered: int, i: int) -> bool:
+    seen = set()  # depth first, taking set i before leaving it out
+    todo = [(0, 0)]
+    while todo:
+        covered, i = todo.pop()
         if covered == target:
             return True
         if i == len(masks) or (covered, i) in seen:
-            return False
+            continue
         seen.add((covered, i))
-        if masks[i] & covered == 0 and go(covered | masks[i], i + 1):
-            return True
-        return go(covered, i + 1)
-
-    return go(0, 0)
+        todo.append((covered, i + 1))
+        if masks[i] & covered == 0:
+            todo.append((covered | masks[i], i + 1))
+    return False
 
 
 def from_exact_cover(inst: ExactCoverInstance) -> Reduction:
@@ -361,20 +361,21 @@ class MajorityDagInstance:
 def _majority_topo(inst: MajorityDagInstance) -> list:
     """Children-before-parents order of the nodes reachable from the root."""
     order: list = []
-    state: dict = {}
-
-    def visit(v):
-        if state.get(v) == 2:
-            return
-        if state.get(v) == 1:
-            raise ValueError("children relation has a cycle")
-        state[v] = 1
-        for k in inst.children.get(v, ()):
-            visit(k)
-        state[v] = 2
-        order.append(v)
-
-    visit(inst.root)
+    state: dict = {inst.root: 1}  # 1: open, 2: done
+    stack = [(inst.root, iter(inst.children.get(inst.root, ())))]
+    while stack:
+        v, kids = stack[-1]
+        for k in kids:
+            if state.get(k) == 1:
+                raise ValueError("children relation has a cycle")
+            if k not in state:
+                state[k] = 1
+                stack.append((k, iter(inst.children.get(k, ()))))
+                break
+        else:
+            stack.pop()
+            state[v] = 2
+            order.append(v)
     return order
 
 

@@ -111,6 +111,15 @@ class TestMember:
         assert "member=true" in out
         assert "gates=" in out
 
+    def test_verbose_prints_the_witness_on_one_line(self, circ, capsys):
+        # one element too many for exact: the certificate fallback decides
+        p = circ("circuit v1\ngate 1 input 0\ngate 2 input 1\ngate 3 union 1 2\n"
+                 "gate 4 add 3 3\noutput 4\n")
+        assert main(["member", p, "1", "--verbose", "--max-set-elems", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "engine=certificate" in out
+        assert "  witness=4:1 <- 3:1 3:0; 3:1 <- 2:1; 2:1; 3:0 <- 1:0; 1:0\n" in out
+
     def test_open_fragment_is_exit_4(self, circ, capsys):
         assert main(["member", circ(OPEN_TEXT), "5"]) == 4
         assert "decidability open" in capsys.readouterr().err
@@ -306,6 +315,27 @@ class TestGen:
         assert main(["gen", "gap", str(inst)]) == 2
         inst.write_text(json.dumps({"edges": [[0, 1]], "s": 0}))  # missing t
         assert main(["gen", "gap", str(inst)]) == 2
+
+    @pytest.mark.parametrize("kind, payload", [
+        ("exact-cover", []),
+        ("exact-cover", {"universe": 5, "sets": []}),
+        ("cvp", {"gates": [["a", "var"]], "output": "a"}),
+        ("majority", {"root": "r", "children": ["r"], "labels": {}}),
+    ])
+    def test_malformed_instance_is_exit_2(self, tmp_path, capsys, kind, payload):
+        inst = tmp_path / "bad.json"
+        inst.write_text(json.dumps(payload))
+        assert main(["gen", kind, str(inst)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: malformed {kind} instance")
+
+    def test_majority_on_a_deep_chain(self, tmp_path, capsys):
+        # a 3,000-deep path: ordering the dag takes no Python recursion
+        n = 3000
+        payload = {"root": "0", "children": {str(i): [str(i + 1)] for i in range(n)},
+                   "labels": {str(n): "accept"}}
+        out = self._gen(tmp_path, capsys, "majority", payload)
+        # input 1, n + 1 gates per copy of the dag, then 2 and the three final gates
+        assert len(parse_circuit(_strip_comments(out))) == 1 + 2 * (n + 1) + 4
 
 
 class TestXcheck:

@@ -30,6 +30,7 @@ from setcircuits import (
     verify_certificate,
     xcheck_circuit,
 )
+from setcircuits.reductions import ExactCoverInstance, exact_cover_solvable, from_exact_cover
 
 from circgen import (
     SCALAR_FULL,
@@ -299,32 +300,97 @@ class TestCertificate:
         )
         ok, wit, stats = certificate_search(c, 7)
         assert ok and verify_certificate(c, 7, wit)
-        leaf = min(g for g, v in wit.items() if isinstance(v, int))
-        bad = dict(wit)
-        bad[leaf] = bad[leaf] + 1
-        assert not verify_certificate(c, 7, bad)
+        # the recorded choices: 7 = 4 + 3, each through its own union branch
+        assert wit == {(4, 7): ((3, 4), (3, 3)), (3, 4): ((2, 4),), (2, 4): (),
+                       (3, 3): ((1, 3),), (1, 3): ()}
         assert not verify_certificate(c, 8, wit)
+        bad = {**wit, (2, 5): ()}  # an entry the circuit cannot show, though unused
+        assert not verify_certificate(c, 7, bad)
+        bad = {k: v for k, v in wit.items() if k != (1, 3)}  # an operand pair missing
+        assert not verify_certificate(c, 7, bad)
+        # the add's operand pairs the other way round also sum to 7
+        assert verify_certificate(c, 7, {**wit, (4, 7): ((3, 3), (3, 4))})
+        for key, pairs in [
+            ((4, 7), ((3, 4), (3, 4))),  # 4 + 4 is not 7
+            ((4, 7), ((3, 4), (2, 4))),  # gate 2 is not gate 4's second predecessor
+            ((3, 4), ((1, 3),)),  # union must follow a branch holding its value,
+            ((3, 7), ((4, 7),)),  # and on one of its predecessors: no cycles
+            ((3, 4), ()),  # an interior gate without operands
+            ((1, 3), ((1, 3),)),  # an input with operands
+        ]:
+            assert not verify_certificate(c, 7, {**wit, key: pairs}), (key, pairs)
+        # div needs a nonzero divisor: {0} / {0} is empty, though 0 == 5 * 0
+        z = parse_circuit("circuit v1\ngate 1 input 0\ngate 2 div 1 1\noutput 2\n")
+        assert not verify_certificate(z, 5, {(2, 5): ((1, 0), (1, 0)), (1, 0): ()})
+
+    @pytest.mark.parametrize("bad", [
+        None, [], {(4, 7)}, {4: 7}, {(4, 7): None}, {(4, 7): [(3, 4), (3, 3)]},
+        {(4, 7): ((3, 4),)}, {(4, 7): ((3,), (3, 3))}, {(4, 7): ((3, "4"), (3, 3))},
+        {(4, 7): ((3, True), (3, 6))}, {(4, 7): (([3], 4), (3, 3))}, {(9, 7): ()},
+        {(3, -1): ()}, {(4, 7, 0): ()}, {("4", 7): ()}, {(4, 7): ((3, 4.0), (3, 3))},
+    ])
+    def test_malformed_witness_is_false(self, bad):
+        c = parse_circuit(
+            "circuit v1\ngate 1 input 3\ngate 2 input 4\n"
+            "gate 3 union 1 2\ngate 4 add 3 3\noutput 4\n"
+        )
+        wit = certificate_search(c, 7)[1]
+        # alone, and as one entry of the search's own witness
+        assert verify_certificate(c, 7, bad) is False
+        if isinstance(bad, dict):
+            assert verify_certificate(c, 7, {**wit, **bad}) is False
 
     def test_deep_chain(self):
-        # every gate of the union chain's formula holds 0: one value per gate
-        # is a witness, and verification walks all 19,999 of them
+        # the union chain holds {0} at every gate: the search walks it to the
+        # input and records one entry per gate, 10^4 in all
         c = deep_chain(GateKind.UNION)
-        wit = {gid: 0 for gid in range(1, 2 * len(c))}
-        assert verify_certificate(c, 0, wit)
+        ok, wit, stats = certificate_search(c, 0)
+        assert ok and len(wit) == len(c) and verify_certificate(c, 0, wit)
+        assert wit[len(c), 0] == ((len(c) - 1, 0),) and wit[1, 0] == ()
+        assert certificate_search(c, 1)[:2] == (False, None)
         assert not verify_certificate(c, 1, wit)
-        wit[1] = 1  # the deepest leaf fails, and gate 3 follows its other leaf
-        assert verify_certificate(c, 0, wit)
-        wit.update((gid, 1) for gid in range(2, 2 * len(c), 2))  # every leaf fails
-        assert not verify_certificate(c, 0, wit)
+        # every gate taking its other branch, straight to the input, also shows it
+        short = {(k, 0): ((1, 0),) for k in range(2, len(c) + 1)}
+        assert verify_certificate(c, 0, {**short, (1, 0): ()})
+        assert not verify_certificate(c, 0, short)
 
-    def test_formula_budget(self):
+    def test_doubling_chain(self):
+        # 2^12 at gate 13; its formula has 2^13 - 1 gates, the circuit 13
         text = ["circuit v1", "gate 1 input 1"]
         for i in range(2, 14):
             text.append(f"gate {i} add {i - 1} {i - 1}")
         text.append("output 13")
         c = parse_circuit("\n".join(text) + "\n")
-        with pytest.raises(BudgetExceeded):
-            certificate_search(c, 0, EngineBudget(max_formula_gates=100))
+        ok, wit, stats = certificate_search(c, 0)
+        assert (ok, wit) == (False, None) and stats["steps"] == 13
+        wit = {(i, 2 ** (i - 1)): ((i - 1, 2 ** (i - 2)),) * 2 for i in range(2, 14)}
+        wit[1, 1] = ()
+        assert verify_certificate(c, 4096, wit)
+        assert not verify_certificate(c, 4095, wit)
+
+    @pytest.mark.parametrize("m, seed, planted", [(17, 3, True), (20, 3, True), (17, 0, False)])
+    def test_exact_cover_past_formula_size(self, m, seed, planted):
+        # 2^(m+1) - 1 formula gates; on the circuit the search takes 0.3-2 s
+        rng = random.Random(seed)
+        universe, sets = tuple(range(10)), set()
+        if planted:
+            perm = list(universe)
+            rng.shuffle(perm)
+            i = 0
+            while i < len(perm):
+                k = rng.randint(2, 4)
+                sets.add(tuple(sorted(perm[i:i + k])))
+                i += k
+        while len(sets) < m:
+            sets.add(tuple(sorted(rng.sample(universe, rng.randint(2, 4)))))
+        inst = ExactCoverInstance(universe=universe, sets=tuple(sorted(sets)))
+        red = from_exact_cover(inst)
+        v = decide(red.circuit, red.query, engine="certificate")
+        assert v.member == exact_cover_solvable(inst) == planted
+        if planted:
+            assert verify_certificate(red.circuit, red.query, v.witness)
+        else:
+            assert v.witness is None
 
     def test_exact_budget_falls_back_to_certificate(self):
         c = parse_circuit(

@@ -56,6 +56,14 @@ class TestExactCover:
         assert exact_cover_solvable(inst) is True
         assert _run(from_exact_cover(inst)) is True
 
+    def test_solver_on_many_sets(self):
+        # the search takes the first {0} and passes over 2,999 more before {1}
+        # finishes the cover: 3,001 choices deep, on no Python recursion
+        inst = ExactCoverInstance(universe=(0, 1), sets=((0,),) * 3000 + ((1,),))
+        assert exact_cover_solvable(inst) is True
+        inst = ExactCoverInstance(universe=(0, 1), sets=((0,),) * 3000)
+        assert exact_cover_solvable(inst) is False
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExactCoverInstance(universe=(1,), sets=(frozenset({2}),))
