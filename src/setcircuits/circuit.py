@@ -161,9 +161,10 @@ class Circuit:
 
 
 def derived_circuit(gates, output, dim, vector, by_id, fragment) -> Circuit:
-    """A Circuit built without _validate, for a gate-by-gate image of a
-    validated circuit (same ids, order and arities) whose caller builds the
-    by-id map and the fragment alongside the gates."""
+    """A Circuit built without _validate, for a caller that checks each gate
+    as it makes it (parse_circuit) or makes a gate-by-gate image of a
+    validated circuit (same ids, order and arities), and builds the by-id
+    map and the fragment alongside the gates."""
     c = object.__new__(Circuit)
     c.__dict__.update(
         gates=gates, output=output, dim=dim, vector=vector, _by_id=by_id, _fragment=fragment
@@ -172,19 +173,17 @@ def derived_circuit(gates, output, dim, vector, by_id, fragment) -> Circuit:
 
 
 def _validate(c: Circuit) -> tuple[dict, frozenset]:
-    """The one structural check, for parsed and built circuits alike.
+    """The structural check of circuits built in code; parse_circuit applies
+    the same rules, with the same messages, as it reads each gate.
 
     Returns the gates by id and the fragment (the non-input kinds). A gate
     that passes the cheap test in the loop is sound; any other goes to
     _gate_problem, which words what is wrong (it finds nothing for, say, a
     label of an int subclass).
     """
-    if c.dim < 1:
-        raise CircuitValidationError(f"dim must be >= 1, got {_shown(c.dim)}")
-    if not c.vector and c.dim != 1:
-        raise CircuitValidationError("scalar circuits have dim 1")
-    if not c.gates:
-        raise CircuitValidationError("circuit has no gates")
+    problem = _circuit_problem(c.dim, c.vector, c.gates)
+    if problem:
+        raise CircuitValidationError(problem)
     vector, dim = c.vector, c.dim
     arity = _INTERIOR_ARITY[vector]
     INPUT = GateKind.INPUT  # a local: Enum attribute reads are slow
@@ -203,20 +202,30 @@ def _validate(c: Circuit) -> tuple[dict, frozenset]:
         else:
             fine = value is None and len(preds) == arity.get(kind) and seen.issuperset(preds)
         if not (fine and gid >= 0 and gid not in seen and type(g) is Gate):
-            problem = _gate_problem(c, g, seen, VECTOR_KINDS if vector else SCALAR_KINDS)
+            problem = _gate_problem(g, seen, vector, dim, c.gates)
             if problem:  # every gate before g is in by_id, once
                 raise CircuitValidationError(problem, len(by_id))
         seen.add(gid)
         by_id[gid] = g
     if c.output not in seen:
-        raise CircuitValidationError(f"output gate {_shown(c.output)} is not declared", len(c.gates))
-    kinds = set(map(itemgetter(1), c.gates))
-    kinds.discard(INPUT)
-    return by_id, frozenset(kinds)
+        raise CircuitValidationError(_undeclared_output(c.output), len(c.gates))
+    return by_id, _fragment(c.gates)
 
 
-def _gate_problem(c: Circuit, g: Gate, seen: set, allowed: frozenset) -> str | None:
-    """What is wrong with g, given the ids declared before it; None if nothing."""
+def _circuit_problem(dim, vector: bool, gates) -> str | None:
+    """What is wrong with the circuit as a whole; None if nothing."""
+    if dim < 1:
+        return f"dim must be >= 1, got {_shown(dim)}"
+    if not vector and dim != 1:
+        return "scalar circuits have dim 1"
+    if not gates:
+        return "circuit has no gates"
+    return None
+
+
+def _gate_problem(g: Gate, seen, vector: bool, dim, gates) -> str | None:
+    """What is wrong with g, given the ids declared before it and the
+    circuit's gates; None if nothing."""
     if not isinstance(g, Gate):  # a plain tuple unpacks like one, but has no fields
         return f"gates must be Gate records, got {type(g).__name__} {_shown(g)}"
     gid = _shown(g.gid)
@@ -224,24 +233,35 @@ def _gate_problem(c: Circuit, g: Gate, seen: set, allowed: frozenset) -> str | N
         return f"gate id must be a natural number, got {gid}"
     if g.gid in seen:
         return f"duplicate gate id {gid}"
-    if g.kind not in allowed:
-        return f"gate {gid}: {g.kind} not allowed in {'vector' if c.vector else 'scalar'} circuits"
+    if g.kind not in (VECTOR_KINDS if vector else SCALAR_KINDS):
+        return f"gate {gid}: {g.kind} not allowed in {'vector' if vector else 'scalar'} circuits"
     if len(g.preds) != ARITY[g.kind]:
         return f"gate {gid}: {g.kind} takes {ARITY[g.kind]} predecessors, got {len(g.preds)}"
     for p in g.preds:
         if p not in seen:
-            if any(h.gid == p for h in c.gates):
+            if any(h.gid == p for h in gates):
                 return (f"gate {gid}: gate {_shown(p)} is not declared yet"
                         " (gates may only reference earlier gates)")
             return f"gate {gid}: reference to undeclared gate {_shown(p)}"
     v = g.value
     if g.kind is not GateKind.INPUT:
         return None if v is None else f"gate {gid}: only input gates carry a value"
-    if not c.vector:
+    if not vector:
         return None if _is_nat(v) else f"gate {gid}: scalar input label must be a natural number"
-    if v is INF or (isinstance(v, tuple) and len(v) == c.dim and all(map(_is_nat, v))):
+    if v is INF or (isinstance(v, tuple) and len(v) == dim and all(map(_is_nat, v))):
         return None
-    return f"gate {gid}: vector input label must be a {_shown(c.dim)}-tuple of naturals or inf"
+    return f"gate {gid}: vector input label must be a {_shown(dim)}-tuple of naturals or inf"
+
+
+def _undeclared_output(output) -> str:
+    return f"output gate {_shown(output)} is not declared"
+
+
+def _fragment(gates) -> frozenset:
+    """The non-input kinds among gates."""
+    kinds = set(map(itemgetter(1), gates))
+    kinds.discard(GateKind.INPUT)
+    return frozenset(kinds)
 
 
 def _shown(x, what: str | None = None, pos: int | None = None) -> str:
@@ -275,9 +295,18 @@ _KIND_NAMES = {k.value: k for k in GateKind}
 def parse_circuit(text: str) -> Circuit:
     """Parse the text format into a Circuit, with line-bearing errors.
 
-    The parser only reads tokens. ``Circuit`` checks the structure, and its
-    errors are reported at the line of the offending gate (or output line),
-    or at the header when the circuit as a whole is at fault.
+    One loop reads each gate line and checks the gate by _validate's rules:
+    its kind and arity are allowed in the domain, its id is new, its
+    predecessors are declared on earlier lines, its label has the domain's
+    shape. It then files the gate by id, and the Circuit is built from what
+    the loop gathered, without a second check.
+
+    Errors keep _validate's order and words. A token error is raised at its
+    line; after the last line come a missing output line, a problem of the
+    circuit as a whole (at the header), the first gate that breaks a rule
+    (at its line) and an undeclared output (at the output line). So a gate
+    that breaks a rule is only noted and the loop reads on: a later line may
+    hold a token error, or the gate a reference names ("not declared yet").
 
     Gate lines are read in the loop, where ``int`` is the ASCII-digit rule:
     on a token with no sign, no ``_`` and only ASCII characters it accepts
@@ -286,71 +315,103 @@ def parse_circuit(text: str) -> Circuit:
     A line the loop refuses goes to _reject_gate, which words the first
     check it fails.
     """
-    header = None
-    header_line = 0
-    vector = False
-    gates = []
-    linenos = []  # the line of each gate, then of the output line
-    output = None
-    last_line = 0  # the last line that holds a token
-    INPUT = GateKind.INPUT  # a local: Enum attribute reads are slow
-    kind_of = _KIND_NAMES.get
-    new = tuple.__new__  # Gate's own __new__ is a Python function; Circuit checks the fields
     lines = text.split("\n")
     if "#" in text:
         lines = [raw.partition("#")[0] for raw in lines]
+    rows = enumerate(map(str.split, lines), start=1)
+    for header_line, toks in rows:
+        if toks:
+            vector, dim = _parse_header(toks, header_line)
+            break
+    else:
+        raise CircuitParseError("missing header line")
+    arity = _INTERIOR_ARITY[vector].get
+    INPUT = GateKind.INPUT  # a local: Enum attribute reads are slow
+    kind_of = _KIND_NAMES.get
+    new = tuple.__new__  # Gate's own __new__ is a Python function; the loop checks the fields
     plain = _plain(text)
-    for lineno, toks in enumerate(map(str.split, lines), start=1):
+    gates = []
+    append = gates.append
+    by_id = {}
+    ids = {}  # the id token of each filed gate -> its id; a lookup costs less than int()
+    bad = None  # (index in gates, line) of the first gate that breaks a rule
+    output = None
+    for lineno, toks in rows:
         if not toks:
             continue
-        last_line = lineno
-        if header is None:
-            header = _parse_header(toks, lineno)
-            vector = header[0]
-            header_line = lineno
-        elif output is not None:
-            raise CircuitParseError("content after output line", lineno)
-        elif toks[0] == "gate":
+        if toks[0] == "gate":
             g = None
-            kind = kind_of(toks[2]) if len(toks) > 2 else None
+            n = len(toks)
+            kind = kind_of(toks[2]) if n > 2 else None
             if kind is not None and (plain or all(map(_plain, toks))):
                 try:
                     gid = int(toks[1])
-                    if kind is not INPUT:
-                        if len(toks) == 5:
-                            g = new(Gate, (gid, kind, (int(toks[3]), int(toks[4])), None))
-                        else:  # comp, or an arity Circuit refuses
-                            g = new(Gate, (gid, kind, tuple(map(int, toks[3:])), None))
-                    elif len(toks) == 4:
-                        label = toks[3]
-                        if label == "inf":
-                            value = INF
-                        elif vector:
-                            value = tuple(map(int, label.split(",")))
-                        else:
-                            value = int(label)
-                        g = new(Gate, (gid, kind, (), value))
+                    if kind is INPUT:
+                        if n == 4:
+                            label = toks[3]
+                            if label == "inf":
+                                value = INF
+                                fine = vector
+                            elif vector:
+                                value = tuple(map(int, label.split(",")))
+                                fine = len(value) == dim
+                            else:
+                                value = int(label)
+                                fine = True
+                            g = new(Gate, (gid, kind, (), value))
+                    elif n == 5:
+                        try:  # both filed under these very tokens: declared, digits read
+                            preds = (ids[toks[3]], ids[toks[4]])
+                            fine = arity(kind) == 2
+                        except KeyError:
+                            p, q = preds = (int(toks[3]), int(toks[4]))
+                            fine = arity(kind) == 2 and p in by_id and q in by_id
+                        g = new(Gate, (gid, kind, preds, None))
+                    elif n == 4:
+                        try:
+                            preds = (ids[toks[3]],)
+                            fine = arity(kind) == 1
+                        except KeyError:
+                            preds = (int(toks[3]),)
+                            fine = arity(kind) == 1 and preds[0] in by_id
+                        g = new(Gate, (gid, kind, preds, None))
+                    else:  # an arity no kind has
+                        g = new(Gate, (gid, kind, tuple(map(int, toks[3:])), None))
+                        fine = False
                 except ValueError:  # not digits, or more digits than int() converts
                     g = None
             if g is None:
                 _reject_gate(toks, lineno, vector)
-            gates.append(g)
-            linenos.append(lineno)
+            append(g)
+            if fine and gid not in by_id:
+                by_id[gid] = g
+                ids[toks[1]] = gid
+            elif bad is None:
+                bad = (len(gates) - 1, lineno)
         elif toks[0] == "output":
             if len(toks) != 2:
                 raise CircuitParseError("output line takes exactly one gate id", lineno)
             output = parse_nat(toks[1], "output id", lineno)
-            linenos.append(lineno)
+            output_line = lineno
+            break
         else:
             raise CircuitParseError(f"expected 'gate' or 'output', got {toks[0]!r}", lineno, 1)
-    if header is None:
-        raise CircuitParseError("missing header line")
-    if output is None:
-        raise CircuitParseError("missing output line", last_line)
-    try:
-        return Circuit(gates=tuple(gates), output=output, dim=header[1], vector=vector)
-    except CircuitValidationError as e:
-        raise CircuitParseError(str(e), header_line if e.pos is None else linenos[e.pos]) from e
+    for lineno, toks in rows:
+        if toks:
+            raise CircuitParseError("content after output line", lineno)
+    if output is None:  # at the last line that holds a token
+        last = next(i for i in range(len(lines), 0, -1) if lines[i - 1].split())
+        raise CircuitParseError("missing output line", last)
+    problem = _circuit_problem(dim, vector, gates)
+    if problem:
+        raise CircuitParseError(problem, header_line)
+    if bad is not None:
+        pos, lineno = bad
+        seen = set(map(itemgetter(0), gates[:pos]))
+        raise CircuitParseError(_gate_problem(gates[pos], seen, vector, dim, gates), lineno)
+    if output not in by_id:
+        raise CircuitParseError(_undeclared_output(output), output_line)
+    return derived_circuit(tuple(gates), output, dim, vector, by_id, _fragment(gates))
 
 
 def _plain(s: str) -> bool:

@@ -533,7 +533,7 @@ def _cert_can(st: _CertState, g, v: int):
         if (yield (p1, 0)) and (w := (yield _cert_any(st, p2, nonzero=True))) is not None:
             pairs = ((p1, 0), (p2, w))
     elif kind is _DIV:
-        for w in range(1, min(st.ub[p2], st.ub[p1] // v) + 1):
+        for w in range(_cert_low(st, p2, 1), min(st.ub[p2], st.ub[p1] // v) + 1):
             _cert_step(st)
             if (yield (p2, w)) and (yield (p1, v * w)):
                 pairs = ((p1, v * w), (p2, w))
@@ -550,13 +550,21 @@ def _cert_any(st: _CertState, gid: int, nonzero: bool = False):
     if key in st.any_memo:
         return st.any_memo[key]
     found = None
-    for v in range(1 if nonzero else 0, st.ub[gid] + 1):
+    for v in range(_cert_low(st, gid, 1 if nonzero else 0), st.ub[gid] + 1):
         _cert_step(st)
         if (yield (gid, v)):
             found = v
             break
     st.any_memo[key] = found
     return found
+
+
+def _cert_low(st: _CertState, gid: int, low: int) -> int:
+    """Where a scan of gid's values, from low up to its bound, starts. An
+    input gate's only value is its label, which is also its bound: the scan
+    starts there, and is empty when the label is below low."""
+    g = st.c.gate(gid)
+    return max(low, g.value) if g.kind is _INPUT else low
 
 
 def verify_certificate(c: Circuit, b: int, witness) -> bool:

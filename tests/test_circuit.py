@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import sys
@@ -172,6 +173,26 @@ def test_forward_reference_message_differs_from_unknown():
         parse_circuit("circuit v1\ngate 1 comp 2\ngate 2 input 0\noutput 1\n")
 
 
+def test_error_order_and_wording():
+    # token errors first, then a missing output line, then the circuit as a
+    # whole at the header, then its first bad gate; the mutated corpus below
+    # has no dim-0 or gateless text
+    cases = [
+        ("vcircuit v1 dim 0\ngate 1 input 1\noutput 1\n", "dim must be >= 1, got 0", 1),
+        ("circuit v1\n\noutput 1\n", "circuit has no gates", 1),
+        ("vcircuit v1 dim 0\ngate 1 input x\noutput 1\n",
+         "input coordinate must be a natural number, got 'x'", 2),
+        ("vcircuit v1 dim 0\ngate 1 input inf\n", "missing output line", 2),
+        ("circuit v1\ngate 1 comp 1\ngate 2 input 0\ngate 3 input -1\noutput 1\n",
+         "input label must be a natural number, got '-1'", 4),
+    ]
+    for text, msg, line in cases:
+        with pytest.raises(CircuitParseError) as info:
+            parse_circuit(text)
+        e = info.value
+        assert (str(e), e.line, e.col) == (f"{msg} (line {line})", line, None)
+
+
 def test_validation_direct_construction():
     with pytest.raises(CircuitValidationError):
         Circuit((Gate(1, GateKind.INPUT, value=(1, 2)),), output=1)  # tuple in scalar
@@ -266,10 +287,19 @@ def _random_circuits(rng, n):
             yield random_vector(rng, VECTOR_FULL, dim=rng.randint(1, 3), max_gates=9, max_coord=12)
 
 
+def _assert_matches_checked(c):
+    # the parser files each gate as it checks it; Circuit checks them again
+    checked = Circuit(c.gates, c.output, c.dim, c.vector)
+    assert c._by_id == checked._by_id
+    assert fragment_of(c) == fragment_of(checked)
+
+
 def test_roundtrip_random_circuits():
     rng = random.Random(11)
     for c in _random_circuits(rng, 400):
-        assert parse_circuit(serialize_circuit(c)) == c
+        parsed = parse_circuit(serialize_circuit(c))
+        assert parsed == c
+        _assert_matches_checked(parsed)
 
 
 def mutated_texts(seed: int, n: int) -> list[str]:
@@ -333,7 +363,26 @@ def test_mutated_texts_parse_or_name_a_line():
         else:
             accepted += 1
             assert parse_circuit(serialize_circuit(c)) == c
+            _assert_matches_checked(c)
             # no sign, '_', space or non-ASCII digit gets into an accepted number
             body = " ".join(line.partition("#")[0] for line in text.split("\n"))
             assert all(ACCEPTED_TOKEN.fullmatch(t) for t in body.split()), text
     assert 500 < accepted < 4500
+
+
+# sha256 over the outcomes of mutated_texts(5, 5000), each followed by a NUL:
+# repr((str(e), e.line, e.col)) of a refused text, the canonical text of an
+# accepted one; recorded with the two-pass parser this one replaced
+MUTATED_OUTCOMES = "edaec880be0134850ee1ff6e275213a76306c26e8e47946909c138ba73081c14"
+
+
+def test_mutated_texts_outcomes_are_pinned():
+    # every error's message, line and col, not only its line
+    digest = hashlib.sha256()
+    for text in mutated_texts(5, 5000):
+        try:
+            outcome = serialize_circuit(parse_circuit(text))
+        except CircuitParseError as e:
+            outcome = repr((str(e), e.line, e.col))
+        digest.update(outcome.encode() + b"\0")
+    assert digest.hexdigest() == MUTATED_OUTCOMES

@@ -275,6 +275,23 @@ class TestSearch:
             search_member(c, 18, budget=EngineBudget(max_memo_entries=3))
 
 
+def _exact_cover(rng, n, m, planted):
+    """An instance over range(n) with m sets of 2-4 elements; planted, some
+    of them partition the universe."""
+    universe, sets = tuple(range(n)), set()
+    if planted:
+        perm = list(universe)
+        rng.shuffle(perm)
+        i = 0
+        while i < n:
+            k = rng.randint(2, 4)
+            sets.add(tuple(sorted(perm[i:i + k])))
+            i += k
+    while len(sets) < m:
+        sets.add(tuple(sorted(rng.sample(universe, rng.randint(2, 4)))))
+    return ExactCoverInstance(universe=universe, sets=tuple(sorted(sets)))
+
+
 class TestCertificate:
     def test_agrees_with_exact(self):
         rng = random.Random(149)
@@ -370,20 +387,8 @@ class TestCertificate:
 
     @pytest.mark.parametrize("m, seed, planted", [(17, 3, True), (20, 3, True), (17, 0, False)])
     def test_exact_cover_past_formula_size(self, m, seed, planted):
-        # 2^(m+1) - 1 formula gates; on the circuit the search takes 0.3-2 s
-        rng = random.Random(seed)
-        universe, sets = tuple(range(10)), set()
-        if planted:
-            perm = list(universe)
-            rng.shuffle(perm)
-            i = 0
-            while i < len(perm):
-                k = rng.randint(2, 4)
-                sets.add(tuple(sorted(perm[i:i + k])))
-                i += k
-        while len(sets) < m:
-            sets.add(tuple(sorted(rng.sample(universe, rng.randint(2, 4)))))
-        inst = ExactCoverInstance(universe=universe, sets=tuple(sorted(sets)))
+        # 2^(m+1) - 1 formula gates; the search runs on the circuit
+        inst = _exact_cover(random.Random(seed), 10, m, planted)
         red = from_exact_cover(inst)
         v = decide(red.circuit, red.query, engine="certificate")
         assert v.member == exact_cover_solvable(inst) == planted
@@ -391,6 +396,23 @@ class TestCertificate:
             assert verify_certificate(red.circuit, red.query, v.witness)
         else:
             assert v.witness is None
+
+    @pytest.mark.parametrize("n, m", [(8, 8), (12, 16)])
+    def test_exact_cover_steps_track_memo_entries(self, n, m):
+        # a division by an input gate tries only the label; trying every
+        # divisor value up to the bounds took several steps per memo entry
+        # at (8, 8) and ran out of steps at (12, 16)
+        rng = random.Random(173)
+        for _ in range(6):
+            inst = _exact_cover(rng, n, m, rng.random() < 0.5)
+            red = from_exact_cover(inst)
+            v = decide(red.circuit, red.query, engine="certificate")
+            assert red.answer(v.member) == exact_cover_solvable(inst), inst
+            if v.member:
+                assert verify_certificate(red.circuit, red.query, v.witness)
+            else:
+                assert v.witness is None
+            assert v.stats["steps"] <= 2 * v.stats["memo_entries"], v.stats
 
     def test_exact_budget_falls_back_to_certificate(self):
         c = parse_circuit(
