@@ -161,10 +161,11 @@ class Circuit:
 
 
 def derived_circuit(gates, output, dim, vector, by_id, fragment) -> Circuit:
-    """A Circuit built without _validate, for a caller that checks each gate
-    as it makes it (parse_circuit) or makes a gate-by-gate image of a
-    validated circuit (same ids, order and arities), and builds the by-id
-    map and the fragment alongside the gates."""
+    """A Circuit built without _validate and its _gate_problem call per
+    gate, for a caller that checks each gate inline as it makes it
+    (parse_circuit) or makes a gate-by-gate image of a validated circuit
+    (same ids, order and arities), and builds the by-id map and the
+    fragment alongside the gates."""
     c = object.__new__(Circuit)
     c.__dict__.update(
         gates=gates, output=output, dim=dim, vector=vector, _by_id=by_id, _fragment=fragment
@@ -176,38 +177,19 @@ def _validate(c: Circuit) -> tuple[dict, frozenset]:
     """The structural check of circuits built in code; parse_circuit applies
     the same rules, with the same messages, as it reads each gate.
 
-    Returns the gates by id and the fragment (the non-input kinds). A gate
-    that passes the cheap test in the loop is sound; any other goes to
-    _gate_problem, which words what is wrong (it finds nothing for, say, a
-    label of an int subclass).
+    Returns the gates by id and the fragment (the non-input kinds). Each
+    gate is checked by _gate_problem against the ids declared before it.
     """
     problem = _circuit_problem(c.dim, c.vector, c.gates)
     if problem:
         raise CircuitValidationError(problem)
-    vector, dim = c.vector, c.dim
-    arity = _INTERIOR_ARITY[vector]
-    INPUT = GateKind.INPUT  # a local: Enum attribute reads are slow
-    seen = set()
     by_id = {}
     for g in c.gates:
-        gid, kind, preds, value = g
-        if kind is INPUT:
-            if vector:
-                fine = value is INF or (
-                    type(value) is tuple and len(value) == dim and all(map(_is_nat, value))
-                )
-            else:
-                fine = type(value) is int and value >= 0
-            fine = fine and not preds
-        else:
-            fine = value is None and len(preds) == arity.get(kind) and seen.issuperset(preds)
-        if not (fine and gid >= 0 and gid not in seen and type(g) is Gate):
-            problem = _gate_problem(g, seen, vector, dim, c.gates)
-            if problem:  # every gate before g is in by_id, once
-                raise CircuitValidationError(problem, len(by_id))
-        seen.add(gid)
-        by_id[gid] = g
-    if c.output not in seen:
+        problem = _gate_problem(g, by_id, c.vector, c.dim, c.gates)
+        if problem:  # every gate before g is in by_id, once
+            raise CircuitValidationError(problem, len(by_id))
+        by_id[g.gid] = g
+    if c.output not in by_id:
         raise CircuitValidationError(_undeclared_output(c.output), len(c.gates))
     return by_id, _fragment(c.gates)
 

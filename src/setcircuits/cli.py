@@ -92,6 +92,16 @@ def _budget(args) -> EngineBudget:
     )
 
 
+def _nat_arg(text: str) -> int:
+    try:
+        n = int(text)
+        if n >= 0:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a natural number, got {text}")
+
+
 def _add_budget_args(p: argparse.ArgumentParser):
     p.add_argument("--max-set-elems", type=int, default=DEFAULT_BUDGET.max_set_elems)
     p.add_argument("--max-grid-cells", type=int, default=DEFAULT_BUDGET.max_grid_cells)
@@ -131,14 +141,11 @@ def _cmd_member(args) -> int:
 
 
 def _format_elems(elems, cap: int) -> str:
-    shown = elems[:cap]
-    body = ", ".join(
-        "(" + ",".join(map(str, e)) + ")" if isinstance(e, tuple) else str(e)
-        for e in shown
-    )
+    parts = ["(" + ",".join(map(str, e)) + ")" if isinstance(e, tuple) else str(e)
+             for e in elems[:cap]]
     if len(elems) > cap:
-        body += f", ... (+{len(elems) - cap} more)"
-    return "{" + body + "}"
+        parts.append(f"... (+{len(elems) - cap} more)")
+    return "{" + ", ".join(parts) + "}"
 
 
 def _cmd_eval(args) -> int:
@@ -305,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="print each gate's set")
     p.add_argument("circuit")
-    p.add_argument("--upto", type=int, default=32, help="list at most this many elements per gate")
+    p.add_argument("--upto", type=_nat_arg, default=32,
+                   help="list at most this many elements per gate")
     p.add_argument("--cutoff-mode", default="structural", choices=["structural", "certified"])
     _add_budget_args(p)
     p.set_defaults(func=_cmd_eval)

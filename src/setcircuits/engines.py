@@ -22,12 +22,13 @@ Each engine decides "is b in I(C)?" for a class of circuits:
   depth-first search over (gate, value) pairs of the circuit whose recorded
   choices are a checkable witness.
 
-The engine table _ENGINES is the one place an engine's domain, fragment and
-preparation are declared; decide(), applicable_engines() and
-xcheck_circuit() all read it. decide() picks a route from the circuit's
-fragment; transforms reroute mul-heavy fragments through the vector domain.
-Fragments mixing comp with both add and mul are refused
-(OpenFragmentError): no decision procedure is known for them.
+The engine table _ENGINES is the one place an engine's domain, fragment,
+preparation and route are declared; decide(), applicable_engines() and
+xcheck_circuit() all read it. decide() takes the first row of the circuit's
+domain whose `needs` the circuit uses and whose fragment holds every kind
+the circuit uses; certificate and search are never taken, as each follows a
+row with the same fragment and no needs. A fragment no row fits, comp with both
+add and mul, is refused (OpenFragmentError): no decision procedure is known.
 """
 from __future__ import annotations
 
@@ -625,6 +626,7 @@ class _Engine:
     # module-global names at call time, never stored here, so a wrapper
     # installed on those names sees every call.
     prepare: Callable
+    needs: frozenset = frozenset()  # the kinds a circuit must use for decide() to pick the row
 
 
 def _prepare_singleton(c, mode, budget):
@@ -700,23 +702,35 @@ def _through_primefact(c, mode, budget):
     return member
 
 
-# keyed by (engine name, runs on vector circuits); scalar rows come first, in
-# the order applicable_engines lists them
+# keyed by (engine name, runs on vector circuits); within each domain the
+# rows come in the order decide() tries them, which applicable_engines keeps
+_MUL_ONLY = frozenset({GateKind.MUL})
 _ENGINES: dict[tuple[str, bool], _Engine] = {
+    ("singleton-vector", False): _Engine(
+        GCDFREE_SCALAR - {GateKind.UNION}, "none", _through_gcdfree("singleton-vector"),
+        needs=_MUL_ONLY,
+    ),
+    ("exact-vector", False): _Engine(
+        GCDFREE_SCALAR, "none", _through_gcdfree("exact"), needs=_MUL_ONLY
+    ),
     ("singleton", False): _Engine(SINGLETON_SCALAR, "none", _prepare_singleton),
     ("exact", False): _Engine(EXACT_SCALAR, "none", _prepare_exact),
     ("certificate", False): _Engine(EXACT_SCALAR, "none", _prepare_certificate),
     ("clamped-scalar", False): _Engine(CLAMPABLE_SCALAR, None, _prepare_clamped),
     ("search", False): _Engine(CLAMPABLE_SCALAR, None, _prepare_search),
-    ("exact-vector", False): _Engine(GCDFREE_SCALAR, "none", _through_gcdfree("exact")),
-    ("singleton-vector", False): _Engine(
-        GCDFREE_SCALAR - {GateKind.UNION}, "none", _through_gcdfree("singleton-vector")
-    ),
     ("clamped-vector", False): _Engine(PRIMEFACT_SCALAR, None, _through_primefact),
     ("singleton-vector", True): _Engine(SINGLETON_VECTOR, "none", _prepare_singleton),
     ("exact", True): _Engine(EXACT_VECTOR, "none", _prepare_exact),
     ("clamped-vector", True): _Engine(CLAMPABLE_VECTOR, None, _prepare_clamped),
     ("search", True): _Engine(CLAMPABLE_VECTOR, None, _prepare_search),
+}
+# vector -> the domain's rows in order, as (fragment, needs, name). certificate
+# and search are never picked: each follows a row with the same fragment and
+# no needs, which matches first.
+_ROUTES = {
+    vector: tuple((row.fragment, row.needs, name)
+                  for (name, v), row in _ENGINES.items() if v == vector)
+    for vector in (False, True)
 }
 
 
@@ -732,11 +746,10 @@ def decide(
 ) -> MembershipVerdict:
     """Decide b in I(C), routing by fragment unless an engine is forced.
 
-    Scalar routes (most specific first): mul without add and without comp
-    goes through the exponent-vector transforms; otherwise singleton, exact
-    (certificate fallback on budget), or the clamped engines. comp together
-    with add and mul is refused as an open problem. Vector circuits accept
-    tuple or INF queries and use the vector engines directly.
+    The route is the first row of the circuit's domain in _ENGINES whose
+    needs the circuit uses and whose fragment holds every kind the circuit
+    uses; with none, OpenFragmentError. exact falls back to certificate when
+    its budget runs out. Vector circuits accept tuple or INF queries.
     """
     t0 = time.perf_counter()
     if cutoff_mode is not _STRUCTURAL:
@@ -778,29 +791,12 @@ def _check_query(c: Circuit, b):
 
 
 def _pick_engine(c: Circuit) -> str:
+    """The first row of _ROUTES[c.vector] with needs <= fragment_of(c) <= its fragment."""
     frag = fragment_of(c)
-    if c.vector:
-        if frag <= SINGLETON_VECTOR:
-            return "singleton-vector"
-        if frag <= EXACT_VECTOR:
-            return "exact"
-        return "clamped-vector"
-    has_comp = _COMP in frag
-    has_add = _ADD in frag
-    has_mul = _MUL in frag
-    if has_comp and has_add and has_mul:
-        raise OpenFragmentError(
-            "unsupported fragment: comp with both add and mul; decidability open"
-        )
-    if not has_comp:
-        if has_mul and not has_add:
-            return "singleton-vector" if _UNION not in frag else "exact-vector"
-        if frag <= SINGLETON_SCALAR:
-            return "singleton"
-        return "exact"
-    if not has_mul:
-        return "clamped-scalar"
-    return "clamped-vector"
+    for fragment, needs, name in _ROUTES[c.vector]:
+        if frag <= fragment and needs <= frag:  # the fragment test fails first, and more often
+            return name
+    raise OpenFragmentError("unsupported fragment: comp with both add and mul; decidability open")
 
 
 # ---------------------------------------------------------------------------
@@ -828,10 +824,14 @@ def xcheck_circuit(
     to min(max_b, output cutoff + 2) per coordinate, plus inf. Each engine is
     prepared once and probed with every query; an engine whose budget runs
     out abstains. Returns human-readable disagreement lines (empty means
-    every engine that ran agrees).
+    every engine that ran agrees). A negative max_b raises ValueError and a
+    fragment decide() refuses raises its OpenFragmentError.
     """
+    if max_b < 0:
+        raise ValueError(f"max_b must be a natural number, got {max_b}")
     if not isinstance(cutoff_mode, CutoffMode):
         cutoff_mode = CutoffMode(cutoff_mode)  # also fails where no engine uses a cutoff
+    _pick_engine(c)  # raises OpenFragmentError where decide() would
     names = applicable_engines(c)
     if len(names) < 2:
         return []

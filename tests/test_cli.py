@@ -201,6 +201,22 @@ class TestEval:
         out = capsys.readouterr().out
         assert "more)" in out
 
+    def test_upto_zero_lists_only_the_count(self, circ, capsys):
+        p = circ("circuit v1\ngate 1 input 2\ngate 2 comp 1\ngate 3 add 2 1\noutput 3\n")
+        assert main(["eval", p, "--upto", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("gate 1 input: {... (+1 more)} ")
+        assert lines[1].startswith("gate 2 comp: {... (+3 more)} ")
+
+    @pytest.mark.parametrize("upto", ["-1", "abc"])
+    def test_negative_upto_is_exit_2(self, circ, capsys, upto):
+        p = circ("circuit v1\ngate 1 input 2\ngate 2 comp 1\ngate 3 add 2 1\noutput 3\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", p, "--upto", upto])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--upto: must be a natural number, got {upto}" in err
+
 
 class TestBounds:
     def test_both_modes(self, circ, capsys):
@@ -344,6 +360,27 @@ class TestXcheck:
         out = capsys.readouterr().out
         assert out.startswith("agree: engines")
         assert "clamped-scalar" in out
+
+    def test_agree_line_lists_engines_in_table_order(self, circ, capsys):
+        p = circ("circuit v1\ngate 1 input 6\ngate 2 input 10\ngate 3 union 1 2\n"
+                 "gate 4 mul 3 1\noutput 4\n")
+        assert main(["xcheck", p, "--max-b", "8"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("agree: engines exact-vector, exact, certificate, clamped-vector on ")
+
+    def test_open_fragment_is_exit_4(self, circ, capsys):
+        assert main(["xcheck", circ(OPEN_TEXT)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "decidability open" in captured.err
+
+    @pytest.mark.parametrize(
+        "text", [NATS_TEXT, "vcircuit v1 dim 1\ngate 1 input 2\ngate 2 comp 1\noutput 2\n"]
+    )
+    def test_negative_max_b_is_exit_2(self, circ, capsys, text):
+        assert main(["xcheck", circ(text), "--max-b", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "max_b" in captured.err
 
     def test_disagreement_is_exit_1(self, circ, capsys, monkeypatch):
         import setcircuits.cli as cli_mod

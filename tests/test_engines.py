@@ -24,6 +24,7 @@ from setcircuits import (
     eval_exact,
     eval_singleton,
     eval_singleton_vector,
+    fragment_of,
     parse_circuit,
     search_member,
     structural_cutoff,
@@ -459,6 +460,66 @@ DISPATCH_CASES = [
 ]
 
 
+# decide()'s route for every fragment of both domains, as computed by the
+# if-chain that routing through _ENGINES replaced: "s" or "v" for the domain,
+# then the kinds the circuit uses; "open" is OpenFragmentError
+FRAGMENT_ROUTES = {
+    "s": "singleton", "s union": "exact", "s inter": "singleton", "s comp": "clamped-scalar",
+    "s add": "singleton", "s mul": "singleton-vector", "s div": "singleton",
+    "s union inter": "exact", "s union comp": "clamped-scalar", "s union add": "exact",
+    "s union mul": "exact-vector", "s union div": "exact", "s inter comp": "clamped-scalar",
+    "s inter add": "singleton", "s inter mul": "singleton-vector", "s inter div": "singleton",
+    "s comp add": "clamped-scalar", "s comp mul": "clamped-vector",
+    "s comp div": "clamped-scalar", "s add mul": "singleton", "s add div": "singleton",
+    "s mul div": "singleton-vector", "s union inter comp": "clamped-scalar",
+    "s union inter add": "exact", "s union inter mul": "exact-vector",
+    "s union inter div": "exact", "s union comp add": "clamped-scalar",
+    "s union comp mul": "clamped-vector", "s union comp div": "clamped-scalar",
+    "s union add mul": "exact", "s union add div": "exact", "s union mul div": "exact-vector",
+    "s inter comp add": "clamped-scalar", "s inter comp mul": "clamped-vector",
+    "s inter comp div": "clamped-scalar", "s inter add mul": "singleton",
+    "s inter add div": "singleton", "s inter mul div": "singleton-vector",
+    "s comp add mul": "open", "s comp add div": "clamped-scalar",
+    "s comp mul div": "clamped-vector", "s add mul div": "singleton",
+    "s union inter comp add": "clamped-scalar", "s union inter comp mul": "clamped-vector",
+    "s union inter comp div": "clamped-scalar", "s union inter add mul": "exact",
+    "s union inter add div": "exact", "s union inter mul div": "exact-vector",
+    "s union comp add mul": "open", "s union comp add div": "clamped-scalar",
+    "s union comp mul div": "clamped-vector", "s union add mul div": "exact",
+    "s inter comp add mul": "open", "s inter comp add div": "clamped-scalar",
+    "s inter comp mul div": "clamped-vector", "s inter add mul div": "singleton",
+    "s comp add mul div": "open", "s union inter comp add mul": "open",
+    "s union inter comp add div": "clamped-scalar",
+    "s union inter comp mul div": "clamped-vector", "s union inter add mul div": "exact",
+    "s union comp add mul div": "open", "s inter comp add mul div": "open",
+    "s union inter comp add mul div": "open", "v": "singleton-vector", "v union": "exact",
+    "v inter": "singleton-vector", "v comp": "clamped-vector", "v add": "singleton-vector",
+    "v sub": "singleton-vector", "v union inter": "exact", "v union comp": "clamped-vector",
+    "v union add": "exact", "v union sub": "exact", "v inter comp": "clamped-vector",
+    "v inter add": "singleton-vector", "v inter sub": "singleton-vector",
+    "v comp add": "clamped-vector", "v comp sub": "clamped-vector",
+    "v add sub": "singleton-vector", "v union inter comp": "clamped-vector",
+    "v union inter add": "exact", "v union inter sub": "exact",
+    "v union comp add": "clamped-vector", "v union comp sub": "clamped-vector",
+    "v union add sub": "exact", "v inter comp add": "clamped-vector",
+    "v inter comp sub": "clamped-vector", "v inter add sub": "singleton-vector",
+    "v comp add sub": "clamped-vector", "v union inter comp add": "clamped-vector",
+    "v union inter comp sub": "clamped-vector", "v union inter add sub": "exact",
+    "v union comp add sub": "clamped-vector", "v inter comp add sub": "clamped-vector",
+    "v union inter comp add sub": "clamped-vector",
+}
+
+
+def _fragment_circuit(key: str):
+    """A circuit whose fragment is the kinds named in key, each gate applied to one input."""
+    domain, *kinds = key.split()
+    header, label = ("vcircuit v1 dim 2", "1,2") if domain == "v" else ("circuit v1", "2")
+    lines = [header, f"gate 1 input {label}"]
+    for gid, kind in enumerate(kinds, 2):
+        lines.append(f"gate {gid} {kind} 1" + ("" if kind == "comp" else " 1"))
+    return parse_circuit("\n".join(lines + [f"output {len(kinds) + 1}"]) + "\n")
+
+
 class TestDecideDispatch:
     @pytest.mark.parametrize("text,query,engine,mode", DISPATCH_CASES)
     def test_auto_routes(self, text, query, engine, mode):
@@ -468,6 +529,16 @@ class TestDecideDispatch:
         assert v.cutoff_mode == mode
         assert v.stats["gates"] == len(c.gates)
         assert "micros" in v.stats
+
+    @pytest.mark.parametrize("key", FRAGMENT_ROUTES)
+    def test_every_fragment_routes_as_recorded(self, key):
+        c = _fragment_circuit(key)
+        assert fragment_of(c) == {GateKind(k) for k in key.split()[1:]}
+        try:
+            got = decide(c, (0, 0) if c.vector else 0).engine
+        except OpenFragmentError:
+            got = "open"
+        assert got == FRAGMENT_ROUTES[key]
 
     def test_transform_engines_report_details(self):
         c = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 comp 1\ngate 3 mul 2 1\noutput 3\n")
@@ -480,9 +551,12 @@ class TestDecideDispatch:
             "circuit v1\ngate 1 input 2\ngate 2 comp 1\n"
             "gate 3 add 2 1\ngate 4 mul 3 1\noutput 4\n"
         )
-        with pytest.raises(OpenFragmentError):
+        with pytest.raises(OpenFragmentError) as by_decide:
             decide(c, 5)
         assert applicable_engines(c) == []
+        with pytest.raises(OpenFragmentError) as by_xcheck:
+            xcheck_circuit(c, max_b=4)
+        assert str(by_xcheck.value) == str(by_decide.value)
 
     def test_explicit_engine_checks_fragment(self):
         c = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 comp 1\noutput 2\n")
