@@ -518,19 +518,27 @@ def _label_bits(v):
 
 
 def subcircuit_at(c: Circuit, gid: int) -> Circuit:
-    """The circuit induced by all gates that feed gid, with gid as output."""
+    """The circuit induced by all gates that feed gid, with gid as output.
+
+    One pass over the gates from the last: a gate is kept when gid or a
+    kept gate reads it. The kept gates are in c's order and each one's
+    predecessors are kept, so the cone of a valid circuit is valid and is
+    built without a second check. c itself is returned when the cone is all
+    of c and gid is its output.
+    """
     if gid not in c:
         raise CircuitValidationError(f"no gate {gid} in circuit")
-    needed = set()
-    stack = [gid]
-    while stack:
-        h = stack.pop()
-        if h in needed:
-            continue
-        needed.add(h)
-        stack.extend(c.gate(h).preds)
-    kept = tuple(g for g in c.gates if g.gid in needed)
-    return Circuit(gates=kept, output=gid, dim=c.dim, vector=c.vector)
+    needed = {gid}
+    kept = []
+    for g in reversed(c.gates):
+        if g[0] in needed:
+            kept.append(g)
+            needed.update(g[2])
+    if len(kept) == len(c.gates) and gid == c.output:
+        return c
+    kept.reverse()
+    by_id = {g[0]: g for g in kept}
+    return derived_circuit(tuple(kept), gid, c.dim, c.vector, by_id, _fragment(kept))
 
 
 def subcircuit_lengths(c: Circuit) -> dict[int, int]:

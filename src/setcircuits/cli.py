@@ -4,7 +4,8 @@ Subcommands:
 
 * validate   parse a circuit file and report its shape
 * member     decide one membership query
-* eval       print every gate's set in the engine's representation
+* eval       print every gate's set on decide's route (exact, clamped, or the
+             clamped prime-factor image of a comp+mul scalar circuit)
 * bounds     print per-gate cutoffs and, where defined, the value bound
 * transform  rewrite a circuit (vectorize, eliminate inter, push comp, expand)
 * gen        build a circuit from a combinatorial instance (JSON)
@@ -39,6 +40,7 @@ from .engines import (
     eval_clamped_scalar,
     eval_clamped_vector,
     eval_exact,
+    pick_engine,
     xcheck_circuit,
 )
 from .errors import BudgetExceeded, FragmentError
@@ -149,18 +151,27 @@ def _format_elems(elems, cap: int) -> str:
 
 
 def _cmd_eval(args) -> int:
+    """Print the sets of the route decide() takes: a comp-free circuit's exact
+    sets, a comp circuit's clamped tables, and for a scalar circuit on the
+    clamped-vector route the tables of its prime-factor image."""
     c = _load_circuit(args.circuit)
-    frag = fragment_of(c)
+    route = pick_engine(c)  # OpenFragmentError on the open fragment
     budget = _budget(args)
     cap = args.upto
-    if GateKind.COMP not in frag:
+    table = "clamped"
+    if route not in ("clamped-scalar", "clamped-vector"):  # every other route is comp-free
         sets = eval_exact(c, budget)
         for g in c.gates:
             elems = sorted(sets[g.gid], key=lambda e: (e is INF, e))
             print(f"gate {g.gid} {g.kind}: {_format_elems(elems, cap)}")
         print(f"output gate {c.output} (exact)")
         return EXIT_OK
-    if c.vector:
+    if route == "clamped-vector":
+        if not c.vector:
+            c, _, emap = to_vector_primefact(c, 0)
+            print(f"image prime-factors base={_format_elems(emap.base, len(emap.base))}"
+                  f" dim={c.dim}")
+            table = "clamped prime-factor image"
         reps, _ = eval_clamped_vector(c, args.cutoff_mode, budget)
         for g in c.gates:
             r = reps[g.gid]
@@ -179,7 +190,7 @@ def _cmd_eval(args) -> int:
                 f"gate {g.gid} {g.kind}: {_format_elems(elems, cap)}"
                 f" tail={'in' if r.tail else 'out'} cutoff={r.cutoff}"
             )
-    print(f"output gate {c.output} (clamped, {args.cutoff_mode} cutoffs)")
+    print(f"output gate {c.output} ({table}, {args.cutoff_mode} cutoffs)")
     return EXIT_OK
 
 
@@ -271,6 +282,9 @@ def _cmd_xcheck(args) -> int:
     c = _load_circuit(args.circuit)
     engines = applicable_engines(c)
     problems = xcheck_circuit(c, max_b=args.max_b, cutoff_mode=args.cutoff_mode, budget=_budget(args))
+    if len(engines) < 2:
+        print(f"nothing to cross-check: only {engines[0]} applies")
+        return EXIT_OK
     if problems:
         for p in problems:
             print(f"DISAGREE {p}")

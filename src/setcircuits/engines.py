@@ -10,7 +10,11 @@ Each engine decides "is b in I(C)?" for a class of circuits:
 * eval_clamped_scalar / eval_clamped_vector: comp-capable, mul-free
   fragments; per-gate clamped representations (NatSetRep, VecSetRep) built
   bottom-up at a certified or structural cutoff profile. VecSetRep is the
-  one set representation of every vector route.
+  one set representation of every vector route. The clamped-vector row of
+  a vector circuit tabulates only the output's cone (subcircuit_at): a
+  gate's cutoff, structural or certified, reads only the gates that feed
+  it, so every table the output reads is the one the whole circuit gives,
+  and a gate that feeds nothing costs no grid work and no budget.
 * search_member: the same fragments as the clamped engines, but top-down: a
   memoized search over (gate, clamped query value) that unfolds the set
   definitions, guessing decompositions at add/div/sub. It runs on an
@@ -24,7 +28,8 @@ Each engine decides "is b in I(C)?" for a class of circuits:
 
 The engine table _ENGINES is the one place an engine's domain, fragment,
 preparation and route are declared; decide(), applicable_engines() and
-xcheck_circuit() all read it. decide() takes the first row of the circuit's
+xcheck_circuit() all read it, and so does the CLI's eval through
+pick_engine(). decide() takes the first row of the circuit's
 domain whose `needs` the circuit uses and whose fragment holds every kind
 the circuit uses; certificate and search are never taken, as each follows a
 row with the same fragment and no needs. A fragment no row fits, comp with both
@@ -47,7 +52,7 @@ from .bounds import (
     cutoff_profile,
     structural_cutoff,
 )
-from .circuit import INF, Circuit, GateKind, _is_nat, fragment_of, require_fragment
+from .circuit import INF, Circuit, GateKind, _is_nat, fragment_of, require_fragment, subcircuit_at
 from .errors import BudgetExceeded, FragmentError, OpenFragmentError
 from .numtheory import NotRepresentable
 from .setrep import (
@@ -640,7 +645,10 @@ def _prepare_exact(c, mode, budget):
 
 
 def _prepare_clamped(c, mode, budget):
-    rep = (eval_clamped_vector if c.vector else eval_clamped_scalar)(c, mode, budget)[1]
+    if c.vector:  # the output reads only its cone: a gate outside it is never tabulated
+        rep = eval_clamped_vector(subcircuit_at(c, c.output), mode, budget)[1]
+    else:
+        rep = eval_clamped_scalar(c, mode, budget)[1]
     return lambda q: (rep.member(q), {}, None)
 
 
@@ -754,7 +762,7 @@ def decide(
     t0 = time.perf_counter()
     if cutoff_mode is not _STRUCTURAL:
         cutoff_mode = CutoffMode(cutoff_mode)  # also fails on routes that use no cutoff
-    name = _pick_engine(c) if engine == "auto" else engine
+    name = pick_engine(c) if engine == "auto" else engine
     q = _check_query(c, b)
     row = _ENGINES.get((name, c.vector))
     if row is None:
@@ -790,8 +798,9 @@ def _check_query(c: Circuit, b):
     return x
 
 
-def _pick_engine(c: Circuit) -> str:
-    """The first row of _ROUTES[c.vector] with needs <= fragment_of(c) <= its fragment."""
+def pick_engine(c: Circuit) -> str:
+    """The engine decide() takes on c: the first row of _ROUTES[c.vector] with
+    needs <= fragment_of(c) <= its fragment; OpenFragmentError if none."""
     frag = fragment_of(c)
     for fragment, needs, name in _ROUTES[c.vector]:
         if frag <= fragment and needs <= frag:  # the fragment test fails first, and more often
@@ -831,7 +840,7 @@ def xcheck_circuit(
         raise ValueError(f"max_b must be a natural number, got {max_b}")
     if not isinstance(cutoff_mode, CutoffMode):
         cutoff_mode = CutoffMode(cutoff_mode)  # also fails where no engine uses a cutoff
-    _pick_engine(c)  # raises OpenFragmentError where decide() would
+    pick_engine(c)  # raises OpenFragmentError where decide() would
     names = applicable_engines(c)
     if len(names) < 2:
         return []

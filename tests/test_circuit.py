@@ -254,6 +254,42 @@ def test_subcircuit_at():
     assert subcircuit_at(sub, 4) == sub
     # encoding grows along edges for canonical ids
     assert encoding_length(subcircuit_at(c, 3)) < encoding_length(sub)
+    assert subcircuit_at(c, c.output) is c  # every gate feeds the output
+    # every gate feeds gate 7, but the output is gate 4: a new circuit
+    at4 = Circuit(c.gates, output=4)
+    assert subcircuit_at(at4, 7) == c and subcircuit_at(at4, 7) is not at4
+    with pytest.raises(CircuitValidationError, match="no gate 9"):
+        subcircuit_at(c, 9)
+
+
+def _cone_by_walk(c, gid):
+    """The gates that feed gid, found by a walk from gid, in c's order."""
+    needed, todo = set(), [gid]
+    while todo:
+        h = todo.pop()
+        if h not in needed:
+            needed.add(h)
+            todo.extend(c.gate(h).preds)
+    return tuple(g for g in c.gates if g.gid in needed)
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_subcircuit_at_equals_the_validated_circuit(vector):
+    # the one-pass cone is built without a check; it equals the Circuit that
+    # _validate builds from the same gates, down to its by-id map and fragment
+    rng = random.Random(211 + vector)
+    for _ in range(150):
+        if vector:
+            c = random_vector(rng, VECTOR_FULL, dim=rng.randint(1, 3), max_gates=8)
+        else:
+            c = random_scalar(rng, SCALAR_FULL, max_gates=8)
+        for g in c.gates:
+            sub = subcircuit_at(c, g.gid)
+            ref = Circuit(_cone_by_walk(c, g.gid), output=g.gid, dim=c.dim, vector=c.vector)
+            assert sub == ref
+            assert sub._by_id == ref._by_id and fragment_of(sub) == fragment_of(ref)
+            assert list(sub._by_id) == [h.gid for h in sub.gates]
+            assert (sub is c) == (g.gid == c.output and len(ref.gates) == len(c.gates))
 
 
 def test_gate_lookup_and_contains():

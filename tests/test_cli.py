@@ -208,6 +208,24 @@ class TestEval:
         assert lines[0].startswith("gate 1 input: {... (+1 more)} ")
         assert lines[1].startswith("gate 2 comp: {... (+3 more)} ")
 
+    def test_comp_mul_lists_the_prime_factor_image(self, circ, capsys):
+        # the tables member reads: the primes circuit's image has the spill
+        # axis only, and gate 7 holds spill 1, the primes
+        assert main(["eval", circ(PRIMES_TEXT)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "image prime-factors base={} dim=1"
+        assert lines[7] == "gate 7 inter: {(1)} sat=out inf=out cutoff=4"
+        assert lines[8] == "output gate 7 (clamped prime-factor image, structural cutoffs)"
+        assert main(["eval", circ(EVEN_TEXT, "e.circ")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "image prime-factors base={2} dim=2"
+        assert lines[6].startswith("gate 6 add: {(1,0), (1,1), ") and "sat=in inf=in" in lines[6]
+
+    def test_open_fragment_is_exit_4(self, circ, capsys):
+        assert main(["eval", circ(OPEN_TEXT)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "decidability open" in captured.err
+
     @pytest.mark.parametrize("upto", ["-1", "abc"])
     def test_negative_upto_is_exit_2(self, circ, capsys, upto):
         p = circ("circuit v1\ngate 1 input 2\ngate 2 comp 1\ngate 3 add 2 1\noutput 3\n")
@@ -367,6 +385,11 @@ class TestXcheck:
         assert main(["xcheck", p, "--max-b", "8"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("agree: engines exact-vector, exact, certificate, clamped-vector on ")
+
+    def test_one_engine_is_nothing_to_cross_check(self, circ, capsys):
+        # clamped-vector is the only scalar row that holds comp and mul
+        assert main(["xcheck", circ(PRIMES_TEXT), "--max-b", "30"]) == 0
+        assert capsys.readouterr().out == "nothing to cross-check: only clamped-vector applies\n"
 
     def test_open_fragment_is_exit_4(self, circ, capsys):
         assert main(["xcheck", circ(OPEN_TEXT)]) == 4

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import sys
 import time
@@ -28,9 +29,11 @@ from setcircuits import (
     parse_circuit,
     search_member,
     structural_cutoff,
+    subcircuit_at,
     verify_certificate,
     xcheck_circuit,
 )
+from setcircuits.setrep import vecrep_apply
 from setcircuits.reductions import ExactCoverInstance, exact_cover_solvable, from_exact_cover
 
 from circgen import (
@@ -244,6 +247,86 @@ class TestClampedVector:
         for op in ("mul", "div"):
             with pytest.raises(CircuitError, match=op):
                 parse_circuit(f"vcircuit v1 dim 1\ngate 1 input 2\ngate 2 {op} 1 1\noutput 2\n")
+
+
+# a dead tower of adds: gate 8's structural cutoff is 192, so its add needs
+# about 2.3 * 10^7 decomposition pairs at dim 2, past the default budget.
+# The output, gate 9, reads only gates 1 and 2.
+DEAD_TOWER_TEXT = (
+    "vcircuit v1 dim 2\ngate 1 input 1,0\ngate 2 comp 1\ngate 3 add 2 2\n"
+    + "".join(f"gate {k} add {k - 1} {k - 1}\n" for k in range(4, 9))
+    + "gate 9 inter 1 2\noutput 9\n"
+)
+
+
+def _with_dead_gates(rng, dim, max_cutoff, **kw):
+    """A clampable vector circuit with comp whose output does not read every gate."""
+    while True:
+        c = bounded_vector(rng, CLAMPABLE_VECTOR, max_cutoff=max_cutoff, dim=dim, **kw)
+        if GateKind.COMP in fragment_of(c) and len(subcircuit_at(c, c.output)) < len(c):
+            return c
+
+
+class TestOutputCone:
+    """clamped-vector tabulates a vector circuit's output cone only."""
+
+    @pytest.mark.parametrize("dim,max_cutoff,count", [(1, 12, 12), (2, 8, 12), (3, 5, 6)])
+    def test_verdicts_match_search_and_reference(self, dim, max_cutoff, count):
+        rng = random.Random(175 + dim)
+        for _ in range(count):
+            c = _with_dead_gates(rng, dim, max_cutoff, max_gates=7, max_coord=2)
+            n = structural_cutoff(c)[c.output]
+            pts = list(itertools.product(range(n + 2), repeat=dim))
+            for x in rng.sample(pts, min(len(pts), 12)) + [(n + 4,) * dim, INF]:
+                v = decide(c, x, budget=TIGHT)
+                assert v.engine == "clamped-vector" and v.stats["gates"] == len(c)
+                assert v.member == search_member(c, x, budget=TIGHT), f"x={x}\n{c}"
+                assert v.member == ref_member_vector(c, x), f"x={x}\n{c}"
+
+    def test_certified_verdicts_on_small_cones(self):
+        # certified cutoffs are 2^|C_g| + 1: small only for cones of two or
+        # three gates at dim 1; a dead gate may hold the largest of them
+        rng = random.Random(181)
+        for _ in range(15):
+            c = _with_dead_gates(rng, 1, 6, max_gates=3, max_coord=2)
+            for x in [(0,), (1,), (2,), (5,), (40,), INF]:
+                v = decide(c, x, cutoff_mode="certified", budget=TIGHT)
+                assert v.cutoff_mode == "certified"
+                assert v.member == search_member(c, x, "certified", TIGHT), f"x={x}\n{c}"
+                assert v.member == ref_member_vector(c, x), f"x={x}\n{c}"
+
+    def test_one_vecrep_apply_per_interior_cone_gate(self, monkeypatch):
+        calls = []
+
+        def counting(kind, *args):
+            calls.append(kind)
+            return vecrep_apply(kind, *args)
+
+        monkeypatch.setattr(engines, "vecrep_apply", counting)
+        rng = random.Random(191)
+        pruned = 0
+        for _ in range(20):
+            c = _with_dead_gates(rng, 2, 8, max_gates=7, max_coord=2)
+            cone = subcircuit_at(c, c.output)
+            calls.clear()
+            decide(c, (1, 1), budget=TIGHT)
+            assert sorted(map(str, calls)) == sorted(
+                str(g.kind) for g in cone.gates if g.kind is not GateKind.INPUT)
+            pruned += sum(g.kind is not GateKind.INPUT for g in c.gates) - len(calls)
+        assert pruned > 0
+
+    def test_a_dead_gate_past_the_budget_is_not_tabulated(self):
+        c = parse_circuit(DEAD_TOWER_TEXT)
+        with pytest.raises(BudgetExceeded, match="grid"):
+            eval_clamped_vector(c)  # the whole circuit: gate 8 is past the budget
+        # inter of {(1, 0)} with its complement is empty; their union is everything
+        union = parse_circuit(DEAD_TOWER_TEXT.replace("inter 1 2", "union 1 2"))
+        for circuit, member in [(c, False), (union, True)]:
+            for x in [(1, 0), (0, 0), (2, 3), INF]:
+                v = decide(circuit, x)
+                assert (v.member, v.engine, v.stats["gates"]) == (member, "clamped-vector", 9)
+                assert ref_member_vector(circuit, x) == member
+        assert applicable_engines(c) == ["clamped-vector", "search"]
 
 
 class TestSearch:
