@@ -26,14 +26,13 @@ subtraction need finite witness searches; the enumeration bounds below are
 exact by a clamping argument: any witness outside the searched box can be
 clamped into it without changing either membership test.
 
-A one-axis VecSetRep is a NatSetRep table in other clothes (cell (x,) is bit
-x), so vecrep_apply computes dim 1 on int bitmaps, with the NatSetRep helpers:
-union, inter and comp are |, & and ^ against the box mask, and add is the
-shift-OR of natrep_apply (_add_bits). sub is the same with right shifts: p is
-in A - B iff p + y is in A for some y in B, and clamping y at
-w = max(n_A, n_B) keeps both membership tests, so A is unfolded to
-[0, n + w], shifted right by each set bit of B within [0, w], and cut to
-[0, n]. Dims >= 2 still visit every grid point.
+A one-axis VecSetRep stores its table as the NatSetRep mask (cell (x,) is bit
+x), so vecrep_apply runs dim 1 on the natrep_apply kernels: union, inter and
+comp are |, & and ^ against the box mask, and add is the shift-OR _add_bits.
+sub is the same with right shifts: p is in A - B iff p + y is in A for some y
+in B, and clamping y at w = max(n_A, n_B) keeps both membership tests, so A is
+unfolded to [0, n + w], shifted right by each set bit of B within [0, w], and
+cut to [0, n]. Dims >= 2 keep a frozenset of cells and visit every grid point.
 """
 from __future__ import annotations
 
@@ -41,7 +40,7 @@ import itertools
 from collections import namedtuple
 from itertools import filterfalse
 
-from .circuit import INF, GateKind
+from .circuit import INF, GateKind, _is_nat
 from .errors import BudgetExceeded
 
 # the *_apply functions run once per gate, and Enum attribute reads are slow
@@ -125,10 +124,10 @@ class NatSetRep(namedtuple("NatSetRep", "cutoff mask")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, cutoff: int, mask: int):
-        if cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-        if mask >> (cutoff + 1):
-            raise ValueError("mask has bits beyond the cutoff")
+        if not _is_nat(cutoff) or cutoff < 1:
+            raise ValueError(f"cutoff must be an int >= 1, got {cutoff!r}")
+        if not _is_nat(mask) or mask >> (cutoff + 1):
+            raise ValueError(f"mask must be an int with no bit past the cutoff, got {mask!r}")
         return _new(cls, (cutoff, mask))
 
     @property
@@ -269,24 +268,28 @@ def _natrep_div(a: NatSetRep, b: NatSetRep, n: int) -> NatSetRep:
 class VecSetRep(namedtuple("VecSetRep", "dim cutoff cells inf")):
     """Clamped table over the closed grid [0, cutoff]^dim plus an inf flag.
 
-    The tuple (dim, cutoff, cells, inf): cells is a frozenset of tuples in
-    [0, cutoff]^dim. A cell with some coordinates equal to cutoff stands for
-    the whole class of vectors with those coordinates >= cutoff (and the
-    others as given); the representation is valid when true membership is
-    constant on each such class.
+    The tuple (dim, cutoff, cells, inf). A cell with some coordinates equal to
+    cutoff stands for the whole class of vectors with those coordinates >=
+    cutoff (and the others as given); the representation is valid when true
+    membership is constant on each such class. The constructor takes cells as
+    a frozenset of dim-tuples in [0, cutoff]^dim and keeps it at dim >= 2; at
+    dim 1 it stores the NatSetRep mask (bit x is cell (x,)) in an _AxisRep.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, dim: int, cutoff: int, cells: frozenset, inf: bool = False):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        if cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+        if not _is_nat(dim) or dim < 1:
+            raise ValueError(f"dim must be an int >= 1, got {dim!r}")
+        if not _is_nat(cutoff) or cutoff < 1:
+            raise ValueError(f"cutoff must be an int >= 1, got {cutoff!r}")
         for p in cells:
-            if len(p) != dim or any(x < 0 or x > cutoff for x in p):
-                raise ValueError(f"cell {p} outside grid [0,{cutoff}]^{dim}")
+            nat = isinstance(p, tuple) and len(p) == dim and all(map(_is_nat, p))
+            if not nat or max(p) > cutoff:
+                raise ValueError(f"cell {p!r} is not a point of the grid [0,{cutoff}]^{dim}")
+        if dim == 1:
+            return _new(_AxisRep, (1, cutoff, sum({1 << x for (x,) in cells}), inf))
         return _new(cls, (dim, cutoff, cells, inf))
 
     def member(self, x) -> bool:
@@ -297,24 +300,33 @@ class VecSetRep(namedtuple("VecSetRep", "dim cutoff cells inf")):
     @property
     def sat(self) -> bool:
         """Membership of the all-coordinates-large class."""
-        return (self.cutoff,) * self.dim in self.cells
+        return self.member((self.cutoff,) * self.dim)
 
     @property
     def below(self) -> frozenset:
         """Cells strictly below the cutoff in every coordinate (literal points)."""
-        return frozenset(p for p in self.cells if all(v < self.cutoff for v in p))
+        return frozenset(p for p in _grid(self.cutoff - 1, self.dim) if self.member(p))
 
     def finite_nonempty(self) -> bool:
         return bool(self.cells)
 
 
+class _AxisRep(VecSetRep):
+    """A one-axis VecSetRep, its cells the NatSetRep mask at its cutoff."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int, cutoff: int, cells: int, inf: bool = False):  # for _replace
+        if dim != 1:
+            raise ValueError(f"a one-axis rep has dim 1, got {dim!r}")
+        return _new(cls, (1, *NatSetRep(cutoff, cells), inf))  # NatSetRep checks cutoff and mask
+
+    def member(self, x) -> bool:
+        return self.inf if x is INF else self.cells >> min(x[0], self.cutoff) & 1 == 1
+
+
 def _grid(n: int, dim: int):
     return itertools.product(range(n + 1), repeat=dim)
-
-
-def _check_grid_budget(n: int, dim: int, max_grid_cells: int):
-    if (n + 1) ** dim > max_grid_cells:
-        raise BudgetExceeded("grid", f"({n + 1})^{dim} cells")
 
 
 def vecrep_apply(
@@ -336,7 +348,8 @@ def vecrep_apply(
     dim = a.dim
     if b is not None and b.dim != dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    _check_grid_budget(n, dim, max_grid_cells)
+    if (n + 1) ** dim > max_grid_cells:
+        raise BudgetExceeded("grid", f"({n + 1})^{dim} cells")
     if kind is _ADD:
         # total decompositions over the whole grid: prod over axes of 1+2+...+(n+1)
         work = (((n + 1) * (n + 2)) // 2) ** dim
@@ -347,7 +360,7 @@ def vecrep_apply(
         if (n + 1) ** dim * (w + 1) ** dim > max_grid_cells:
             raise BudgetExceeded("grid", f"sub search ({n + 1})^{dim} x ({w + 1})^{dim}")
     if dim == 1:
-        return _vecrep_apply_1(kind, a, b, n)
+        return _new(_AxisRep, (1, n, *_axis_apply(kind, a, b, n)))
 
     if kind is _COMP:
         cells = frozenset(p for p in _grid(n, dim) if not a.member(p))
@@ -373,40 +386,26 @@ def _add_inf(a: VecSetRep, b: VecSetRep) -> bool:
     )
 
 
-def _vecrep_apply_1(kind, a, b, n):
-    # One axis: cell (x,) is bit x of a NatSetRep-style mask at the same
-    # cutoff, so every kind runs on ints, as natrep_apply does. The caller
-    # has run the budget checks; n + 1 shifts of n + 1 bits are within twice
-    # the add pairs checked. sub reads A over [0, n + w] and B over [0, w],
-    # the box of _point_in_sub.
-    if kind is _SUB:
-        w = max(a.cutoff, b.cutoff)
-        mask = _sub_bits(_mask_1(a, n + w), _mask_1(b, w), n)
-        return _vecrep_1(n, mask, a.inf and b.finite_nonempty())
-    ea = _mask_1(a, n)
+def _axis_apply(kind, a, b, n):
+    # (mask, inf) at cutoff n from the operands' (cutoff, mask) pairs, by the
+    # natrep_apply kernels, after vecrep_apply's budget checks: n + 1 shifts
+    # of n + 1 bits are within twice the add pairs checked. sub reads A over
+    # [0, n + w] and B over [0, w], the box of _point_in_sub.
+    _, ka, ma, ainf = a
     if kind is _COMP:
-        return _vecrep_1(n, ((1 << (n + 1)) - 1) ^ ea, not a.inf)
+        return ((1 << (n + 1)) - 1) ^ _extend((ka, ma), n), not ainf
+    _, kb, mb, binf = b
+    if kind is _SUB:
+        w = max(ka, kb)
+        return _sub_bits(_extend((ka, ma), n + w), _extend((kb, mb), w), n), ainf and mb != 0
     if kind is _UNION:
-        return _vecrep_1(n, ea | _mask_1(b, n), a.inf or b.inf)
+        return _extend((ka, ma), n) | _extend((kb, mb), n), ainf or binf
     if kind is _INTER:
-        return _vecrep_1(n, ea & _mask_1(b, n), a.inf and b.inf)
+        return _extend((ka, ma), n) & _extend((kb, mb), n), ainf and binf
     if kind is _ADD:
         # n + 1 shifts at most: never refused past the estimate checked
-        return _vecrep_1(n, _add_bits(ea, _mask_1(b, n), n, n + 1), _add_inf(a, b))
+        return _add_bits(_extend((ka, ma), n), _extend((kb, mb), n), n, n + 1), _add_inf(a, b)
     raise ValueError(f"vecrep_apply cannot apply {kind}")
-
-
-def _mask_1(rep: VecSetRep, n: int) -> int:
-    """Literal membership bits over [0, n] of a one-axis rep (see _extend)."""
-    mask = 0
-    for (x,) in rep.cells:
-        mask |= 1 << x
-    return _extend((rep.cutoff, mask), n)
-
-
-def _vecrep_1(n: int, mask: int, inf: bool) -> VecSetRep:
-    cells = frozenset([(x,) for x, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"])
-    return _new(VecSetRep, (1, n, cells, inf))
 
 
 def _point_in_add(a: VecSetRep, b: VecSetRep, p) -> bool:
@@ -430,8 +429,9 @@ def _point_in_sub(a: VecSetRep, b: VecSetRep, p, w: int) -> bool:
 
 def vecrep_from_label(value, dim: int, cutoff: int) -> VecSetRep:
     """Rep of a singleton input label ({v} or {inf}) at the given cutoff."""
-    if value is INF:
-        return _new(VecSetRep, (dim, cutoff, frozenset(), True))
-    if len(value) != dim or not all(0 <= v < cutoff for v in value):
+    inf = value is INF
+    if not inf and (len(value) != dim or not all(0 <= v < cutoff for v in value)):
         raise ValueError(f"label {value} not a {dim}-vector strictly below cutoff {cutoff}")
-    return _new(VecSetRep, (dim, cutoff, frozenset({tuple(value)}), False))
+    if dim == 1:
+        return _new(_AxisRep, (1, cutoff, 0 if inf else 1 << value[0], inf))
+    return _new(VecSetRep, (dim, cutoff, frozenset() if inf else frozenset({tuple(value)}), inf))

@@ -88,8 +88,20 @@ def test_natrep_from_elements_requires_room():
     lambda: VecSetRep(dim=0, cutoff=1, cells=frozenset()),
     lambda: NatSetRep(cutoff=2, mask=0b101)._replace(cutoff=1),
     lambda: VecSetRep._make((1, 2, frozenset({(3,)}), False)),
+    lambda: VecSetRep(dim=1, cutoff=3, cells=frozenset({(1.0,)})),
+    lambda: VecSetRep(dim=1, cutoff=3, cells=frozenset({(True,)})),
+    lambda: VecSetRep(dim=1, cutoff=3, cells=frozenset({(-1,)})),
+    lambda: VecSetRep(dim=2, cutoff=3, cells=frozenset({5})),
+    lambda: VecSetRep(dim=2, cutoff=3, cells=frozenset({(1,)})),
+    lambda: VecSetRep(dim=1, cutoff=2, cells=frozenset({(1,)}))._replace(cells=0b1000),
+    lambda: VecSetRep(dim=1, cutoff=2, cells=frozenset({(1,)}))._replace(cells=True),
+    lambda: VecSetRep(dim=1, cutoff=2, cells=frozenset({(1,)}))._replace(dim=2),
+    lambda: NatSetRep(cutoff=2, mask=True),
+    lambda: NatSetRep(cutoff=2.5, mask=1),
 ], ids=["nat-cutoff-0", "nat-bit-past-cutoff", "vec-cell-outside", "vec-dim-0", "nat-replace",
-        "vec-make"])
+        "vec-make", "vec-float-coord", "vec-bool-coord", "vec-negative-coord", "vec-cell-not-tuple",
+        "vec-cell-short", "axis-replace-past-cutoff", "axis-replace-bool", "axis-replace-dim",
+        "nat-bool-mask", "nat-float-cutoff"])
 def test_public_constructors_check_their_fields(make):
     with pytest.raises(ValueError):
         make()
@@ -99,7 +111,9 @@ def test_reps_are_tuples():
     assert NatSetRep(cutoff=2, mask=0b101) == (2, 0b101)
     assert NatSetRep.from_elements([0], cutoff=2, tail=True) == NatSetRep(2, 0b101)
     v = VecSetRep(dim=1, cutoff=2, cells=frozenset({(1,)}))
-    assert v == (1, 2, frozenset({(1,)}), False) and not v.inf
+    assert v == (1, 2, 0b10, False) and not v.inf  # one axis: cells is the NatSetRep mask
+    v2 = VecSetRep(dim=2, cutoff=2, cells=frozenset({(1, 2)}))
+    assert v2 == (2, 2, frozenset({(1, 2)}), False)
     assert repr(NatSetRep(2, 5)) == "NatSetRep(cutoff=2, mask=5)"
 
 
@@ -391,6 +405,46 @@ def test_one_axis_never_calls_natrep_apply(monkeypatch):
     a, b = _rep1(4, [1, 3], tail=True), _rep1(3, [0, 2])
     for kind in ONE_AXIS_KINDS:
         vecrep_apply(kind, a, None if kind is GateKind.COMP else b, 5)
+
+
+def _frozenset_reading(cutoff, cells, inf):
+    """member, sat, below and finite_nonempty read off a frozenset of 1-tuples."""
+    def member(x):
+        return inf if x is INF else (min(x[0], cutoff),) in cells
+    return member, (cutoff,) in cells, frozenset(p for p in cells if p[0] < cutoff), bool(cells)
+
+
+def test_one_axis_mask_reads_as_its_cells():
+    rng = random.Random("one-axis-layout")
+    for _ in range(400):
+        k = rng.randint(1, 70)
+        mask = rng.getrandbits(k) | (rng.random() < 0.5) << k  # with and without the tail
+        cells = frozenset((x,) for x in range(k + 1) if mask >> x & 1)
+        inf = rng.random() < 0.5
+        r = VecSetRep(dim=1, cutoff=k, cells=cells, inf=inf)
+        assert r == (1, k, mask, inf)
+        member, sat, below, nonempty = _frozenset_reading(k, cells, inf)
+        assert (r.sat, r.below, r.finite_nonempty()) == (sat, below, nonempty)
+        for x in [*range(k + 3), 10**30, INF]:
+            assert r.member(x if x is INF else (x,)) is member(x if x is INF else (x,))
+
+
+@pytest.mark.parametrize("kind", ONE_AXIS_KINDS)
+def test_one_axis_kernel_results_equal_constructor_tables(kind):
+    rng = random.Random(f"one-axis-results-{kind.value}")
+    for _ in range(200):
+        n, ka, kb = rng.randint(1, 20), rng.randint(1, 20), rng.randint(1, 20)
+        a = _rep1(ka, [x for x in range(ka) if rng.random() < 0.3], rng.random() < 0.5,
+                  rng.random() < 0.3)
+        b = _rep1(kb, [x for x in range(kb) if rng.random() < 0.3], rng.random() < 0.5,
+                  rng.random() < 0.3)
+        got = vecrep_apply(kind, a, None if kind is GateKind.COMP else b, n)
+        cells = frozenset((x,) for x in range(n + 1) if got.member((x,)))
+        want = VecSetRep(dim=1, cutoff=n, cells=cells, inf=got.inf)
+        assert got == want and type(got) is type(want), (kind, a, b, n)
+    for v in range(5):
+        assert vecrep_from_label((v,), dim=1, cutoff=5) == VecSetRep(1, 5, frozenset({(v,)}))
+    assert vecrep_from_label(INF, dim=1, cutoff=5) == VecSetRep(1, 5, frozenset(), True)
 
 
 class _CountingInt(int):

@@ -33,6 +33,7 @@ from setcircuits.reductions import primes_circuit
 
 from circgen import bounded_scalar, deep_chain, random_scalar
 from refeval import exact_sets_bruteforce
+from test_circuit import PRIMES_TEXT
 
 
 def _mul_circuit():
@@ -328,6 +329,25 @@ class TestStagedSpill:
         assert decide(primes, 1).stats["spill"] == (0, 0)
         assert decide(EVENS, 2**127 - 1).stats["step"] == "exact"
         assert "spill" not in decide(primes, 0).stats
+
+
+def _prime_by_trial_division(b):
+    return b >= 2 and all(b % d for d in range(2, math.isqrt(b) + 1))
+
+
+def test_prime_factor_route_verdicts_pinned():
+    # decide on the benchmark's primes (one axis) and evens (two axes) texts
+    # against oracles that share no code with the engines
+    primes = parse_circuit(PRIMES_TEXT)
+    p, q = 4_294_967_291, 4_294_967_279
+    assert _prime_by_trial_division(p) and _prime_by_trial_division(q)  # 32-bit primes
+    huge = {2**61 - 1: True, p * q: False, 2**127 - 1: True}  # is b prime?
+    for b in [*range(3001), *huge]:
+        vp, ve = decide(primes, b), decide(EVENS, b)
+        want = huge[b] if b in huge else _prime_by_trial_division(b)
+        assert (vp.member, ve.member) == (want, b % 2 == 0), b
+        assert (vp.engine, ve.engine) == ("clamped-vector", "clamped-vector"), b
+        assert (vp.stats["dim"], ve.stats["dim"]) == (1, 2), b
 
 
 class TestEliminateCap:
