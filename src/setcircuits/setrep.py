@@ -29,16 +29,23 @@ clamped into it without changing either membership test.
 A one-axis VecSetRep stores its table as the NatSetRep mask (cell (x,) is bit
 x), so vecrep_apply runs dim 1 on the natrep_apply kernels: union, inter and
 comp are |, & and ^ against the box mask, and add is the shift-OR _add_bits.
-sub is the same with right shifts: p is in A - B iff p + y is in A for some y
-in B, and clamping y at w = max(n_A, n_B) keeps both membership tests, so A is
-unfolded to [0, n + w], shifted right by each set bit of B within [0, w], and
-cut to [0, n]. Dims >= 2 keep a frozenset of cells and visit every grid point.
+Dims >= 2 keep a frozenset of cells; union, inter, comp and add visit every
+grid point.
+
+sub is one shift kernel at every dim: p is in A - B iff p + y is in A for
+some y in B, and clamping y at w = max(n_A, n_B) keeps both membership tests.
+So A is unfolded to [0, n + w]^dim and B to [0, w]^dim, both packed row-major
+at stride n + w + 1 (at dim 1 that is the mask itself), A is shifted right by
+each set cell of B, and the result is cut to the box [0, n]^dim. A coordinate
+that goes below 0 borrows from the next axis, and the box mask cuts every
+such bit. Dims >= 2 unpack the result to cells.
 """
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from itertools import filterfalse
+from itertools import compress, filterfalse
+from operator import mul
 
 from .circuit import INF, GateKind, _is_nat
 from .errors import BudgetExceeded
@@ -211,17 +218,18 @@ def _add_bits(x: int, y: int, n: int, max_shifts: int) -> int:
     return acc & full
 
 
-def _sub_bits(x: int, y: int, n: int) -> int:
-    """Bits over [0, n] of {u - v >= 0 : bit u of x, bit v of y}, by shift-OR.
+def _sub_bits(x: int, y: int, box: int) -> int:
+    """Bits in box of {u - v >= 0 : bit u of x, bit v of y}, by shift-OR.
 
-    Shifts x right by each set bit of y; a difference below 0 drops out.
+    Shifts x right by each set bit of y. A difference below 0 drops out at
+    dim 1; on a packed grid it lands outside the box, which cuts it.
     """
     acc = 0
     while y:
         low = y & -y
         acc |= x >> (low.bit_length() - 1)
         y ^= low
-    return acc & ((1 << (n + 1)) - 1)
+    return acc & box
 
 
 def _extend(rep: NatSetRep, n: int) -> int:
@@ -284,6 +292,7 @@ class VecSetRep(namedtuple("VecSetRep", "dim cutoff cells inf")):
             raise ValueError(f"dim must be an int >= 1, got {dim!r}")
         if not _is_nat(cutoff) or cutoff < 1:
             raise ValueError(f"cutoff must be an int >= 1, got {cutoff!r}")
+        _check_inf(inf)
         for p in cells:
             nat = isinstance(p, tuple) and len(p) == dim and all(map(_is_nat, p))
             if not nat or max(p) > cutoff:
@@ -319,14 +328,71 @@ class _AxisRep(VecSetRep):
     def __new__(cls, dim: int, cutoff: int, cells: int, inf: bool = False):  # for _replace
         if dim != 1:
             raise ValueError(f"a one-axis rep has dim 1, got {dim!r}")
+        _check_inf(inf)
         return _new(cls, (1, *NatSetRep(cutoff, cells), inf))  # NatSetRep checks cutoff and mask
 
     def member(self, x) -> bool:
         return self.inf if x is INF else self.cells >> min(x[0], self.cutoff) & 1 == 1
 
 
+def _check_inf(inf) -> None:
+    if inf is not True and inf is not False:
+        raise ValueError(f"inf must be a bool, got {inf!r}")
+
+
 def _grid(n: int, dim: int):
     return itertools.product(range(n + 1), repeat=dim)
+
+
+def _pack(rep: VecSetRep, m: int, s: int) -> int:
+    """Literal membership bits of a dims >= 2 rep over [0, m]^dim, row-major.
+
+    Point p is bit sum(p[i] * s**(dim - 1 - i)), for m >= the rep's cutoff k
+    and a stride s > m. Past k the rep is constant along each axis, so each
+    axis's slab at coordinate k is copied over k + 1 .. m, one axis after
+    another.
+    """
+    dim, k, cells, _ = rep
+    steps = [s**e for e in range(dim - 1, -1, -1)]
+    x = 0
+    for p in cells:
+        x |= 1 << sum(map(mul, p, steps))
+    if m > k:
+        size = s**dim
+        for t in steps:
+            slab = ((1 << t) - 1) << (k * t)  # coordinate k of this axis, in one period
+            period = s * t
+            while period < size:
+                slab |= slab << period
+                period *= 2
+            slab &= x
+            for j in range(1, m - k + 1):
+                x |= slab << (j * t)
+    return x
+
+
+def _box(n: int, dim: int, s: int) -> int:
+    """The bits of [0, n]^dim, packed row-major at stride s > n."""
+    box = (1 << (n + 1)) - 1
+    t = 1
+    for _ in range(dim - 1):
+        t *= s
+        box = sum(box << (j * t) for j in range(n + 1))  # disjoint copies: + is |
+    return box
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _unpack(x: int, n: int, dim: int, s: int) -> frozenset:
+    """The points of [0, n]^dim whose bits are set in x, packed at stride s."""
+    bits = format(x, f"0{s**dim}b")[::-1]  # bits[i] is bit i
+    rows = [0]  # the first bit of each row of [0, n]^dim, in _grid order
+    for e in range(dim - 1, 0, -1):
+        t = s**e
+        rows = [r + j * t for r in rows for j in range(n + 1)]
+    flags = "".join([bits[r:r + n + 1] for r in rows]).encode().translate(_BITS)
+    return frozenset(compress(_grid(n, dim), flags))
 
 
 def vecrep_apply(
@@ -375,8 +441,11 @@ def vecrep_apply(
         cells = frozenset(p for p in _grid(n, dim) if _point_in_add(a, b, p))
         return _new(VecSetRep, (dim, n, cells, _add_inf(a, b)))
     if kind is _SUB:
-        cells = frozenset(p for p in _grid(n, dim) if _point_in_sub(a, b, p, w))
-        return _new(VecSetRep, (dim, n, cells, a.inf and b.finite_nonempty()))
+        # at most (w + 1)^dim shifts, each of (n + w + 1)^dim <= ((n + 1)(w + 1))^dim
+        # bits: inside the sub search checked above
+        s = n + w + 1
+        bits = _sub_bits(_pack(a, n + w, s), _pack(b, w, s), _box(n, dim, s))
+        return _new(VecSetRep, (dim, n, _unpack(bits, n, dim, s), a.inf and b.finite_nonempty()))
     raise ValueError(f"vecrep_apply cannot apply {kind}")
 
 
@@ -390,14 +459,15 @@ def _axis_apply(kind, a, b, n):
     # (mask, inf) at cutoff n from the operands' (cutoff, mask) pairs, by the
     # natrep_apply kernels, after vecrep_apply's budget checks: n + 1 shifts
     # of n + 1 bits are within twice the add pairs checked. sub reads A over
-    # [0, n + w] and B over [0, w], the box of _point_in_sub.
+    # [0, n + w] and B over [0, w], as at dims >= 2.
     _, ka, ma, ainf = a
     if kind is _COMP:
         return ((1 << (n + 1)) - 1) ^ _extend((ka, ma), n), not ainf
     _, kb, mb, binf = b
     if kind is _SUB:
         w = max(ka, kb)
-        return _sub_bits(_extend((ka, ma), n + w), _extend((kb, mb), w), n), ainf and mb != 0
+        box = (1 << (n + 1)) - 1
+        return _sub_bits(_extend((ka, ma), n + w), _extend((kb, mb), w), box), ainf and mb != 0
     if kind is _UNION:
         return _extend((ka, ma), n) | _extend((kb, mb), n), ainf or binf
     if kind is _INTER:
@@ -413,16 +483,6 @@ def _point_in_add(a: VecSetRep, b: VecSetRep, p) -> bool:
     # specific vector through .member is exact, so this decomposition is.
     for y in itertools.product(*(range(v + 1) for v in p)):
         if b.member(y) and a.member(tuple(u - w for u, w in zip(p, y))):
-            return True
-    return False
-
-
-def _point_in_sub(a: VecSetRep, b: VecSetRep, p, w: int) -> bool:
-    # p in A - B <=> exists finite y in B with p + y in A. Clamping any
-    # coordinate of y at w = max(n_A, n_B) preserves y's class in B and
-    # (p+y)'s class in A, so the box [0, w]^dim is enough.
-    for y in _grid(w, a.dim):
-        if b.member(y) and a.member(tuple(u + v for u, v in zip(p, y))):
             return True
     return False
 

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -98,10 +100,18 @@ def test_natrep_from_elements_requires_room():
     lambda: VecSetRep(dim=1, cutoff=2, cells=frozenset({(1,)}))._replace(dim=2),
     lambda: NatSetRep(cutoff=2, mask=True),
     lambda: NatSetRep(cutoff=2.5, mask=1),
+    lambda: VecSetRep(dim=2, cutoff=3, cells=frozenset(), inf="no"),
+    lambda: VecSetRep(dim=1, cutoff=3, cells=frozenset(), inf="no"),
+    lambda: VecSetRep(dim=2, cutoff=3, cells=frozenset(), inf=1),
+    lambda: VecSetRep(dim=2, cutoff=3, cells=frozenset())._replace(inf=None),
+    lambda: VecSetRep(dim=1, cutoff=3, cells=frozenset())._replace(inf="no"),
+    lambda: copy.copy(tuple.__new__(type(VecSetRep(1, 2, frozenset())), (1, 2, 0b10, "no"))),
+    lambda: pickle.loads(pickle.dumps(tuple.__new__(VecSetRep, (2, 2, frozenset(), 0)))),
 ], ids=["nat-cutoff-0", "nat-bit-past-cutoff", "vec-cell-outside", "vec-dim-0", "nat-replace",
         "vec-make", "vec-float-coord", "vec-bool-coord", "vec-negative-coord", "vec-cell-not-tuple",
         "vec-cell-short", "axis-replace-past-cutoff", "axis-replace-bool", "axis-replace-dim",
-        "nat-bool-mask", "nat-float-cutoff"])
+        "nat-bool-mask", "nat-float-cutoff", "vec-str-inf", "axis-str-inf", "vec-int-inf",
+        "vec-replace-inf", "axis-replace-inf", "axis-copy-inf", "vec-pickle-inf"])
 def test_public_constructors_check_their_fields(make):
     with pytest.raises(ValueError):
         make()
@@ -447,6 +457,52 @@ def test_one_axis_kernel_results_equal_constructor_tables(kind):
     assert vecrep_from_label(INF, dim=1, cutoff=5) == VecSetRep(1, 5, frozenset(), True)
 
 
+# ---------------------------------------------------------------------------
+# sub: one shift kernel at every dim
+
+
+def _random_vec(rng, dim, cutoff, density):
+    grid = itertools.product(range(cutoff + 1), repeat=dim)
+    return VecSetRep(dim, cutoff, frozenset(p for p in grid if rng.random() < density))
+
+
+def _sub_by_points(a, b, n):
+    """A - B at cutoff n by the point definition: p is in A - B iff some y in
+    [0, w]^dim, w = max(n_A, n_B), lies in B with p + y in A; inf is in it
+    iff inf is in A and B has a finite point."""
+    dim, w = a.dim, max(a.cutoff, b.cutoff)
+    box = list(itertools.product(range(w + 1), repeat=dim))
+    ys = [y for y in box if b.member(y)]
+    cells = frozenset(
+        p for p in itertools.product(range(n + 1), repeat=dim)
+        if any(a.member(tuple(u + v for u, v in zip(p, y))) for y in ys)
+    )
+    return VecSetRep(dim, n, cells, a.inf and bool(ys))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_sub_matches_the_point_definition(dim):
+    rng = random.Random(f"sub-points-{dim}")
+    top = {1: 9, 2: 5, 3: 3, 4: 2}[dim]
+    grid = lambda k: itertools.product(range(k + 1), repeat=dim)  # noqa: E731
+    shapes = [
+        lambda k: VecSetRep(dim, k, frozenset()),  # empty
+        lambda k: VecSetRep(dim, k, frozenset(grid(k))),  # full
+        lambda k: VecSetRep(dim, k, frozenset(p for p in grid(k) if k in p)),  # only tails
+        lambda k: VecSetRep(dim, k, frozenset({(k,) * dim})),  # only the corner class
+        lambda k: _random_vec(rng, dim, k, rng.choice((0.1, 0.4, 0.8))),
+    ]
+    for _ in range(60):
+        ka, kb = rng.randint(1, top), rng.randint(1, top)
+        low, high = min(ka, kb), max(ka, kb)
+        n = rng.choice((max(1, low - 1), low, high, high + rng.randint(1, 2)))
+        a = rng.choice(shapes)(ka)._replace(inf=rng.random() < 0.3)
+        b = rng.choice(shapes)(kb)._replace(inf=rng.random() < 0.3)
+        got = vecrep_apply(GateKind.SUB, a, b, n)
+        assert got == _sub_by_points(a, b, n), (a, b, n)
+        assert type(got.inf) is bool
+
+
 class _CountingInt(int):
     """An int that counts the shifts taken of it."""
 
@@ -462,17 +518,18 @@ class _CountingInt(int):
 
 
 def _count_shifts(monkeypatch, name, log):
-    """Wrap setrep's bitmap helper `name` so that every call's shifts land in log."""
+    """Wrap setrep's bitmap helper `name` so that every call's shifts land in
+    log, after its third argument (add's cutoff, sub's box)."""
     from setcircuits import setrep
 
     orig = getattr(setrep, name)
 
-    def counted(x, y, n, *rest):
+    def counted(x, y, third, *rest):
         _CountingInt.shifts = 0
         try:
-            return orig(_CountingInt(x), _CountingInt(y), n, *rest)
+            return orig(_CountingInt(x), _CountingInt(y), third, *rest)
         finally:
-            log.append((n, _CountingInt.shifts))
+            log.append((third, _CountingInt.shifts))
 
     monkeypatch.setattr(setrep, name, counted)
 
@@ -510,6 +567,27 @@ def test_bitmap_kernels_shift_within_the_budget_they_checked(monkeypatch):
         vecrep_apply(GateKind.SUB, va, vb, n)
         (m, shifts), = subs
         assert shifts <= w + 1 and shifts * (n + 1) <= (n + 1) * (w + 1)
+    # dims 2-4: sub shifts once per cell of B's box [0, w]^dim, each shift
+    # over (n + w + 1)^dim bits, at the budget of (n + 1)^dim x (w + 1)^dim
+    for _ in range(60):
+        dim = rng.randint(2, 4)
+        top = {2: 6, 3: 4, 4: 3}[dim]
+        na, nb, n = rng.randint(1, top), rng.randint(1, top), rng.randint(1, top)
+        density = rng.choice((0.05, 0.5, 1.0))
+        va, vb = _random_vec(rng, dim, na, density), _random_vec(rng, dim, nb, density)
+        w = max(na, nb)
+        checked = (n + 1) ** dim * (w + 1) ** dim
+        assert (n + w + 1) ** dim <= checked
+        subs.clear()
+        vecrep_apply(GateKind.SUB, va, vb, n, max_grid_cells=checked)
+        (box, shifts), = subs
+        stride = n + w + 1  # row-major: the last coordinate is the lowest digit
+        assert box == sum(1 << sum(x * stride ** (dim - 1 - i) for i, x in enumerate(p))
+                          for p in itertools.product(range(n + 1), repeat=dim))
+        assert shifts <= (w + 1) ** dim and shifts * (n + 1) ** dim <= checked
+        assert shifts == sum(map(vb.member, itertools.product(range(w + 1), repeat=dim)))
+        with pytest.raises(BudgetExceeded, match="sub search"):
+            vecrep_apply(GateKind.SUB, va, vb, n, max_grid_cells=checked - 1)
 
 
 @pytest.mark.parametrize("budget", [10**7, 2 * 10**7, 3 * 10**7])

@@ -350,6 +350,33 @@ def test_prime_factor_route_verdicts_pinned():
         assert (vp.stats["dim"], ve.stats["dim"]) == (1, 2), b
 
 
+def test_division_on_the_prime_factor_route_pinned():
+    # the paper's division: P.P / P, (P.{4}) / {2} and comp(composites / {12})
+    # on the prime-factor route at dims 1, 2 and 3, and {360} / N>=1 on the
+    # clamped scalar route; trial division up to 150, and large b known by
+    # construction: a prime p, 2p and twice the Mersenne prime 2^61 - 1
+    assert PRIMES_TEXT.endswith("output 7\n")  # gate 4 is N>=2, gate 5 the composites, 7 P
+    body = PRIMES_TEXT[: -len("output 7\n")]
+    p = 10**9 + 7
+    large = (p, 2 * p, 2 * (2**61 - 1))
+    prime = _prime_by_trial_division
+    cases = [
+        (body + "gate 8 mul 7 7\ngate 9 div 8 7\noutput 9\n",
+         prime, (True, False, False), "clamped-vector", 1),
+        (body + "gate 8 input 4\ngate 9 mul 7 8\ngate 10 input 2\ngate 11 div 9 10\noutput 11\n",
+         lambda b: b % 2 == 0 and prime(b // 2), (False, True, True), "clamped-vector", 2),
+        (body + "gate 8 input 12\ngate 9 div 5 8\ngate 10 comp 9\noutput 10\n",
+         lambda b: b == 0, (False, False, False), "clamped-vector", 3),
+        ("circuit v1\ngate 1 input 360\ngate 2 input 0\ngate 3 comp 2\ngate 4 div 1 3\noutput 4\n",
+         lambda b: b >= 1 and 360 % b == 0, (False, False, False), "clamped-scalar", None),
+    ]
+    for text, small, want_large, engine, dim in cases:
+        c = parse_circuit(text)
+        for b, want in [*((b, small(b)) for b in range(151)), *zip(large, want_large)]:
+            v = decide(c, b)
+            assert (v.member, v.engine, v.stats.get("dim")) == (want, engine, dim), (text, b)
+
+
 class TestEliminateCap:
     def test_disjoint_singletons_give_empty(self):
         for a, b in ((6, 7), (3, 7)):
