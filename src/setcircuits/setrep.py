@@ -33,12 +33,15 @@ Dims >= 2 keep a frozenset of cells; union, inter, comp and add visit every
 grid point.
 
 sub is one shift kernel at every dim: p is in A - B iff p + y is in A for
-some y in B, and clamping y at w = max(n_A, n_B) keeps both membership tests.
-So A is unfolded to [0, n + w]^dim and B to [0, w]^dim, both packed row-major
-at stride n + w + 1 (at dim 1 that is the mask itself), A is shifted right by
-each set cell of B, and the result is cut to the box [0, n]^dim. A coordinate
-that goes below 0 borrows from the next axis, and the box mask cuts every
-such bit. Dims >= 2 unpack the result to cells.
+some y in B. A is constant past its cutoff k along each axis, so B's
+witnesses are folded at k (coordinate k stands for every y_i >= k), A is
+unfolded to [0, n + k]^dim, and both are packed row-major at stride n + k + 1
+(at dim 1 that is the mask itself). With no more witnesses than points of the
+box [0, n]^dim, A is shifted right by each witness and cut to the box;
+otherwise A is shifted right by each point p of the box, and p is kept when
+that meets B. A coordinate that goes below 0 borrows from the next axis and
+lands past n (past k), where the box (B) has no bit. Dims >= 2 unpack the
+result to cells.
 """
 from __future__ import annotations
 
@@ -344,19 +347,30 @@ def _grid(n: int, dim: int):
     return itertools.product(range(n + 1), repeat=dim)
 
 
-def _pack(rep: VecSetRep, m: int, s: int) -> int:
-    """Literal membership bits of a dims >= 2 rep over [0, m]^dim, row-major.
+_FLAGS = bytes.maketrans(b"\0\1", b"01")
 
-    Point p is bit sum(p[i] * s**(dim - 1 - i)), for m >= the rep's cutoff k
-    and a stride s > m. Past k the rep is constant along each axis, so each
+
+def _pack(rep: VecSetRep, m: int, s: int) -> int:
+    """Membership bits of rep over [0, m]^dim, packed row-major at stride s > m.
+
+    Point p is bit sum(p[i] * s**(dim - 1 - i)). For m >= the rep's cutoff k
+    every bit is literal: past k the rep is constant along each axis, so each
     axis's slab at coordinate k is copied over k + 1 .. m, one axis after
-    another.
+    another. For m < k the rep is folded: coordinate m stands for every
+    value >= m, and its bit is set when some point of that class is in rep.
     """
     dim, k, cells, _ = rep
+    if dim == 1:
+        return _extend((k, cells), m) if m >= k else cells & ((1 << m) - 1) | (cells >> m != 0) << m
     steps = [s**e for e in range(dim - 1, -1, -1)]
-    x = 0
-    for p in cells:
-        x |= 1 << sum(map(mul, p, steps))
+    flags = bytearray(min(k, m) * sum(steps) + 1)  # one pass, up to the corner's bit
+    if m >= k:
+        for p in cells:
+            flags[sum(map(mul, p, steps))] = 1
+    else:
+        for p in cells:
+            flags[sum(min(v, m) * t for v, t in zip(p, steps))] = 1
+    x = int(flags[::-1].translate(_FLAGS), 2)
     if m > k:
         size = s**dim
         for t in steps:
@@ -371,6 +385,28 @@ def _pack(rep: VecSetRep, m: int, s: int) -> int:
     return x
 
 
+def _sub_packed(a: VecSetRep, b: VecSetRep, n: int) -> tuple:
+    """A - B over [0, n]^dim, packed row-major at stride s, and s.
+
+    At most min(|B folded at k|, (n + 1)^dim) shifts of s^dim bits, s = n + k + 1.
+    That is under 2^dim bits for each pair of the sub search: with n >= k,
+    s < 2(n + 1) and B folded has at most (k + 1)^dim <= (w + 1)^dim cells;
+    with n < k, s < 2(k + 1) <= 2(w + 1).
+    """
+    dim, k = a.dim, a.cutoff
+    s = n + k + 1
+    x, y = _pack(a, n + k, s), _pack(b, k, s)
+    if y.bit_count() <= (n + 1) ** dim:
+        return _sub_bits(x, y, _box(n, dim, s)), s
+    steps = [s**e for e in range(dim - 1, -1, -1)]
+    return _sub_points(x, y, [sum(map(mul, p, steps)) for p in _grid(n, dim)]), s
+
+
+def _sub_points(x: int, y: int, points: list) -> int:
+    """The bits p of points at which x shifted right by p meets y."""
+    return sum(1 << p for p in points if x >> p & y)
+
+
 def _box(n: int, dim: int, s: int) -> int:
     """The bits of [0, n]^dim, packed row-major at stride s > n."""
     box = (1 << (n + 1)) - 1
@@ -381,7 +417,7 @@ def _box(n: int, dim: int, s: int) -> int:
     return box
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
+_BITS = bytes.maketrans(b"01", b"\0\1")  # the inverse of _FLAGS
 
 
 def _unpack(x: int, n: int, dim: int, s: int) -> frozenset:
@@ -425,6 +461,11 @@ def vecrep_apply(
         w = max(a.cutoff, b.cutoff)
         if (n + 1) ** dim * (w + 1) ** dim > max_grid_cells:
             raise BudgetExceeded("grid", f"sub search ({n + 1})^{dim} x ({w + 1})^{dim}")
+        bits, s = _sub_packed(a, b, n)
+        inf = a.inf and b.finite_nonempty()
+        if dim == 1:
+            return _new(_AxisRep, (1, n, bits, inf))
+        return _new(VecSetRep, (dim, n, _unpack(bits, n, dim, s), inf))
     if dim == 1:
         return _new(_AxisRep, (1, n, *_axis_apply(kind, a, b, n)))
 
@@ -440,12 +481,6 @@ def vecrep_apply(
     if kind is _ADD:
         cells = frozenset(p for p in _grid(n, dim) if _point_in_add(a, b, p))
         return _new(VecSetRep, (dim, n, cells, _add_inf(a, b)))
-    if kind is _SUB:
-        # at most (w + 1)^dim shifts, each of (n + w + 1)^dim <= ((n + 1)(w + 1))^dim
-        # bits: inside the sub search checked above
-        s = n + w + 1
-        bits = _sub_bits(_pack(a, n + w, s), _pack(b, w, s), _box(n, dim, s))
-        return _new(VecSetRep, (dim, n, _unpack(bits, n, dim, s), a.inf and b.finite_nonempty()))
     raise ValueError(f"vecrep_apply cannot apply {kind}")
 
 
@@ -458,16 +493,11 @@ def _add_inf(a: VecSetRep, b: VecSetRep) -> bool:
 def _axis_apply(kind, a, b, n):
     # (mask, inf) at cutoff n from the operands' (cutoff, mask) pairs, by the
     # natrep_apply kernels, after vecrep_apply's budget checks: n + 1 shifts
-    # of n + 1 bits are within twice the add pairs checked. sub reads A over
-    # [0, n + w] and B over [0, w], as at dims >= 2.
+    # of n + 1 bits are within twice the add pairs checked.
     _, ka, ma, ainf = a
     if kind is _COMP:
         return ((1 << (n + 1)) - 1) ^ _extend((ka, ma), n), not ainf
     _, kb, mb, binf = b
-    if kind is _SUB:
-        w = max(ka, kb)
-        box = (1 << (n + 1)) - 1
-        return _sub_bits(_extend((ka, ma), n + w), _extend((kb, mb), w), box), ainf and mb != 0
     if kind is _UNION:
         return _extend((ka, ma), n) | _extend((kb, mb), n), ainf or binf
     if kind is _INTER:

@@ -504,22 +504,24 @@ def test_sub_matches_the_point_definition(dim):
 
 
 class _CountingInt(int):
-    """An int that counts the shifts taken of it."""
+    """An int that counts the shifts taken of it, and the bits they shift."""
 
-    shifts = 0
+    shifts = bits = 0
 
     def __lshift__(self, k):
         _CountingInt.shifts += 1
+        _CountingInt.bits += self.bit_length()
         return int(self) << k
 
     def __rshift__(self, k):
         _CountingInt.shifts += 1
+        _CountingInt.bits += self.bit_length()
         return int(self) >> k
 
 
 def _count_shifts(monkeypatch, name, log):
     """Wrap setrep's bitmap helper `name` so that every call's shifts land in
-    log, after its third argument (add's cutoff, sub's box)."""
+    log, after its third argument (add's cutoff, sub's box or points)."""
     from setcircuits import setrep
 
     orig = getattr(setrep, name)
@@ -567,27 +569,75 @@ def test_bitmap_kernels_shift_within_the_budget_they_checked(monkeypatch):
         vecrep_apply(GateKind.SUB, va, vb, n)
         (m, shifts), = subs
         assert shifts <= w + 1 and shifts * (n + 1) <= (n + 1) * (w + 1)
-    # dims 2-4: sub shifts once per cell of B's box [0, w]^dim, each shift
-    # over (n + w + 1)^dim bits, at the budget of (n + 1)^dim x (w + 1)^dim
+    # dims 2-4: sub folds B at A's cutoff k and shifts A, packed at stride
+    # n + k + 1, right by each witness or by each point of the box [0, n]^dim,
+    # whichever are fewer: under 2^dim bits shifted per pair of the sub search
+    points = []
+    _count_shifts(monkeypatch, "_sub_points", points)
+    paths = set()
     for _ in range(60):
         dim = rng.randint(2, 4)
         top = {2: 6, 3: 4, 4: 3}[dim]
         na, nb, n = rng.randint(1, top), rng.randint(1, top), rng.randint(1, top)
         density = rng.choice((0.05, 0.5, 1.0))
         va, vb = _random_vec(rng, dim, na, density), _random_vec(rng, dim, nb, density)
-        w = max(na, nb)
+        w, k = max(na, nb), na
         checked = (n + 1) ** dim * (w + 1) ** dim
-        assert (n + w + 1) ** dim <= checked
         subs.clear()
+        points.clear()
+        _CountingInt.bits = 0
         vecrep_apply(GateKind.SUB, va, vb, n, max_grid_cells=checked)
-        (box, shifts), = subs
-        stride = n + w + 1  # row-major: the last coordinate is the lowest digit
-        assert box == sum(1 << sum(x * stride ** (dim - 1 - i) for i, x in enumerate(p))
-                          for p in itertools.product(range(n + 1), repeat=dim))
-        assert shifts <= (w + 1) ** dim and shifts * (n + 1) ** dim <= checked
-        assert shifts == sum(map(vb.member, itertools.product(range(w + 1), repeat=dim)))
+        stride = n + k + 1  # row-major: the last coordinate is the lowest digit
+        offset = lambda p: sum(x * stride ** (dim - 1 - i) for i, x in enumerate(p))  # noqa: E731
+        grid = list(itertools.product(range(n + 1), repeat=dim))
+        folded = {tuple(min(v, k) for v in y)
+                  for y in itertools.product(range(w + 1), repeat=dim) if vb.member(y)}
+        if len(folded) <= (n + 1) ** dim:
+            (box, shifts), = subs
+            assert not points and shifts == len(folded)
+            assert box == sum(1 << offset(p) for p in grid)
+        else:
+            (offsets, shifts), = points
+            assert not subs and shifts == (n + 1) ** dim
+            assert offsets == [offset(p) for p in grid]
+        paths.add(bool(subs))
+        assert _CountingInt.bits <= 2**dim * checked
         with pytest.raises(BudgetExceeded, match="sub search"):
             vecrep_apply(GateKind.SUB, va, vb, n, max_grid_cells=checked - 1)
+    assert paths == {True, False}
+
+
+_GRID2 = frozenset(itertools.product(range(3), repeat=2))  # [0, 2]^2
+
+
+def _label_rep(value, cutoff, comp=False):
+    rep = vecrep_from_label(value, dim=2, cutoff=cutoff)
+    return vecrep_apply(GateKind.COMP, rep, None, cutoff) if comp else rep
+
+
+@pytest.mark.parametrize("a, b, cells, inf", [
+    # B far past A: its ~90k witnesses fold onto A's [0, 1]^2
+    ((0, 0, 1, True), (299, 299, 300, True), _GRID2, True),
+    ((0, 0, 1, False), (299, 299, 300, True), {(0, 0)}, False),
+    # A far past n: B's ~90k witnesses outnumber the 9 points of [0, 2]^2
+    ((299, 299, 300, False), (298, 298, 300, True), _GRID2 - {(1, 1)}, False),
+    ((299, 299, 300, False), (298, 298, 300, False), {(1, 1)}, False),
+], ids=["far-B-dense-A", "far-B-sparse-A", "far-A-dense-B", "far-A-sparse-B"])
+def test_vector_sub_far_past_the_result_cutoff_shifts_within_its_check(monkeypatch, a, b, cells, inf):
+    # n = 2 against w = 300: the sub search is 9 x 301^2 pairs, and B's
+    # witnesses or A's cells reach 300; a sub still makes at most 9 shifts,
+    # each of a grid of side n + k + 1, k being A's cutoff
+    counts = []
+    _count_shifts(monkeypatch, "_sub_bits", counts)
+    _count_shifts(monkeypatch, "_sub_points", counts)
+    _CountingInt.bits = 0
+    n, w = 2, 300
+    checked = (n + 1) ** 2 * (w + 1) ** 2
+    got = vecrep_apply(GateKind.SUB, _label_rep((a[0], a[1]), a[2], a[3]),
+                       _label_rep((b[0], b[1]), b[2], b[3]), n, max_grid_cells=checked)
+    assert got == VecSetRep(2, n, frozenset(cells), inf)
+    assert sum(k for _, k in counts) <= (n + 1) ** 2
+    assert _CountingInt.bits <= 4 * checked
 
 
 @pytest.mark.parametrize("budget", [10**7, 2 * 10**7, 3 * 10**7])
