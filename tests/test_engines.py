@@ -359,6 +359,86 @@ class TestSearch:
             search_member(c, 18, budget=EngineBudget(max_memo_entries=3))
 
 
+def _least_memo_budget(run):
+    """The least max_memo_entries at which run(budget) answers.
+
+    A larger budget runs the same search further, so bisection finds it; one
+    less must refuse with the memo kind.
+    """
+    lo, hi = 0, 1
+    while True:
+        try:
+            run(EngineBudget(max_memo_entries=hi))
+            break
+        except BudgetExceeded:
+            lo, hi = hi + 1, hi * 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            run(EngineBudget(max_memo_entries=mid))
+            hi = mid
+        except BudgetExceeded:
+            lo = mid + 1
+    if hi > 0:
+        with pytest.raises(BudgetExceeded) as e:
+            run(EngineBudget(max_memo_entries=hi - 1))
+        assert e.value.kind == "memo"
+    return hi
+
+
+class TestRefusalPoints:
+    """Where each search runs out of its memo budget, pinned per query:
+    search counts stored (gate, value) pairs, certificate counts steps."""
+
+    def test_search(self):
+        rng = random.Random(233)
+        scalars = [bounded_scalar(rng, CLAMPABLE_SCALAR, max_cutoff=30, max_gates=9, max_label=6)
+                   for _ in range(4)]
+        vectors = [bounded_vector(rng, CLAMPABLE_VECTOR, max_cutoff=5, dim=2, max_gates=7,
+                                  max_coord=2) for _ in range(3)]
+        least = [[_least_memo_budget(lambda bud: search_member(c, q, budget=bud))
+                  for q in (0, 3, 7, 20)] for c in scalars]
+        assert least == [[1, 1, 1, 1], [1, 5, 5, 5], [17, 17, 20, 18], [1, 1, 1, 1]]
+        least = [[_least_memo_budget(lambda bud: search_member(c, q, budget=bud))
+                  for q in ((0, 0), (2, 1), (4, 4), INF)] for c in vectors]
+        assert least == [[17, 17, 17, 18], [4, 4, 4, 5], [3, 26, 26, 1]]
+        c = parse_circuit(
+            "circuit v1\ngate 1 input 3\ngate 2 comp 1\n"
+            "gate 3 add 2 2\ngate 4 add 3 3\noutput 4\n"
+        )
+        assert [_least_memo_budget(lambda bud: search_member(c, q, budget=bud))
+                for q in (0, 6, 18)] == [1, 4, 4]
+
+    def test_certificate(self):
+        rng = random.Random(239)
+        ops = (GateKind.UNION, GateKind.INTER, GateKind.ADD, GateKind.MUL, GateKind.DIV)
+        circuits = [random_scalar(rng, ops, max_gates=9, max_label=6) for _ in range(6)]
+        least = [[_least_memo_budget(lambda bud: certificate_search(c, b, bud))
+                  for b in (0, 2, 6, 30)] for c in circuits]
+        # 0: b is past the output's value bound, answered False without a step
+        assert least == [[4, 0, 0, 0], [6, 34, 10, 0], [2, 6, 0, 0], [2, 1, 0, 0],
+                         [7, 14, 30, 52], [3, 2, 0, 0]]
+
+
+class TestSearchModesAgree:
+    """The clamped search and the certificate search on the fragment both
+    accept, {union, inter, add, div} scalar, against the reference."""
+
+    def test_verdicts_and_witnesses(self):
+        rng = random.Random(241)
+        ops = (GateKind.UNION, GateKind.INTER, GateKind.ADD, GateKind.DIV)
+        members = 0
+        for _ in range(60):
+            c = bounded_scalar(rng, ops, max_cutoff=20, max_gates=6, max_label=6)
+            for b in range(structural_cutoff(c)[c.output] + 3):
+                ok, wit, _ = certificate_search(c, b, TIGHT)
+                assert ok == search_member(c, b, budget=TIGHT) == ref_member_scalar(c, b), \
+                    f"b={b}\n{c}"
+                assert verify_certificate(c, b, wit) if ok else wit is None, f"b={b}\n{c}"
+                members += ok
+        assert members > 0
+
+
 def _exact_cover(rng, n, m, planted):
     """An instance over range(n) with m sets of 2-4 elements; planted, some
     of them partition the universe."""
