@@ -35,7 +35,6 @@ from .circuit import (
 from .engines import (
     DEFAULT_BUDGET,
     EngineBudget,
-    applicable_engines,
     decide,
     eval_clamped_scalar,
     eval_clamped_vector,
@@ -280,17 +279,20 @@ def _cmd_gen(args) -> int:
 
 def _cmd_xcheck(args) -> int:
     c = _load_circuit(args.circuit)
-    engines = applicable_engines(c)
-    problems = xcheck_circuit(c, max_b=args.max_b, cutoff_mode=args.cutoff_mode, budget=_budget(args))
-    if len(engines) < 2:
-        print(f"nothing to cross-check: only {engines[0]} applies")
+    res = xcheck_circuit(c, max_b=args.max_b, cutoff_mode=args.cutoff_mode, budget=_budget(args))
+    engines = ", ".join(res.answered)
+    out_of_budget = f"; {', '.join(res.abstained)} ran out of budget" if res.abstained else ""
+    if len(res.answered) < 2:  # answered is empty only where some engine abstained
+        ran = f"only {engines}" if engines else "no engine"
+        verb = "answered" if res.abstained else "applies"
+        print(f"nothing to cross-check: {ran} {verb}{out_of_budget}")
         return EXIT_OK
-    if problems:
-        for p in problems:
+    if res.problems:
+        for p in res.problems:
             print(f"DISAGREE {p}")
-        print(f"{len(problems)} disagreement(s) across engines: {', '.join(engines)}")
+        print(f"{len(res.problems)} disagreement(s) across engines: {engines}{out_of_budget}")
         return EXIT_DISAGREE
-    print(f"agree: engines {', '.join(engines)} on {args.circuit}")
+    print(f"agree: engines {engines} on {args.circuit}{out_of_budget}")
     return EXIT_OK
 
 

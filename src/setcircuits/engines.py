@@ -15,16 +15,17 @@ Each engine decides "is b in I(C)?" for a class of circuits:
   gate's cutoff, structural or certified, reads only the gates that feed
   it, so every table the output reads is the one the whole circuit gives,
   and a gate that feeds nothing costs no grid work and no budget.
-* search_member: the same fragments as the clamped engines, but top-down: a
-  memoized search over (gate, clamped query value) that unfolds the set
-  definitions, guessing decompositions at add/div/sub. It runs on an
-  explicit stack (_trampoline), as does the certificate search, so circuit
-  depth is not bounded by Python's recursion limit. It shares no set
-  representation with the clamped evaluators, so xcheck_circuit uses it as
-  their independent check.
-* certificate_search / verify_certificate: comp-free fragments; a memoized
-  depth-first search over (gate, value) pairs of the circuit whose recorded
-  choices are a checkable witness.
+* search_member / certificate_search: one memoized top-down search over
+  (gate, value) pairs (_Search) that unfolds the set definitions, guessing
+  decompositions at add, mul, div and sub. Its two modes differ in the value
+  bound, fixed when the search starts. search_member, on the clamped
+  engines' fragments, clamps each value at its gate's cutoff, so the state
+  space is finite; it shares no set representation with the clamped
+  evaluators, so xcheck_circuit uses it as their independent check.
+  certificate_search, on comp-free scalar fragments, answers a value past
+  its gate's interval bound False; its recorded choices are a witness that
+  verify_certificate checks. The search runs on an explicit stack
+  (_trampoline), so circuit depth is not bounded by Python's recursion limit.
 
 The engine table _ENGINES is the one place an engine's domain, fragment,
 preparation and route are declared; decide(), applicable_engines() and
@@ -241,17 +242,32 @@ def eval_clamped_vector(
 
 
 # ---------------------------------------------------------------------------
-# top-down membership search
+# top-down search over (gate, value) pairs
 
-class _SearchState:
-    __slots__ = ("c", "prof", "budget", "memo", "nonempty_memo")
+class _Search:
+    """One memoized top-down search: whether a gate can take a value, asked
+    for (gate, value) pairs from the output down.
 
-    def __init__(self, c, prof, budget):
+    Its value bound, fixed here, is what sets its two modes apart:
+    * clamped (search_member): top maps each gate to its cutoff. A value is
+      clamped at its gate's cutoff, and the budget counts stored pairs.
+    * bounded (certificate_search): top maps each gate to a sound upper bound
+      on its values (_cert_value_bounds). A value past it is answered False
+      without being opened, and the budget counts steps.
+    The bound also sets the divisors div tries and the values _some scans.
+    """
+
+    __slots__ = ("c", "top", "clamp", "limit", "memo", "some_memo", "used", "steps")
+
+    def __init__(self, c, top, clamp, budget):
         self.c = c
-        self.prof = prof
-        self.budget = budget
+        self.top = top  # gate id -> the value bound
+        self.clamp = clamp
+        self.limit = budget.max_memo_entries
         self.memo: dict = {}
-        self.nonempty_memo: dict = {}
+        self.some_memo: dict = {}
+        self.used: dict = {}  # (gate id, value) found true -> the operand pairs it used
+        self.steps = 0
 
 
 def search_member(
@@ -260,9 +276,9 @@ def search_member(
     mode: CutoffMode | str = _STRUCTURAL,
     budget: EngineBudget = DEFAULT_BUDGET,
 ) -> bool:
-    """Decide x in I(C) by memoized top-down search over (gate, clamped value).
+    """Decide x in I(C) by the top-down search over (gate, clamped value).
 
-    Queries are clamped at each gate's cutoff before dispatch, so the state
+    Values are clamped at each gate's cutoff before dispatch, so the state
     space is finite; decompositions at add (a + b = x), div (w and w*x) and
     sub (x + y) are enumerated inside exact bounds mirroring the clamped
     representations. comp is plain logical negation of the predecessor query.
@@ -273,13 +289,59 @@ def search_member(
 
 def _prepare_search(c, mode, budget):
     """One memo shared by every query; the fragment is the caller's to check."""
-    st = _SearchState(c, cutoff_profile(c, mode), budget)
+    st = _Search(c, cutoff_profile(c, mode).cutoffs, True, budget)
 
     def member(x):
-        res = _search(st, c.output, x)
-        return res, {"memo_entries": len(st.memo) + len(st.nonempty_memo)}, None
+        res = _run(st, (c.output, x))
+        return res, {"memo_entries": len(st.memo) + len(st.some_memo)}, None
 
     return member
+
+
+def certificate_search(c: Circuit, b: int, budget: EngineBudget = DEFAULT_BUDGET):
+    """Search the choices that show b in I(C), on the circuit itself.
+
+    The search of search_member, with each value bounded by interval
+    arithmetic over the gates (union is max, inter is min, quotients never
+    exceed the dividend) rather than clamped, so the search is complete.
+    Each pair found true records the operand pairs it used, and the witness
+    is those records read from (output, b): it maps each (gate id, value)
+    pair it holds to its operand pairs, () for an input, one pair for union
+    and one pair per predecessor, in pred order, for inter, add, mul and
+    div. Returns (member, witness or None, stats).
+    """
+    require_fragment(c, EXACT_SCALAR, "certificate search", vector=False)
+    st = _Search(c, _cert_value_bounds(c), False, budget)
+    ok = _run(st, (c.output, b))
+    witness = None
+    if ok:
+        witness = {}
+        todo = [(c.output, b)]
+        while todo:
+            pair = todo.pop()
+            if pair not in witness:
+                witness[pair] = st.used[pair]
+                todo += reversed(witness[pair])
+    return ok, witness, {"memo_entries": len(st.memo), "steps": st.steps}
+
+
+def _cert_value_bounds(c: Circuit) -> dict:
+    """Sound per-gate upper bounds by interval arithmetic (comp-free scalar)."""
+    ub: dict = {}
+    for gid, kind, preds, value in c.gates:
+        if kind is _INPUT:
+            ub[gid] = value
+        elif kind is _UNION:
+            ub[gid] = max(ub[preds[0]], ub[preds[1]])
+        elif kind is _INTER:
+            ub[gid] = min(ub[preds[0]], ub[preds[1]])
+        elif kind is _ADD:
+            ub[gid] = ub[preds[0]] + ub[preds[1]]
+        elif kind is _MUL:
+            ub[gid] = ub[preds[0]] * ub[preds[1]]
+        else:  # DIV: a quotient never exceeds its dividend
+            ub[gid] = ub[preds[0]]
+    return ub
 
 
 def _trampoline(req, enter, memo):
@@ -316,256 +378,146 @@ def _trampoline(req, enter, memo):
                     memo[key] = res
 
 
-def _search(st: _SearchState, gid: int, x) -> bool:
-    memo, prof, gate, limit = st.memo, st.prof, st.c.gate, st.budget.max_memo_entries
-    vector = st.c.vector
+def _run(st: _Search, req):
+    """Answer one request of the search (see _trampoline): a (gate, value)
+    pair, answered True when the gate can take the value, or a _some frame."""
+    memo, top, gate, clamp, vector = st.memo, st.top, st.c.gate, st.clamp, st.c.vector
 
     def enter(req):
         gid, v = req
-        n = prof[gid]
-        if not vector:
+        n = top[gid]
+        if not clamp:
+            if v < 0 or v > n:
+                return None, False
+        elif not vector:
             v = min(v, n)
         elif v is not INF:
             v = tuple(min(x, n) for x in v)
         key = (gid, v)
         if key in memo:
             return None, memo[key]
-        if len(memo) >= limit:
+        if not clamp:
+            _step(st)
+        elif len(memo) >= st.limit:
             raise BudgetExceeded("memo", "membership search state space")
-        return _search_frame(st, gate(gid), v), key
-
-    return _trampoline((gid, x), enter, memo)
-
-
-def _search_frame(st: _SearchState, g, v):
-    """Frame: whether the clamped value v is in I(g), scalar or vector."""
-    kind = g.kind
-    if kind is _INPUT:
-        return v == g.value or (v is INF and g.value is INF)
-    if kind is _UNION:
-        return (yield (g.preds[0], v)) or (yield (g.preds[1], v))
-    if kind is _INTER:
-        return (yield (g.preds[0], v)) and (yield (g.preds[1], v))
-    if kind is _COMP:
-        return not (yield (g.preds[0], v))
-    if kind is _ADD and st.c.vector:
-        return (yield from _search_vec_add(st, g, v))
-    if kind is _ADD:
-        p1, p2 = g.preds
-        for a in range(v + 1):
-            if (yield (p2, a)) and (yield (p1, v - a)):
-                return True
-        return False
-    if kind is _DIV:
-        p1, p2 = g.preds
-        wmax = max(st.prof[p1], st.prof[p2]) + 1
-        for w in range(1, wmax + 1):
-            if (yield (p2, w)) and (yield (p1, v * w)):
-                return True
-        return False
-    if kind is _SUB:
-        return (yield from _search_vec_sub(st, g, v))
-    raise FragmentError(f"membership search cannot handle {kind}")
-
-
-def _search_vec_add(st, g, v):
-    p1, p2 = g.preds
-    if v is INF:
-        return ((yield (p1, INF)) and (yield _vec_nonempty(st, p2, with_inf=True))) or (
-            (yield (p2, INF)) and (yield _vec_nonempty(st, p1, with_inf=True))
-        )
-    for y in itertools.product(*(range(x + 1) for x in v)):
-        if (yield (p2, y)) and (yield (p1, tuple(a - b for a, b in zip(v, y)))):
-            return True
-    return False
-
-
-def _search_vec_sub(st, g, v):
-    p1, p2 = g.preds
-    if v is INF:
-        return (yield (p1, INF)) and (yield _vec_nonempty(st, p2, with_inf=False))
-    w = max(st.prof[p1], st.prof[p2])
-    dims = st.c.dim
-    for y in itertools.product(range(w + 1), repeat=dims):
-        if (yield (p2, y)) and (yield (p1, tuple(a + b for a, b in zip(v, y)))):
-            return True
-    return False
-
-
-def _vec_nonempty(st: _SearchState, gid: int, with_inf: bool):
-    """Frame: whether I(gid) has any finite element (optionally counting inf too)."""
-    key = (gid, with_inf)
-    if key in st.nonempty_memo:
-        return st.nonempty_memo[key]
-    n = st.prof[gid]
-    res = with_inf and (yield (gid, INF))
-    if not res:
-        for p in itertools.product(range(n + 1), repeat=st.c.dim):
-            if (yield (gid, p)):
-                res = True
-                break
-    st.nonempty_memo[key] = res
-    return res
-
-
-# ---------------------------------------------------------------------------
-# certificates for comp-free circuits
-
-class _CertState:
-    __slots__ = ("c", "ub", "budget", "memo", "any_memo", "used", "steps")
-
-    def __init__(self, c, ub, budget):
-        self.c = c
-        self.ub = ub  # gate id -> sound upper bound on the gate's values
-        self.budget = budget
-        self.memo: dict = {}
-        self.any_memo: dict = {}
-        self.used: dict = {}  # (gate id, value) found true -> the operand pairs it used
-        self.steps = 0
-
-
-def certificate_search(c: Circuit, b: int, budget: EngineBudget = DEFAULT_BUDGET):
-    """Search the choices that show b in I(C), on the circuit itself.
-
-    A memoized depth-first search asks whether a gate can take a value, for
-    (gate, value) pairs from (output, b) down. Interval arithmetic over the
-    gates (union is max, inter is min, quotients never exceed the dividend)
-    caps every guess, so the search is complete. Each pair found true records
-    the operand pairs it used, and the witness is those records read from
-    (output, b): it maps each (gate id, value) pair it holds to its operand
-    pairs, () for an input, one pair for union and one pair per predecessor,
-    in pred order, for inter, add, mul and div. Returns
-    (member, witness or None, stats).
-    """
-    require_fragment(c, EXACT_SCALAR, "certificate search", vector=False)
-    st = _CertState(c, _cert_value_bounds(c), budget)
-    ok = _cert_run(st, (c.output, b))
-    witness = None
-    if ok:
-        witness = {}
-        todo = [(c.output, b)]
-        while todo:
-            pair = todo.pop()
-            if pair not in witness:
-                witness[pair] = st.used[pair]
-                todo += reversed(witness[pair])
-    return ok, witness, {"memo_entries": len(st.memo), "steps": st.steps}
-
-
-def _cert_value_bounds(c: Circuit) -> dict:
-    """Sound per-gate upper bounds by interval arithmetic (comp-free scalar)."""
-    ub: dict = {}
-    for gid, kind, preds, value in c.gates:
-        if kind is _INPUT:
-            ub[gid] = value
-        elif kind is _UNION:
-            ub[gid] = max(ub[preds[0]], ub[preds[1]])
-        elif kind is _INTER:
-            ub[gid] = min(ub[preds[0]], ub[preds[1]])
-        elif kind is _ADD:
-            ub[gid] = ub[preds[0]] + ub[preds[1]]
-        elif kind is _MUL:
-            ub[gid] = ub[preds[0]] * ub[preds[1]]
-        else:  # DIV: a quotient never exceeds its dividend
-            ub[gid] = ub[preds[0]]
-    return ub
-
-
-def _cert_step(st: _CertState):
-    st.steps += 1
-    if st.steps > st.budget.max_memo_entries:
-        raise BudgetExceeded("memo", "certificate search steps")
-
-
-def _cert_run(st: _CertState, req):
-    """Answer one request of the certificate search (see _trampoline): a
-    (gate, value) pair, answered True when the gate can take the value, or a
-    _cert_any frame."""
-    memo, ub, gate = st.memo, st.ub, st.c.gate
-
-    def enter(req):
-        gid, v = req
-        if v < 0 or v > ub[gid]:
-            return None, False
-        key = (gid, v)
-        if key in memo:
-            return None, memo[key]
-        _cert_step(st)
-        return _cert_can(st, gate(gid), v), key
+        return _frame(st, gate(gid), v), key
 
     return _trampoline(req, enter, memo)
 
 
-def _cert_can(st: _CertState, g, v: int):
+def _step(st: _Search):
+    st.steps += 1
+    if st.steps > st.limit:
+        raise BudgetExceeded("memo", "certificate search steps")
+
+
+def _frame(st: _Search, g, v):
     """Frame: whether gate g can take the value v. When it can, the operand
-    pairs it used are recorded at st.used[g.gid, v]."""
+    pairs it used are recorded at st.used[g.gid, v]; comp, which only the
+    clamped mode reaches, records none."""
     kind = g.kind
+    pairs = None
     if kind is _INPUT:
-        pairs = () if v == g.value else None
+        if v == g.value:
+            pairs = ()
+    elif kind is _COMP:
+        return not (yield (g.preds[0], v))
     else:
         p1, p2 = g.preds
-        pairs = None
-    if kind is _UNION:
-        if (yield (p1, v)):
-            pairs = ((p1, v),)
-        elif (yield (p2, v)):
-            pairs = ((p2, v),)
-    elif kind is _INTER:
-        if (yield (p1, v)) and (yield (p2, v)):
-            pairs = ((p1, v), (p2, v))
-    elif kind is _ADD:
-        for a in range(v + 1):
-            if (yield (p2, a)) and (yield (p1, v - a)):
-                pairs = ((p1, v - a), (p2, a))
-                break
-    elif kind is _MUL and v == 0:
-        if (yield (p1, 0)) and (w := (yield _cert_any(st, p2))) is not None:
-            pairs = ((p1, 0), (p2, w))
-        elif (yield (p2, 0)) and (w := (yield _cert_any(st, p1))) is not None:
-            pairs = ((p1, w), (p2, 0))
-    elif kind is _MUL:
-        for d in range(1, math.isqrt(v) + 1):
-            if v % d:
-                continue
-            _cert_step(st)
-            e = v // d
-            if (yield (p1, d)) and (yield (p2, e)):
-                pairs = ((p1, d), (p2, e))
-                break
-            if d != e and (yield (p1, e)) and (yield (p2, d)):
-                pairs = ((p1, e), (p2, d))
-                break
-    elif kind is _DIV and v == 0:  # 0 = a/w exactly when a = 0 and some nonzero w is available
-        if (yield (p1, 0)) and (w := (yield _cert_any(st, p2, nonzero=True))) is not None:
-            pairs = ((p1, 0), (p2, w))
-    elif kind is _DIV:
-        for w in range(_cert_low(st, p2, 1), min(st.ub[p2], st.ub[p1] // v) + 1):
-            _cert_step(st)
-            if (yield (p2, w)) and (yield (p1, v * w)):
-                pairs = ((p1, v * w), (p2, w))
-                break
+        if kind is _UNION:
+            if (yield (p1, v)):
+                pairs = ((p1, v),)
+            elif (yield (p2, v)):
+                pairs = ((p2, v),)
+        elif kind is _INTER:
+            if (yield (p1, v)) and (yield (p2, v)):
+                pairs = ((p1, v), (p2, v))
+        elif v is INF or v == 0 and kind is not _ADD and not st.clamp:
+            # v absorbs the operation (x + inf, inf - y, x * 0, 0 / w), so its
+            # operands are unbounded: ask v of one and some value of the other.
+            # The clamped mode bounds div's divisors at 0 too, and loops below.
+            either = kind is _ADD or kind is _MUL  # commutative: v on either side
+            if (yield (p1, v)) and (w := (yield _some(st, p2, either))) is not None:
+                pairs = ((p1, v), (p2, w))
+            elif either and (yield (p2, v)) and (w := (yield _some(st, p1, True))) is not None:
+                pairs = ((p1, w), (p2, v))
+        elif kind is _MUL:  # the bounded mode only: each divisor d up to sqrt(v) is a step
+            for d in range(1, math.isqrt(v) + 1):
+                if v % d:
+                    continue
+                _step(st)
+                e = v // d
+                if (yield (p1, d)) and (yield (p2, e)):
+                    pairs = ((p1, d), (p2, e))
+                    break
+                if d != e and (yield (p1, e)) and (yield (p2, d)):
+                    pairs = ((p1, e), (p2, d))
+                    break
+        else:  # add, div, sub: the second operand's value first
+            for x, y in _operands(st, kind, p1, p2, v):
+                if (yield (p2, y)) and (yield (p1, x)):
+                    pairs = ((p1, x), (p2, y))
+                    break
     if pairs is None:
         return False
     st.used[g.gid, v] = pairs
     return True
 
 
-def _cert_any(st: _CertState, gid: int, nonzero: bool = False):
-    """Frame: some value v with v in I(gid) (nonzero if asked), or None."""
-    key = (gid, nonzero)
-    if key in st.any_memo:
-        return st.any_memo[key]
+def _operands(st: _Search, kind, p1: int, p2: int, v):
+    """The operand values (x of p1, y of p2) that add, div or sub (the clamped
+    mode only) turn into v, in the order the search tries them. x and y run in
+    lockstep: for add, x = v - y counts down as y counts up. div's divisors
+    run up to the value bound, a step each in the bounded mode."""
+    top = st.top
+    if kind is _ADD and not st.c.vector:
+        return zip(range(v, -1, -1), range(v + 1))
+    grid = itertools.product
+    if kind is _ADD:
+        return zip(grid(*(range(x, -1, -1) for x in v)), grid(*(range(x + 1) for x in v)))
+    w = max(top[p1], top[p2])
+    if kind is _SUB:
+        return zip(grid(*(range(x, x + w + 1) for x in v)), grid(range(w + 1), repeat=st.c.dim))
+    if st.clamp:
+        return zip(map(v.__mul__, range(1, w + 2)), range(1, w + 2))
+    ws = range(_low(st, p2, 1), min(top[p2], top[p1] // v) + 1)
+    return _ticked(st, zip(map(v.__mul__, ws), ws))
+
+
+def _some(st: _Search, gid: int, with_z: bool):
+    """Frame: some value of gid, or None.
+
+    The scan asks z, the value that absorbs (INF for vectors, 0 for scalars),
+    first if with_z and never otherwise, then the other values up to the
+    gate's bound: its clamped grid (the clamped mode scans only vector gates)
+    or the integers, a step each.
+    """
+    key = (gid, with_z)
+    if key in st.some_memo:
+        return st.some_memo[key]
+    if st.clamp:
+        values = itertools.product(range(st.top[gid] + 1), repeat=st.c.dim)
+        if with_z:
+            values = itertools.chain((INF,), values)
+    else:
+        values = _ticked(st, range(_low(st, gid, 0 if with_z else 1), st.top[gid] + 1))
     found = None
-    for v in range(_cert_low(st, gid, 1 if nonzero else 0), st.ub[gid] + 1):
-        _cert_step(st)
+    for v in values:
         if (yield (gid, v)):
             found = v
             break
-    st.any_memo[key] = found
+    st.some_memo[key] = found
     return found
 
 
-def _cert_low(st: _CertState, gid: int, low: int) -> int:
+def _ticked(st: _Search, values):
+    """values, each one a step of the bounded mode."""
+    for v in values:
+        _step(st)
+        yield v
+
+
+def _low(st: _Search, gid: int, low: int) -> int:
     """Where a scan of gid's values, from low up to its bound, starts. An
     input gate's only value is its label, which is also its bound: the scan
     starts there, and is empty when the label is below low."""
@@ -821,20 +773,31 @@ def applicable_engines(c: Circuit) -> list[str]:
     ]
 
 
+class CrossCheck(namedtuple("CrossCheck", "problems answered abstained")):
+    """What xcheck_circuit found: (problems, answered, abstained).
+
+    problems holds one line per query on which the engines that answered it
+    disagree. answered lists the applicable engines that answered some query,
+    in table order: the check compared something only if it holds two.
+    abstained lists the others, whose budget ran out.
+    """
+
+    __slots__ = ()
+
+
 def xcheck_circuit(
     c: Circuit,
     max_b: int = 24,
     cutoff_mode: CutoffMode | str = _STRUCTURAL,
     budget: EngineBudget = DEFAULT_BUDGET,
-) -> list[str]:
+) -> CrossCheck:
     """Run every applicable engine on a shared query range; report disagreements.
 
     Scalar circuits probe b in [0, max_b]; vector circuits probe the grid up
     to min(max_b, output cutoff + 2) per coordinate, plus inf. Each engine is
     prepared once and probed with every query; an engine whose budget runs
-    out abstains. Returns human-readable disagreement lines (empty means
-    every engine that ran agrees). A negative max_b raises ValueError and a
-    fragment decide() refuses raises its OpenFragmentError.
+    out abstains, at prepare or at a query. A negative max_b raises
+    ValueError and a fragment decide() refuses raises its OpenFragmentError.
     """
     if max_b < 0:
         raise ValueError(f"max_b must be a natural number, got {max_b}")
@@ -842,9 +805,6 @@ def xcheck_circuit(
         cutoff_mode = CutoffMode(cutoff_mode)  # also fails where no engine uses a cutoff
     pick_engine(c)  # raises OpenFragmentError where decide() would
     names = applicable_engines(c)
-    if len(names) < 2:
-        return []
-    problems = []
     if c.vector:
         top = min(max_b, structural_cutoff(c)[c.output] + 2)
         queries = list(itertools.product(range(top + 1), repeat=c.dim)) + [INF]
@@ -856,6 +816,7 @@ def xcheck_circuit(
             members.append((name, _ENGINES[name, c.vector].prepare(c, cutoff_mode, budget)))
         except BudgetExceeded:
             continue
+    problems, answered = [], set()
     for q in queries:
         got = {}
         for name, member in members:
@@ -863,7 +824,9 @@ def xcheck_circuit(
                 got[name] = member(q)[0]
             except BudgetExceeded:
                 continue
+        answered.update(got)
         if len(set(got.values())) > 1:
             desc = ", ".join(f"{e}={v}" for e, v in sorted(got.items()))
             problems.append(f"query {q}: {desc}")
-    return problems
+    return _new(CrossCheck, (problems, [n for n in names if n in answered],
+                             [n for n in names if n not in answered]))

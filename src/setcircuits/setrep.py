@@ -356,8 +356,9 @@ def _pack(rep: VecSetRep, m: int, s: int) -> int:
     Point p is bit sum(p[i] * s**(dim - 1 - i)). For m >= the rep's cutoff k
     every bit is literal: past k the rep is constant along each axis, so each
     axis's slab at coordinate k is copied over k + 1 .. m, one axis after
-    another. For m < k the rep is folded: coordinate m stands for every
-    value >= m, and its bit is set when some point of that class is in rep.
+    another, by doubling the copied block: about log2(m - k) shifts an axis.
+    For m < k the rep is folded: coordinate m stands for every value >= m,
+    and its bit is set when some point of that class is in rep.
     """
     dim, k, cells, _ = rep
     if dim == 1:
@@ -379,9 +380,12 @@ def _pack(rep: VecSetRep, m: int, s: int) -> int:
             while period < size:
                 slab |= slab << period
                 period *= 2
-            slab &= x
-            for j in range(1, m - k + 1):
-                x |= slab << (j * t)
+            block, width = slab & x, 1  # block holds coordinates k .. k + width - 1
+            while width <= m - k:  # a shift of at most width never passes coordinate m
+                shift = min(width, m - k + 1 - width)
+                block |= block << (shift * t)
+                width += shift
+            x |= block
     return x
 
 

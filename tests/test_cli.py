@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from setcircuits import GateKind, parse_circuit, serialize_circuit
+from setcircuits import CrossCheck, GateKind, parse_circuit, serialize_circuit
 from setcircuits.cli import main
 
 from circgen import deep_chain
@@ -391,6 +391,16 @@ class TestXcheck:
         assert main(["xcheck", circ(PRIMES_TEXT), "--max-b", "30"]) == 0
         assert capsys.readouterr().out == "nothing to cross-check: only clamped-vector applies\n"
 
+    def test_an_engine_out_of_budget_is_not_said_to_agree(self, circ, capsys):
+        # clamped-vector runs out of grid cells at prepare; only search answers
+        p = circ("vcircuit v1 dim 2\ngate 1 input 3,3\ngate 2 comp 1\ngate 3 add 2 2\noutput 3\n")
+        assert main(["xcheck", p, "--max-b", "3", "--max-grid-cells", "20"]) == 0
+        assert capsys.readouterr().out == (
+            "nothing to cross-check: only search answered; clamped-vector ran out of budget\n")
+        assert main(["xcheck", p, "--max-b", "3", "--max-grid-cells", "20", "--max-memo", "0"]) == 0
+        assert capsys.readouterr().out == ("nothing to cross-check: no engine answered; "
+                                           "clamped-vector, search ran out of budget\n")
+
     def test_open_fragment_is_exit_4(self, circ, capsys):
         assert main(["xcheck", circ(OPEN_TEXT)]) == 4
         captured = capsys.readouterr()
@@ -408,9 +418,8 @@ class TestXcheck:
     def test_disagreement_is_exit_1(self, circ, capsys, monkeypatch):
         import setcircuits.cli as cli_mod
 
-        monkeypatch.setattr(
-            cli_mod, "xcheck_circuit", lambda c, **kw: ["b=3: clamped-scalar=True search=False"]
-        )
+        monkeypatch.setattr(cli_mod, "xcheck_circuit", lambda c, **kw: CrossCheck(
+            ["b=3: clamped-scalar=True search=False"], ["clamped-scalar", "search"], []))
         assert main(["xcheck", circ(NATS_TEXT)]) == 1
         out = capsys.readouterr().out
         assert "disagree" in out.lower()

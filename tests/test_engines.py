@@ -237,7 +237,7 @@ class TestClampedVector:
                 rep = reps[g.gid]
                 for x in [(v,) for v in range(rep.cutoff + 3)] + [INF]:
                     assert rep.member(x) == ref_member_vector(upto, x), f"gate {g.gid} x={x}\n{c}"
-            assert xcheck_circuit(c, max_b=8, budget=TIGHT) == [], str(c)
+            assert xcheck_circuit(c, max_b=8, budget=TIGHT).problems == [], str(c)
 
     def test_mul_and_div_cannot_reach_it(self):
         # multiplicative gates are rejected when the vector circuit is built,
@@ -942,7 +942,17 @@ class TestXcheck:
             "vcircuit v1 dim 2\ngate 1 input 1,2\ngate 2 comp 1\ngate 3 sub 2 1\noutput 3\n",
         ]
         for text in texts:
-            assert xcheck_circuit(parse_circuit(text), max_b=10, budget=TIGHT) == []
+            assert xcheck_circuit(parse_circuit(text), max_b=10, budget=TIGHT).problems == []
+
+    def test_an_engine_out_of_budget_abstains(self):
+        # clamped-vector needs (5 + 1)^2 grid cells at gate 1; search needs none
+        c = parse_circuit(
+            "vcircuit v1 dim 2\ngate 1 input 3,3\ngate 2 comp 1\ngate 3 add 2 2\noutput 3\n"
+        )
+        res = xcheck_circuit(c, max_b=3, budget=EngineBudget(max_grid_cells=20))
+        assert res == ([], ["search"], ["clamped-vector"])
+        assert (res.problems, res.answered, res.abstained) == res
+        assert xcheck_circuit(c, max_b=3) == ([], ["clamped-vector", "search"], [])
 
     def test_unknown_cutoff_mode_refused(self):
         # no engine applicable to mul + add uses a cutoff, so the mode is checked up front
@@ -951,7 +961,7 @@ class TestXcheck:
         )
         with pytest.raises(ValueError):
             xcheck_circuit(c, max_b=4, cutoff_mode="bogus")
-        assert xcheck_circuit(c, max_b=4, cutoff_mode="certified") == []
+        assert xcheck_circuit(c, max_b=4, cutoff_mode="certified").problems == []
 
     def test_vector_image_built_once_per_circuit(self, monkeypatch):
         calls = []
@@ -970,7 +980,7 @@ class TestXcheck:
         c = parse_circuit(
             "circuit v1\ngate 1 input 6\ngate 2 input 10\ngate 3 union 1 2\ngate 4 mul 3 3\noutput 4\n"
         )
-        assert xcheck_circuit(c, max_b=12) == []
+        assert xcheck_circuit(c, max_b=12).problems == []
         assert sorted(calls) == ["to_vector_gcdfree", "to_vector_primefact"]
 
     @pytest.mark.parametrize(
@@ -1000,7 +1010,7 @@ class TestXcheck:
         monkeypatch.setitem(
             engines._ENGINES, (name, c.vector), dataclasses.replace(row, prepare=prepare)
         )
-        problems = xcheck_circuit(c, max_b=6, budget=TIGHT)
+        problems = xcheck_circuit(c, max_b=6, budget=TIGHT).problems
         if c.vector:
             top = min(6, structural_cutoff(c)[c.output] + 2)
             assert len(problems) == (top + 1) ** 2 + 1
@@ -1014,7 +1024,7 @@ class TestXcheck:
         rng = random.Random(157)
         for _ in range(25):
             c = bounded_scalar(rng, CLAMPABLE_SCALAR, max_cutoff=14, max_gates=5, max_label=5)
-            assert xcheck_circuit(c, max_b=8, budget=TIGHT) == [], str(c)
+            assert xcheck_circuit(c, max_b=8, budget=TIGHT).problems == [], str(c)
         for _ in range(10):
             c = bounded_vector(rng, CLAMPABLE_VECTOR, max_cutoff=6, dim=2, max_gates=4, max_coord=2)
-            assert xcheck_circuit(c, max_b=4, budget=TIGHT) == [], str(c)
+            assert xcheck_circuit(c, max_b=4, budget=TIGHT).problems == [], str(c)

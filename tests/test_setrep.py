@@ -7,7 +7,7 @@ import pytest
 
 from setcircuits import INF, GateKind, NatSetRep, VecSetRep, exact_apply, natrep_apply, vecrep_apply
 from setcircuits.errors import BudgetExceeded
-from setcircuits.setrep import vecrep_from_label
+from setcircuits.setrep import _pack, vecrep_from_label
 
 # ---------------------------------------------------------------------------
 # exact frozenset algebra
@@ -501,6 +501,26 @@ def test_sub_matches_the_point_definition(dim):
         got = vecrep_apply(GateKind.SUB, a, b, n)
         assert got == _sub_by_points(a, b, n), (a, b, n)
         assert type(got.inf) is bool
+
+
+@pytest.mark.parametrize("dim, n, ka, kb", [
+    (2, 37, 1, 1), (2, 20, 3, 2), (2, 1, 13, 1), (2, 2, 10, 3),
+    (3, 11, 1, 1), (3, 6, 2, 1), (3, 1, 8, 1),
+])
+def test_vector_sub_unfolds_far_past_a_cutoff(dim, n, ka, kb):
+    # A is unfolded from its cutoff ka to n + ka and B from kb to ka, both at
+    # stride n + ka + 1: the slab at a cutoff is copied over every coordinate
+    # up to the unfold's end, and not into the padding past it
+    rng = random.Random(f"far-unfold-{dim}-{n}-{ka}-{kb}")
+    s = n + ka + 1
+    for _ in range(3):
+        a = _random_vec(rng, dim, ka, 0.5)._replace(inf=rng.random() < 0.5)
+        b = _random_vec(rng, dim, kb, 0.3)
+        assert vecrep_apply(GateKind.SUB, a, b, n) == _sub_by_points(a, b, n), (a, b, n)
+        for rep, m in ((a, n + ka), (b, ka)):
+            want = sum(1 << sum(v * s**e for v, e in zip(p, range(dim - 1, -1, -1)))
+                       for p in itertools.product(range(m + 1), repeat=dim) if rep.member(p))
+            assert _pack(rep, m, s) == want, (rep, m)
 
 
 class _CountingInt(int):
