@@ -379,8 +379,8 @@ def _trampoline(req, enter, memo):
 
 
 def _run(st: _Search, req):
-    """Answer one request of the search (see _trampoline): a (gate, value)
-    pair, answered True when the gate can take the value, or a _some frame."""
+    """Whether the gate of the (gate, value) pair req can take the value,
+    by the frames below on _trampoline's stack."""
     memo, top, gate, clamp, vector = st.memo, st.top, st.c.gate, st.clamp, st.c.vector
 
     def enter(req):
