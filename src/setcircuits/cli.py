@@ -4,8 +4,8 @@ Subcommands:
 
 * validate   parse a circuit file and report its shape
 * member     decide one membership query
-* eval       print every gate's set on decide's route (exact, clamped, or the
-             clamped prime-factor image of a comp+mul scalar circuit)
+* eval       print every gate's set on decide's route (exact, clamped, or on
+             the gcd-free or prime-factor image of a scalar circuit with mul)
 * bounds     print per-gate cutoffs and, where defined, the value bound
 * transform  rewrite a circuit (vectorize, eliminate inter, push comp, expand)
 * gen        build a circuit from a combinatorial instance (JSON)
@@ -21,12 +21,13 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import CutoffMode, cutoff_profile, value_bound
+from .bounds import cutoff_profile, value_bound
 from .circuit import (
     INF,
     Circuit,
     CircuitError,
     GateKind,
+    _shown,
     fragment_of,
     parse_circuit,
     parse_nat,
@@ -142,7 +143,8 @@ def _cmd_member(args) -> int:
 
 
 def _format_elems(elems, cap: int) -> str:
-    parts = ["(" + ",".join(map(str, e)) + ")" if isinstance(e, tuple) else str(e)
+    # a number past str()'s digit limit shows as a stand-in
+    parts = ["(" + ",".join(map(_shown, e)) + ")" if isinstance(e, tuple) else _shown(e)
              for e in elems[:cap]]
     if len(elems) > cap:
         parts.append(f"... (+{len(elems) - cap} more)")
@@ -151,26 +153,26 @@ def _format_elems(elems, cap: int) -> str:
 
 def _cmd_eval(args) -> int:
     """Print the sets of the route decide() takes: a comp-free circuit's exact
-    sets, a comp circuit's clamped tables, and for a scalar circuit on the
-    clamped-vector route the tables of its prime-factor image."""
+    sets and a comp circuit's clamped tables. A scalar circuit on a vector row
+    is decided on its image, gcd-free or prime-factor, so that image's sets
+    are printed, after a line naming it."""
     c = _load_circuit(args.circuit)
     route = pick_engine(c)  # OpenFragmentError on the open fragment
     budget = _budget(args)
     cap = args.upto
-    table = "clamped"
+    image = ""
+    if route.endswith("-vector") and not c.vector:  # a scalar circuit's vector rows read its image
+        c, _, emap = (to_vector_primefact if route == "clamped-vector" else to_vector_gcdfree)(c, 0)
+        print(f"image {emap.kind} base={_format_elems(emap.base, len(emap.base))} dim={c.dim}")
+        image = " prime-factor image" if emap.kind == "prime-factors" else " gcd-free image"
     if route not in ("clamped-scalar", "clamped-vector"):  # every other route is comp-free
         sets = eval_exact(c, budget)
         for g in c.gates:
             elems = sorted(sets[g.gid], key=lambda e: (e is INF, e))
             print(f"gate {g.gid} {g.kind}: {_format_elems(elems, cap)}")
-        print(f"output gate {c.output} (exact)")
+        print(f"output gate {c.output} (exact{image})")
         return EXIT_OK
     if route == "clamped-vector":
-        if not c.vector:
-            c, _, emap = to_vector_primefact(c, 0)
-            print(f"image prime-factors base={_format_elems(emap.base, len(emap.base))}"
-                  f" dim={c.dim}")
-            table = "clamped prime-factor image"
         reps, _ = eval_clamped_vector(c, args.cutoff_mode, budget)
         for g in c.gates:
             r = reps[g.gid]
@@ -189,7 +191,7 @@ def _cmd_eval(args) -> int:
                 f"gate {g.gid} {g.kind}: {_format_elems(elems, cap)}"
                 f" tail={'in' if r.tail else 'out'} cutoff={r.cutoff}"
             )
-    print(f"output gate {c.output} ({table}, {args.cutoff_mode} cutoffs)")
+    print(f"output gate {c.output} (clamped{image}, {args.cutoff_mode} cutoffs)")
     return EXIT_OK
 
 
@@ -208,8 +210,8 @@ def _cmd_bounds(args) -> int:
             shown = f"2^{(n - 1).bit_length()}+1" if n > (1 << 64) else str(n)
             print(f"gate {g.gid} {g.kind} cutoff={shown}")
     if not c.vector and GateKind.COMP not in fragment_of(c):
-        vb = value_bound(c)
-        print(f"value-bound 2^{vb.exponent}")
+        e = value_bound(c).exponent  # with mul it is 2^|C|, which may be past str()'s limit
+        print(f"value-bound 2^{e}" if e <= 1 << 64 else f"value-bound 2^2^{e.bit_length() - 1}")
     return EXIT_OK
 
 

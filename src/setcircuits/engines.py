@@ -24,8 +24,9 @@ Each engine decides "is b in I(C)?" for a class of circuits:
   evaluators, so xcheck_circuit uses it as their independent check.
   certificate_search, on comp-free scalar fragments, answers a value past
   its gate's interval bound False; its recorded choices are a witness that
-  verify_certificate checks. The search runs on an explicit stack
-  (_trampoline), so circuit depth is not bounded by Python's recursion limit.
+  verify_certificate checks. In both modes the budget counts steps: every
+  opened pair and every scanned value. The search runs on an explicit stack
+  (_run), so circuit depth is not bounded by Python's recursion limit.
 
 The engine table _ENGINES is the one place an engine's domain, fragment,
 preparation and route are declared; decide(), applicable_engines() and
@@ -248,13 +249,15 @@ class _Search:
     """One memoized top-down search: whether a gate can take a value, asked
     for (gate, value) pairs from the output down.
 
-    Its value bound, fixed here, is what sets its two modes apart:
-    * clamped (search_member): top maps each gate to its cutoff. A value is
-      clamped at its gate's cutoff, and the budget counts stored pairs.
+    Its value bound, fixed here, is what sets its two modes apart, and the
+    mode is read only where a value enters (_run) and at div's last divisor:
+    * clamped (search_member): top maps each gate to its cutoff, and a value
+      is clamped at its gate's cutoff.
     * bounded (certificate_search): top maps each gate to a sound upper bound
-      on its values (_cert_value_bounds). A value past it is answered False
-      without being opened, and the budget counts steps.
-    The bound also sets the divisors div tries and the values _some scans.
+      on its values (_cert_value_bounds), and a value past it is answered
+      False without being opened.
+    The bound also ends the values _some scans. In both modes every opened
+    pair and every scanned value is a step, and the budget counts steps.
     """
 
     __slots__ = ("c", "top", "clamp", "limit", "memo", "some_memo", "used", "steps")
@@ -284,7 +287,7 @@ def search_member(
     representations. comp is plain logical negation of the predecessor query.
     """
     require_fragment(c, CLAMPABLE_VECTOR if c.vector else CLAMPABLE_SCALAR, "membership search")
-    return _prepare_search(c, mode, budget)(x)[0]
+    return _prepare_search(c, mode, budget)(_check_query(c, x))[0]
 
 
 def _prepare_search(c, mode, budget):
@@ -311,6 +314,7 @@ def certificate_search(c: Circuit, b: int, budget: EngineBudget = DEFAULT_BUDGET
     div. Returns (member, witness or None, stats).
     """
     require_fragment(c, EXACT_SCALAR, "certificate search", vector=False)
+    b = _check_query(c, b)
     st = _Search(c, _cert_value_bounds(c), False, budget)
     ok = _run(st, (c.output, b))
     witness = None
@@ -344,26 +348,38 @@ def _cert_value_bounds(c: Circuit) -> dict:
     return ub
 
 
-def _trampoline(req, enter, memo):
-    """Answer req with the search frames on an explicit stack, not Python's.
+def _run(st: _Search, req):
+    """Whether the gate of the (gate, value) pair req can take the value.
 
-    A frame is a generator over one (gate, value) pair: it yields the
-    requests it needs answered, in the order the recursive definition asks
-    them, receives each answer and returns its own. A request is a
-    (gate, value) pair or a frame without a memo key. enter(pair) answers a
-    pair from the memo as (None, answer), or opens it as (frame, memo key);
-    the frame's answer is stored at that key when it returns. Deep circuits
-    thus need no Python recursion.
+    The frames below run on an explicit stack, not Python's, so deep
+    circuits need no recursion. A frame is a generator over one (gate, value)
+    pair: it yields the requests it needs answered, in the order the
+    recursive definition asks them, receives each answer and returns its own.
+    A request is a pair, answered on entry (past the bound, or from the memo)
+    or by a new frame whose answer the memo keeps, or a _some frame.
     """
+    memo, top, gate, clamp, vector = st.memo, st.top, st.c.gate, st.clamp, st.c.vector
     stack = []
     while True:
+        res = None  # None: a frame was pushed, and is started by sending None
         if type(req) is tuple:
-            frame, res = enter(req)  # res: the answer, or the key of the frame
+            gid, v = req
+            n = top[gid]
+            if not clamp:
+                if v > n:
+                    res = False
+            elif not vector:
+                v = min(v, n)
+            elif v is not INF:
+                v = tuple(min(x, n) for x in v)
+            if res is None:
+                key = (gid, v)
+                res = memo.get(key)
+                if res is None:
+                    _step(st)
+                    stack.append((_frame(st, gate(gid), v), key))
         else:
-            frame, res = req, None
-        if frame is not None:
-            stack.append((frame, res))
-            res = None
+            stack.append((req, None))
         while True:
             if not stack:
                 return res
@@ -378,37 +394,10 @@ def _trampoline(req, enter, memo):
                     memo[key] = res
 
 
-def _run(st: _Search, req):
-    """Whether the gate of the (gate, value) pair req can take the value,
-    by the frames below on _trampoline's stack."""
-    memo, top, gate, clamp, vector = st.memo, st.top, st.c.gate, st.clamp, st.c.vector
-
-    def enter(req):
-        gid, v = req
-        n = top[gid]
-        if not clamp:
-            if v < 0 or v > n:
-                return None, False
-        elif not vector:
-            v = min(v, n)
-        elif v is not INF:
-            v = tuple(min(x, n) for x in v)
-        key = (gid, v)
-        if key in memo:
-            return None, memo[key]
-        if not clamp:
-            _step(st)
-        elif len(memo) >= st.limit:
-            raise BudgetExceeded("memo", "membership search state space")
-        return _frame(st, gate(gid), v), key
-
-    return _trampoline(req, enter, memo)
-
-
 def _step(st: _Search):
     st.steps += 1
     if st.steps > st.limit:
-        raise BudgetExceeded("memo", "certificate search steps")
+        raise BudgetExceeded("memo", "search steps")
 
 
 def _frame(st: _Search, g, v):
@@ -432,10 +421,9 @@ def _frame(st: _Search, g, v):
         elif kind is _INTER:
             if (yield (p1, v)) and (yield (p2, v)):
                 pairs = ((p1, v), (p2, v))
-        elif v is INF or v == 0 and kind is not _ADD and not st.clamp:
+        elif v is INF or v == 0 and kind is not _ADD:
             # v absorbs the operation (x + inf, inf - y, x * 0, 0 / w), so its
             # operands are unbounded: ask v of one and some value of the other.
-            # The clamped mode bounds div's divisors at 0 too, and loops below.
             either = kind is _ADD or kind is _MUL  # commutative: v on either side
             if (yield (p1, v)) and (w := (yield _some(st, p2, either))) is not None:
                 pairs = ((p1, v), (p2, w))
@@ -468,7 +456,9 @@ def _operands(st: _Search, kind, p1: int, p2: int, v):
     """The operand values (x of p1, y of p2) that add, div or sub (the clamped
     mode only) turn into v, in the order the search tries them. x and y run in
     lockstep: for add, x = v - y counts down as y counts up. div's divisors
-    run up to the value bound, a step each in the bounded mode."""
+    w >= 1, a step each, end at the value bound (x = v * w within p1's) in the
+    bounded mode, and one past the larger cutoff, where every w clamps alike,
+    in the clamped one."""
     top = st.top
     if kind is _ADD and not st.c.vector:
         return zip(range(v, -1, -1), range(v + 1))
@@ -478,9 +468,7 @@ def _operands(st: _Search, kind, p1: int, p2: int, v):
     w = max(top[p1], top[p2])
     if kind is _SUB:
         return zip(grid(*(range(x, x + w + 1) for x in v)), grid(range(w + 1), repeat=st.c.dim))
-    if st.clamp:
-        return zip(map(v.__mul__, range(1, w + 2)), range(1, w + 2))
-    ws = range(_low(st, p2, 1), min(top[p2], top[p1] // v) + 1)
+    ws = range(_low(st, p2, 1), (w + 1 if st.clamp else min(top[p2], top[p1] // v)) + 1)
     return _ticked(st, zip(map(v.__mul__, ws), ws))
 
 
@@ -489,20 +477,21 @@ def _some(st: _Search, gid: int, with_z: bool):
 
     The scan asks z, the value that absorbs (INF for vectors, 0 for scalars),
     first if with_z and never otherwise, then the other values up to the
-    gate's bound: its clamped grid (the clamped mode scans only vector gates)
-    or the integers, a step each.
+    gate's bound, a step each: the grid [0, bound]^dim, or the integers from
+    _low. In the clamped mode the bound stands for every value past it.
     """
     key = (gid, with_z)
     if key in st.some_memo:
         return st.some_memo[key]
-    if st.clamp:
-        values = itertools.product(range(st.top[gid] + 1), repeat=st.c.dim)
+    n = st.top[gid]
+    if st.c.vector:
+        values = itertools.product(range(n + 1), repeat=st.c.dim)
         if with_z:
             values = itertools.chain((INF,), values)
     else:
-        values = _ticked(st, range(_low(st, gid, 0 if with_z else 1), st.top[gid] + 1))
+        values = range(_low(st, gid, 0 if with_z else 1), n + 1)
     found = None
-    for v in values:
+    for v in _ticked(st, values):
         if (yield (gid, v)):
             found = v
             break
@@ -511,7 +500,7 @@ def _some(st: _Search, gid: int, with_z: bool):
 
 
 def _ticked(st: _Search, values):
-    """values, each one a step of the bounded mode."""
+    """values, each one a step."""
     for v in values:
         _step(st)
         yield v

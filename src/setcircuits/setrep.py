@@ -27,10 +27,12 @@ exact by a clamping argument: any witness outside the searched box can be
 clamped into it without changing either membership test.
 
 A one-axis VecSetRep stores its table as the NatSetRep mask (cell (x,) is bit
-x), so vecrep_apply runs dim 1 on the natrep_apply kernels: union, inter and
-comp are |, & and ^ against the box mask, and add is the shift-OR _add_bits.
-Dims >= 2 keep a frozenset of cells; union, inter, comp and add visit every
-grid point.
+x), so natrep_apply and a one-axis vecrep_apply run the same bitmap kernels
+(_mask_apply) on (cutoff, mask) pairs: union, inter and comp are |, & and ^
+against the box mask, and add is the shift-OR _add_bits; each keeps its own
+budget check. Dims >= 2 keep a frozenset of cells; union, inter, comp and add
+visit every grid point. At every dim the inf flag of a result is set by one
+rule (_inf).
 
 sub is one shift kernel at every dim: p is in A - B iff p + y is in A for
 some y in B. A is constant past its cutoff k along each axis, so B's
@@ -182,18 +184,27 @@ def natrep_apply(
         raise ValueError(f"result_cutoff must be >= 1, got {n}")
     if n + 1 > max_grid_cells:
         raise BudgetExceeded("grid", f"scalar bitmap of {n + 1} cells")
-    if kind is _COMP:
-        return _new(NatSetRep, (n, ((1 << (n + 1)) - 1) ^ _extend(a, n)))
-    if kind is _UNION:
-        return _new(NatSetRep, (n, _extend(a, n) | _extend(b, n)))
-    if kind is _INTER:
-        return _new(NatSetRep, (n, _extend(a, n) & _extend(b, n)))
-    if kind is _ADD:
-        # each shift counts n + 1 bits against the grid budget
-        max_shifts = max_grid_cells // (n + 1)
-        return _new(NatSetRep, (n, _add_bits(_extend(a, n), _extend(b, n), n, max_shifts)))
     if kind is _DIV:
         return _natrep_div(a, b, n)
+    ka, ma = a
+    kb, mb = a if b is None else b  # comp reads no second operand
+    # each shift of an add counts n + 1 bits against the grid budget
+    return _new(NatSetRep, (n, _mask_apply(kind, ka, ma, kb, mb, n, max_grid_cells // (n + 1))))
+
+
+def _mask_apply(kind, ka: int, ma: int, kb: int, mb: int, n: int, max_shifts: int) -> int:
+    """comp, union, inter or add on the bitmaps ma at cutoff ka and mb at kb
+    (unread by comp), as a mask at cutoff n; add shifts at most max_shifts times."""
+    x = _extend(ka, ma, n)
+    if kind is _COMP:
+        return ((1 << (n + 1)) - 1) ^ x
+    y = _extend(kb, mb, n)
+    if kind is _UNION:
+        return x | y
+    if kind is _INTER:
+        return x & y
+    if kind is _ADD:
+        return _add_bits(x, y, n, max_shifts)
     raise ValueError(f"natrep_apply cannot apply {kind}")
 
 
@@ -235,9 +246,9 @@ def _sub_bits(x: int, y: int, box: int) -> int:
     return acc & box
 
 
-def _extend(rep: NatSetRep, n: int) -> int:
-    """Literal membership bits of rep over [0, n] (unfolding the tail)."""
-    k, mask = rep
+def _extend(k: int, mask: int, n: int) -> int:
+    """Literal membership bits over [0, n] of the bitmap mask at cutoff k
+    (unfolding the tail)."""
     if n == k:
         return mask
     if n < k:
@@ -258,7 +269,7 @@ def _natrep_div(a: NatSetRep, b: NatSetRep, n: int) -> NatSetRep:
     mask = 0
     if (bmask >> (na + 1)) if nb > na else (bmask >> nb):  # B holds some w > n_A
         mask = (amask & 1) | (full ^ 1 if amask >> na else 0)
-    ws = _extend(b, na) >> 1  # bit w - 1 set <=> w in B, for 1 <= w <= n_A
+    ws = _extend(nb, bmask, na) >> 1  # bit w - 1 set <=> w in B, for 1 <= w <= n_A
     w = 0
     while ws and mask != full:
         skip = (ws & -ws).bit_length()
@@ -362,7 +373,7 @@ def _pack(rep: VecSetRep, m: int, s: int) -> int:
     """
     dim, k, cells, _ = rep
     if dim == 1:
-        return _extend((k, cells), m) if m >= k else cells & ((1 << m) - 1) | (cells >> m != 0) << m
+        return _extend(k, cells, m) if m >= k else cells & ((1 << m) - 1) | (cells >> m != 0) << m
     steps = [s**e for e in range(dim - 1, -1, -1)]
     flags = bytearray(min(k, m) * sum(steps) + 1)  # one pass, up to the corner's bit
     if m >= k:
@@ -456,6 +467,7 @@ def vecrep_apply(
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if (n + 1) ** dim > max_grid_cells:
         raise BudgetExceeded("grid", f"({n + 1})^{dim} cells")
+    inf = _inf(kind, a, b)
     if kind is _ADD:
         # total decompositions over the whole grid: prod over axes of 1+2+...+(n+1)
         work = (((n + 1) * (n + 2)) // 2) ** dim
@@ -466,49 +478,38 @@ def vecrep_apply(
         if (n + 1) ** dim * (w + 1) ** dim > max_grid_cells:
             raise BudgetExceeded("grid", f"sub search ({n + 1})^{dim} x ({w + 1})^{dim}")
         bits, s = _sub_packed(a, b, n)
-        inf = a.inf and b.finite_nonempty()
         if dim == 1:
             return _new(_AxisRep, (1, n, bits, inf))
         return _new(VecSetRep, (dim, n, _unpack(bits, n, dim, s), inf))
     if dim == 1:
-        return _new(_AxisRep, (1, n, *_axis_apply(kind, a, b, n)))
-
+        _, ka, ma, _ = a
+        _, kb, mb, _ = a if b is None else b
+        # an add makes n + 1 shifts at most, so the estimate checked covers it
+        return _new(_AxisRep, (1, n, _mask_apply(kind, ka, ma, kb, mb, n, n + 1), inf))
     if kind is _COMP:
         cells = frozenset(p for p in _grid(n, dim) if not a.member(p))
-        return _new(VecSetRep, (dim, n, cells, not a.inf))
-    if kind is _UNION:
+    elif kind is _UNION:
         cells = frozenset(p for p in _grid(n, dim) if a.member(p) or b.member(p))
-        return _new(VecSetRep, (dim, n, cells, a.inf or b.inf))
-    if kind is _INTER:
+    elif kind is _INTER:
         cells = frozenset(p for p in _grid(n, dim) if a.member(p) and b.member(p))
-        return _new(VecSetRep, (dim, n, cells, a.inf and b.inf))
-    if kind is _ADD:
+    else:  # ADD
         cells = frozenset(p for p in _grid(n, dim) if _point_in_add(a, b, p))
-        return _new(VecSetRep, (dim, n, cells, _add_inf(a, b)))
-    raise ValueError(f"vecrep_apply cannot apply {kind}")
+    return _new(VecSetRep, (dim, n, cells, inf))
 
 
-def _add_inf(a: VecSetRep, b: VecSetRep) -> bool:
-    return (a.inf and (b.finite_nonempty() or b.inf)) or (
-        b.inf and (a.finite_nonempty() or a.inf)
-    )
-
-
-def _axis_apply(kind, a, b, n):
-    # (mask, inf) at cutoff n from the operands' (cutoff, mask) pairs, by the
-    # natrep_apply kernels, after vecrep_apply's budget checks: n + 1 shifts
-    # of n + 1 bits are within twice the add pairs checked.
-    _, ka, ma, ainf = a
+def _inf(kind, a: VecSetRep, b: VecSetRep | None) -> bool:
+    """Whether inf is in the result of kind on a and b: inf + x = inf for
+    every x, inf included, and inf - y = inf for finite y only."""
     if kind is _COMP:
-        return ((1 << (n + 1)) - 1) ^ _extend((ka, ma), n), not ainf
-    _, kb, mb, binf = b
+        return not a.inf
     if kind is _UNION:
-        return _extend((ka, ma), n) | _extend((kb, mb), n), ainf or binf
+        return a.inf or b.inf
     if kind is _INTER:
-        return _extend((ka, ma), n) & _extend((kb, mb), n), ainf and binf
+        return a.inf and b.inf
     if kind is _ADD:
-        # n + 1 shifts at most: never refused past the estimate checked
-        return _add_bits(_extend((ka, ma), n), _extend((kb, mb), n), n, n + 1), _add_inf(a, b)
+        return a.inf and (b.inf or b.finite_nonempty()) or b.inf and a.finite_nonempty()
+    if kind is _SUB:
+        return a.inf and b.finite_nonempty()
     raise ValueError(f"vecrep_apply cannot apply {kind}")
 
 

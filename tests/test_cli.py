@@ -1,5 +1,7 @@
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +64,12 @@ def circ(tmp_path):
         return str(p)
 
     return write
+
+
+def _squarings(n: int, *more: str) -> str:
+    """input 2, then n gates that each square the one before, then more."""
+    gates = ["gate 1 input 2", *(f"gate {i} mul {i - 1} {i - 1}" for i in range(2, n + 2)), *more]
+    return "circuit v1\n" + "\n".join(gates) + f"\noutput {gates[-1].split()[1]}\n"
 
 
 def _strip_comments(out: str) -> str:
@@ -220,6 +228,28 @@ class TestEval:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "image prime-factors base={2} dim=2"
         assert lines[6].startswith("gate 6 add: {(1,0), (1,1), ") and "sat=in inf=in" in lines[6]
+
+    def test_gcd_free_rows_list_the_image(self, circ, capsys):
+        # the output holds 2^(2^25); member decides it on the exponent image,
+        # where it is (2^25), and eval lists that image
+        p = circ(_squarings(25))
+        assert main(["member", p, "5"]) == 0
+        assert capsys.readouterr().out.split()[1] == "engine=singleton-vector"
+        assert main(["eval", p]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "image gcd-free base={2} dim=1"
+        assert lines[26] == f"gate 26 add: {{({2**25})}}"
+        assert lines[27] == "output gate 26 (exact gcd-free image)"
+        assert main(["eval", circ(_squarings(14, "gate 16 div 15 15"))]) == 0
+        assert capsys.readouterr().out.splitlines()[-2] == "gate 16 sub: {(0)}"
+
+    def test_numbers_past_the_digit_limit_show_a_stand_in(self, circ, capsys):
+        # 2^(2^14) + 1 has 4,933 digits, past str()'s default limit
+        p = circ(_squarings(14, "gate 16 input 1", "gate 17 add 15 16"))
+        assert main(["eval", p]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[14] == "gate 15 mul: {<a number of more than 4300 digits>}"
+        assert lines[-1] == "output gate 17 (exact)"
 
     def test_open_fragment_is_exit_4(self, circ, capsys):
         assert main(["eval", circ(OPEN_TEXT)]) == 4
@@ -425,6 +455,50 @@ class TestXcheck:
         assert "disagree" in out.lower()
 
 
+_GEN_PAYLOADS = {
+    "exact-cover": {"universe": [1, 2, 3], "sets": [[1, 2], [3], [2, 3]]},
+    "gap": {"edges": [[0, 1], [1, 2]], "s": 0, "t": 2},
+    "cvp": {"gates": [["x", "var", "x"], ["y", "var", "y"], ["g", "and", "x", "y"]],
+            "output": "g", "assignment": {"x": True, "y": False}},
+    "majority": {"root": "r", "children": {"r": ["a", "b", "c"]},
+                 "labels": {"a": "accept", "b": "reject", "c": "accept"}},
+}
+_SWEEP_CIRCUITS = {  # name -> (circuit text, query)
+    "squarings": (_squarings(25), "5"),
+    "squarings-add": (_squarings(14, "gate 16 input 1", "gate 17 add 15 16"), "5"),
+    "squarings-div": (_squarings(14, "gate 16 div 15 15"), "5"),
+    # |C| is about 22,000 bits, so the value bound 2^(2^|C|) is past str()'s limit
+    "mul-chain": ("circuit v1\ngate 1 input 2\n"
+                  + "".join(f"gate {i} mul {i - 1} 1\n" for i in range(2, 1002)) + "output 1001\n",
+                  "5"),
+    "primes": (PRIMES_TEXT, "7"),
+    "evens": (EVEN_TEXT, "6"),
+}
+
+
+class TestExitCodeSweep:
+    """Every command on a valid circuit ends in a verdict or a typed refusal:
+    exit 0, 4 (fragment) or 5 (budget), never 2, which is for parse errors,
+    and each within a few seconds."""
+
+    @pytest.mark.parametrize("name", [*_SWEEP_CIRCUITS, *_GEN_PAYLOADS])
+    def test_valid_circuit(self, name, circ, tmp_path, capsys):
+        if name in _SWEEP_CIRCUITS:
+            text, query = _SWEEP_CIRCUITS[name]
+            path = circ(text)
+        else:  # a gen output, with its comment lines, and the query it names
+            inst, path = tmp_path / "inst.json", str(tmp_path / "gen.circ")
+            inst.write_text(json.dumps(_GEN_PAYLOADS[name]))
+            assert main(["gen", name, str(inst), "-o", path]) == 0
+            query = re.search(r"^# query (\d+)$", Path(path).read_text(), re.M).group(1)
+        for argv in (["validate", path], ["member", path, query], ["eval", path],
+                     ["bounds", path]):
+            start = time.perf_counter()
+            code = main(argv)
+            assert code in (0, 4, 5) and time.perf_counter() - start < 5, (argv, code)
+        capsys.readouterr()
+
+
 class TestDeepInputs:
     """Every input ends in a verdict or a typed error: on 10^4-gate chains no
     command may raise or exit 1, the code for engines that disagree."""
@@ -434,7 +508,7 @@ class TestDeepInputs:
         p = circ(serialize_circuit(deep_chain(kind)))
         for argv in (["validate", p], ["eval", p], ["bounds", p], ["member", p, "2"],
                      ["member", p, "2", "--engine", "search"], ["xcheck", p]):
-            assert main(argv) in (0, 2, 3, 4, 5), argv
+            assert main(argv) in (0, 3, 4, 5), argv  # never 2: the chains are valid circuits
         capsys.readouterr()
         assert main(["transform", p, "--to", "formula"]) == 0
         formula = parse_circuit(_strip_comments(capsys.readouterr().out))

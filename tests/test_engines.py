@@ -358,6 +358,28 @@ class TestSearch:
         with pytest.raises(BudgetExceeded):
             search_member(c, 18, budget=EngineBudget(max_memo_entries=3))
 
+    def test_div_at_zero_asks_the_dividend_first(self):
+        # 0 is in A / B iff 0 is in A and B holds some w >= 1. The dividend is
+        # {7}, so asking (4, 0) first settles the query in 2 pairs; asking
+        # every divisor first, as the clamped mode once did, stored 32
+        c = parse_circuit("circuit v1\ngate 1 input 5\ngate 2 comp 1\ngate 3 add 2 2\n"
+                          "gate 4 input 7\ngate 5 div 4 3\noutput 5\n")
+        v = decide(c, 0, engine="search")
+        assert (v.member, v.stats["memo_entries"]) == (False, 2)
+
+    def test_rejects_the_queries_decide_rejects(self):
+        scalar = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 comp 1\noutput 2\n")
+        vector = parse_circuit("vcircuit v1 dim 2\ngate 1 input 1,1\ngate 2 comp 1\noutput 2\n")
+        exact = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 add 1 1\noutput 2\n")
+        for c, queries in ((scalar, [-1, True, 2.0]), (vector, [(1,), (1, 2, 3), (-1, 0), 5])):
+            for q in queries:
+                for run in (lambda: search_member(c, q), lambda: decide(c, q, engine="search")):
+                    with pytest.raises(ValueError, match="query must be"):
+                        run()
+        for b in (-1, True, 4.0):
+            with pytest.raises(ValueError, match="query must be"):
+                certificate_search(exact, b)
+
 
 def _least_memo_budget(run):
     """The least max_memo_entries at which run(budget) answers.
@@ -387,8 +409,8 @@ def _least_memo_budget(run):
 
 
 class TestRefusalPoints:
-    """Where each search runs out of its memo budget, pinned per query:
-    search counts stored (gate, value) pairs, certificate counts steps."""
+    """Where each search runs out of its memo budget, pinned per query. Both
+    count steps: every opened (gate, value) pair and every scanned value."""
 
     def test_search(self):
         rng = random.Random(233)
@@ -398,16 +420,16 @@ class TestRefusalPoints:
                                   max_coord=2) for _ in range(3)]
         least = [[_least_memo_budget(lambda bud: search_member(c, q, budget=bud))
                   for q in (0, 3, 7, 20)] for c in scalars]
-        assert least == [[1, 1, 1, 1], [1, 5, 5, 5], [17, 17, 20, 18], [1, 1, 1, 1]]
+        assert least == [[3, 3, 3, 3], [2, 6, 6, 6], [4, 23, 39, 37], [3, 3, 3, 3]]
         least = [[_least_memo_budget(lambda bud: search_member(c, q, budget=bud))
                   for q in ((0, 0), (2, 1), (4, 4), INF)] for c in vectors]
-        assert least == [[17, 17, 17, 18], [4, 4, 4, 5], [3, 26, 26, 1]]
+        assert least == [[21, 21, 21, 26], [5, 5, 5, 10], [6, 28, 28, 4]]
         c = parse_circuit(
             "circuit v1\ngate 1 input 3\ngate 2 comp 1\n"
             "gate 3 add 2 2\ngate 4 add 3 3\noutput 4\n"
         )
         assert [_least_memo_budget(lambda bud: search_member(c, q, budget=bud))
-                for q in (0, 6, 18)] == [1, 4, 4]
+                for q in (0, 6, 18)] == [4, 7, 7]
 
     def test_certificate(self):
         rng = random.Random(239)
