@@ -4,12 +4,13 @@ A cutoff for a gate's set is a point from which membership is constant
 (per coordinate, for vector sets). Two profiles are provided:
 
 * certified: 2^|C_g| + 1 per gate, where |C_g| is the encoding length of the
-  subcircuit rooted at g. A uniform bound keyed only to description size;
-  astronomically large except for tiny circuits, so it is mostly a testing
-  yardstick.
+  subcircuit rooted at g. The paper's uniform bound, keyed only to
+  description size and astronomically large except for tiny circuits: the
+  `bounds` command prints it, and no engine uses it to decide.
 * structural: a per-gate recurrence that tracks how each operation can move
-  the constancy point. Far tighter; soundness is argued per operation below
-  and property-tested against reference evaluation.
+  the constancy point. Far tighter; every clamped engine and the search read
+  it. Soundness is argued per operation below and property-tested against
+  reference evaluation.
 
 Recurrence (scalar): input a -> a + 2; union/inter/comp -> max of the
 predecessors; add -> sum of the predecessors; div -> the dividend's cutoff.

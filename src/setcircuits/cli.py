@@ -128,7 +128,7 @@ def _cmd_validate(args) -> int:
 def _cmd_member(args) -> int:
     c = _load_circuit(args.circuit)
     b = _parse_query(args.query, c)
-    v = decide(c, b, engine=args.engine, cutoff_mode=args.cutoff_mode, budget=_budget(args))
+    v = decide(c, b, engine=args.engine, budget=_budget(args))
     line = f"member={'true' if v.member else 'false'} engine={v.engine} cutoff={v.cutoff_mode}"
     print(line)
     if args.verbose:
@@ -173,7 +173,7 @@ def _cmd_eval(args) -> int:
         print(f"output gate {c.output} (exact{image})")
         return EXIT_OK
     if route == "clamped-vector":
-        reps, _ = eval_clamped_vector(c, args.cutoff_mode, budget)
+        reps, _ = eval_clamped_vector(c, budget)
         for g in c.gates:
             r = reps[g.gid]
             cells = sorted(r.below)
@@ -183,7 +183,7 @@ def _cmd_eval(args) -> int:
                 f" cutoff={r.cutoff}"
             )
     else:
-        reps, _ = eval_clamped_scalar(c, args.cutoff_mode, budget)
+        reps, _ = eval_clamped_scalar(c, budget)
         for g in c.gates:
             r = reps[g.gid]
             elems = r.elements_upto(r.cutoff - 1)
@@ -191,7 +191,7 @@ def _cmd_eval(args) -> int:
                 f"gate {g.gid} {g.kind}: {_format_elems(elems, cap)}"
                 f" tail={'in' if r.tail else 'out'} cutoff={r.cutoff}"
             )
-    print(f"output gate {c.output} (clamped{image}, {args.cutoff_mode} cutoffs)")
+    print(f"output gate {c.output} (clamped{image}, structural cutoffs)")
     return EXIT_OK
 
 
@@ -281,7 +281,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_xcheck(args) -> int:
     c = _load_circuit(args.circuit)
-    res = xcheck_circuit(c, max_b=args.max_b, cutoff_mode=args.cutoff_mode, budget=_budget(args))
+    res = xcheck_circuit(c, max_b=args.max_b, budget=_budget(args))
     engines = ", ".join(res.answered)
     out_of_budget = f"; {', '.join(res.abstained)} ran out of budget" if res.abstained else ""
     if len(res.answered) < 2:  # answered is empty only where some engine abstained
@@ -323,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("circuit")
     p.add_argument("query", help="natural number; for vector circuits 'c1,...,cm' or 'inf'")
     p.add_argument("--engine", default="auto")
-    p.add_argument("--cutoff-mode", default="structural", choices=["structural", "certified"])
     p.add_argument("--verbose", action="store_true")
     _add_budget_args(p)
     p.set_defaults(func=_cmd_member)
@@ -332,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("circuit")
     p.add_argument("--upto", type=_nat_arg, default=32,
                    help="list at most this many elements per gate")
-    p.add_argument("--cutoff-mode", default="structural", choices=["structural", "certified"])
     _add_budget_args(p)
     p.set_defaults(func=_cmd_eval)
 
@@ -362,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("xcheck", help="cross-check every applicable engine")
     p.add_argument("circuit")
     p.add_argument("--max-b", type=int, default=24)
-    p.add_argument("--cutoff-mode", default="structural", choices=["structural", "certified"])
     _add_budget_args(p)
     p.set_defaults(func=_cmd_xcheck)
 

@@ -9,12 +9,12 @@ Each engine decides "is b in I(C)?" for a class of circuits:
   guarded by an element budget.
 * eval_clamped_scalar / eval_clamped_vector: comp-capable, mul-free
   fragments; per-gate clamped representations (NatSetRep, VecSetRep) built
-  bottom-up at a certified or structural cutoff profile. VecSetRep is the
-  one set representation of every vector route. The clamped-vector row of
-  a vector circuit tabulates only the output's cone (subcircuit_at): a
-  gate's cutoff, structural or certified, reads only the gates that feed
-  it, so every table the output reads is the one the whole circuit gives,
-  and a gate that feeds nothing costs no grid work and no budget.
+  bottom-up at the structural cutoff profile. VecSetRep is the one set
+  representation of every vector route. The clamped-vector row of a vector
+  circuit tabulates only the output's cone (subcircuit_at): a gate's cutoff
+  reads only the gates that feed it, so every table the output reads is the
+  one the whole circuit gives, and a gate that feeds nothing costs no grid
+  work and no budget.
 * search_member / certificate_search: one memoized top-down search over
   (gate, value) pairs (_Search) that unfolds the set definitions, guessing
   decompositions at add, mul, div and sub. Its two modes differ in the value
@@ -47,13 +47,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
-from .bounds import (
-    CLAMPABLE_SCALAR,
-    CLAMPABLE_VECTOR,
-    CutoffMode,
-    cutoff_profile,
-    structural_cutoff,
-)
+from .bounds import CLAMPABLE_SCALAR, CLAMPABLE_VECTOR, cutoff_profile, structural_cutoff
 from .circuit import INF, Circuit, GateKind, _is_nat, fragment_of, require_fragment, subcircuit_at
 from .errors import BudgetExceeded, FragmentError, OpenFragmentError
 from .numtheory import NotRepresentable
@@ -72,7 +66,6 @@ _INPUT, _UNION, _INTER, _COMP, _ADD, _MUL, _DIV, _SUB = (
     GateKind.INPUT, GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.ADD, GateKind.MUL,
     GateKind.DIV, GateKind.SUB,
 )
-_STRUCTURAL = CutoffMode.STRUCTURAL
 _new = tuple.__new__  # the unchecked constructor of tuple records built here
 
 SINGLETON_SCALAR = frozenset({GateKind.INTER, GateKind.ADD, GateKind.MUL, GateKind.DIV})
@@ -96,9 +89,10 @@ DEFAULT_BUDGET = EngineBudget()
 class MembershipVerdict(namedtuple("MembershipVerdict", "member engine cutoff_mode stats witness")):
     """The tuple (member, engine, cutoff_mode, stats, witness).
 
-    cutoff_mode is "certified", "structural" or "none"; stats defaults to a
-    new dict per verdict. decide() builds verdicts with tuple.__new__, as the
-    setrep kernels build their results.
+    cutoff_mode is "structural" on the routes that tabulate or clamp at the
+    structural cutoffs and "none" elsewhere; stats defaults to a new dict per
+    verdict. decide() builds verdicts with tuple.__new__, as the setrep
+    kernels build their results.
     """
 
     __slots__ = ()
@@ -190,18 +184,14 @@ def eval_exact(c: Circuit, budget: EngineBudget = DEFAULT_BUDGET) -> dict:
 # ---------------------------------------------------------------------------
 # clamped evaluation
 
-def eval_clamped_scalar(
-    c: Circuit,
-    mode: CutoffMode | str = _STRUCTURAL,
-    budget: EngineBudget = DEFAULT_BUDGET,
-):
+def eval_clamped_scalar(c: Circuit, budget: EngineBudget = DEFAULT_BUDGET):
     """Per-gate NatSetRep for {union, inter, comp, add, div} circuits.
 
     Returns (reps, output rep). Exact under the clamped reading at the
-    profile's cutoffs.
+    structural cutoffs.
     """
     require_fragment(c, CLAMPABLE_SCALAR, "clamped scalar evaluation", vector=False)
-    cut = cutoff_profile(c, mode).cutoffs
+    cut = cutoff_profile(c).cutoffs
     max_cells = budget.max_grid_cells
     INPUT, COMP = _INPUT, _COMP
     reps: dict = {}
@@ -209,7 +199,7 @@ def eval_clamped_scalar(
         n = cut[gid]
         if n + 1 > max_cells:
             raise BudgetExceeded("grid", f"gate {gid} needs a {n + 1}-cell bitmap")
-        if kind is INPUT:  # both profiles put a label below its gate's cutoff
+        if kind is INPUT:  # a label is below its gate's cutoff
             reps[gid] = _new(NatSetRep, (n, 1 << value))
         elif kind is COMP:
             reps[gid] = natrep_apply(kind, reps[preds[0]], None, n, max_cells)
@@ -218,14 +208,10 @@ def eval_clamped_scalar(
     return reps, reps[c.output]
 
 
-def eval_clamped_vector(
-    c: Circuit,
-    mode: CutoffMode | str = _STRUCTURAL,
-    budget: EngineBudget = DEFAULT_BUDGET,
-):
+def eval_clamped_vector(c: Circuit, budget: EngineBudget = DEFAULT_BUDGET):
     """Per-gate VecSetRep for {union, inter, comp, add, sub} vector circuits."""
     require_fragment(c, CLAMPABLE_VECTOR, "clamped vector evaluation", vector=True)
-    cut = cutoff_profile(c, mode).cutoffs
+    cut = cutoff_profile(c).cutoffs
     max_cells = budget.max_grid_cells
     INPUT, COMP = _INPUT, _COMP
     reps: dict = {}
@@ -273,26 +259,21 @@ class _Search:
         self.steps = 0
 
 
-def search_member(
-    c: Circuit,
-    x,
-    mode: CutoffMode | str = _STRUCTURAL,
-    budget: EngineBudget = DEFAULT_BUDGET,
-) -> bool:
+def search_member(c: Circuit, x, budget: EngineBudget = DEFAULT_BUDGET) -> bool:
     """Decide x in I(C) by the top-down search over (gate, clamped value).
 
-    Values are clamped at each gate's cutoff before dispatch, so the state
-    space is finite; decompositions at add (a + b = x), div (w and w*x) and
-    sub (x + y) are enumerated inside exact bounds mirroring the clamped
-    representations. comp is plain logical negation of the predecessor query.
+    Values are clamped at each gate's structural cutoff before dispatch, so
+    the state space is finite; decompositions at add (a + b = x), div (w and
+    w*x) and sub (x + y) are enumerated inside exact bounds mirroring the
+    clamped representations. comp is plain logical negation of the predecessor query.
     """
     require_fragment(c, CLAMPABLE_VECTOR if c.vector else CLAMPABLE_SCALAR, "membership search")
-    return _prepare_search(c, mode, budget)(_check_query(c, x))[0]
+    return _prepare_search(c, budget)(_check_query(c, x))[0]
 
 
-def _prepare_search(c, mode, budget):
+def _prepare_search(c, budget):
     """One memo shared by every query; the fragment is the caller's to check."""
-    st = _Search(c, cutoff_profile(c, mode).cutoffs, True, budget)
+    st = _Search(c, cutoff_profile(c).cutoffs, True, budget)
 
     def member(x):
         res = _run(st, (c.output, x))
@@ -429,11 +410,10 @@ def _frame(st: _Search, g, v):
                 pairs = ((p1, v), (p2, w))
             elif either and (yield (p2, v)) and (w := (yield _some(st, p1, True))) is not None:
                 pairs = ((p1, w), (p2, v))
-        elif kind is _MUL:  # the bounded mode only: each divisor d up to sqrt(v) is a step
-            for d in range(1, math.isqrt(v) + 1):
+        elif kind is _MUL:  # the bounded mode only: each d up to sqrt(v) is a step
+            for d in _ticked(st, range(1, math.isqrt(v) + 1)):
                 if v % d:
                     continue
-                _step(st)
                 e = v // d
                 if (yield (p1, d)) and (yield (p2, e)):
                     pairs = ((p1, d), (p2, e))
@@ -565,8 +545,8 @@ def verify_certificate(c: Circuit, b: int, witness) -> bool:
 @dataclass(frozen=True)
 class _Engine:
     fragment: frozenset  # the gate kinds the engine accepts
-    cutoff: str | None  # the cutoff mode it reports; None: the mode it was given
-    # prepare(c, cutoff_mode, budget) returns member(q) -> (member, stats, witness),
+    cutoff: str  # the verdict's cutoff_mode: "structural" where it reads that profile, else "none"
+    # prepare(c, budget) returns member(q) -> (member, stats, witness),
     # with a new stats dict per call that the caller may fill in. The caller
     # checks the fragment. Layer functions are looked up by their
     # module-global names at call time, never stored here, so a wrapper
@@ -575,25 +555,25 @@ class _Engine:
     needs: frozenset = frozenset()  # the kinds a circuit must use for decide() to pick the row
 
 
-def _prepare_singleton(c, mode, budget):
+def _prepare_singleton(c, budget):
     val = (eval_singleton_vector if c.vector else eval_singleton)(c)[c.output]
     return lambda q: (val == q, {}, None)
 
 
-def _prepare_exact(c, mode, budget):
+def _prepare_exact(c, budget):
     out = eval_exact(c, budget)[c.output]
     return lambda q: (q in out, {}, None)
 
 
-def _prepare_clamped(c, mode, budget):
+def _prepare_clamped(c, budget):
     if c.vector:  # the output reads only its cone: a gate outside it is never tabulated
-        rep = eval_clamped_vector(subcircuit_at(c, c.output), mode, budget)[1]
+        rep = eval_clamped_vector(subcircuit_at(c, c.output), budget)[1]
     else:
-        rep = eval_clamped_scalar(c, mode, budget)[1]
+        rep = eval_clamped_scalar(c, budget)[1]
     return lambda q: (rep.member(q), {}, None)
 
 
-def _prepare_certificate(c, mode, budget):
+def _prepare_certificate(c, budget):
     def member(b):
         ok, witness, stats = certificate_search(c, b, budget)
         return ok, stats, witness
@@ -608,9 +588,9 @@ def _through_gcdfree(row: str):
     a query with no image is a non-member.
     """
 
-    def prepare(c, mode, budget):
+    def prepare(c, budget):
         vc, _, emap = to_vector_gcdfree(c, 0)
-        vmember = _ENGINES[row, True].prepare(vc, mode, budget)
+        vmember = _ENGINES[row, True].prepare(vc, budget)
         extra = {"transform": "gcd-free", "dim": vc.dim}
 
         def member(b):
@@ -625,7 +605,7 @@ def _through_gcdfree(row: str):
     return prepare
 
 
-def _through_primefact(c, mode, budget):
+def _through_primefact(c, budget):
     """prepare for a scalar circuit decided on its prime-factor image.
 
     The clamped vector table of the image is built once. A query's head comes
@@ -636,7 +616,7 @@ def _through_primefact(c, mode, budget):
     step as "step".
     """
     vc, _, emap = to_vector_primefact(c, 0)
-    rep = eval_clamped_vector(vc, mode, budget)[1]
+    rep = eval_clamped_vector(vc, budget)[1]
     extra = {"transform": "prime-factors", "dim": vc.dim}
 
     def member(b):
@@ -665,13 +645,13 @@ _ENGINES: dict[tuple[str, bool], _Engine] = {
     ("singleton", False): _Engine(SINGLETON_SCALAR, "none", _prepare_singleton),
     ("exact", False): _Engine(EXACT_SCALAR, "none", _prepare_exact),
     ("certificate", False): _Engine(EXACT_SCALAR, "none", _prepare_certificate),
-    ("clamped-scalar", False): _Engine(CLAMPABLE_SCALAR, None, _prepare_clamped),
-    ("search", False): _Engine(CLAMPABLE_SCALAR, None, _prepare_search),
-    ("clamped-vector", False): _Engine(PRIMEFACT_SCALAR, None, _through_primefact),
+    ("clamped-scalar", False): _Engine(CLAMPABLE_SCALAR, "structural", _prepare_clamped),
+    ("search", False): _Engine(CLAMPABLE_SCALAR, "structural", _prepare_search),
+    ("clamped-vector", False): _Engine(PRIMEFACT_SCALAR, "structural", _through_primefact),
     ("singleton-vector", True): _Engine(SINGLETON_VECTOR, "none", _prepare_singleton),
     ("exact", True): _Engine(EXACT_VECTOR, "none", _prepare_exact),
-    ("clamped-vector", True): _Engine(CLAMPABLE_VECTOR, None, _prepare_clamped),
-    ("search", True): _Engine(CLAMPABLE_VECTOR, None, _prepare_search),
+    ("clamped-vector", True): _Engine(CLAMPABLE_VECTOR, "structural", _prepare_clamped),
+    ("search", True): _Engine(CLAMPABLE_VECTOR, "structural", _prepare_search),
 }
 # vector -> the domain's rows in order, as (fragment, needs, name). certificate
 # and search are never picked: each follows a row with the same fragment and
@@ -690,7 +670,6 @@ def decide(
     c: Circuit,
     b,
     engine: str = "auto",
-    cutoff_mode: CutoffMode | str = _STRUCTURAL,
     budget: EngineBudget = DEFAULT_BUDGET,
 ) -> MembershipVerdict:
     """Decide b in I(C), routing by fragment unless an engine is forced.
@@ -701,8 +680,6 @@ def decide(
     its budget runs out. Vector circuits accept tuple or INF queries.
     """
     t0 = time.perf_counter()
-    if cutoff_mode is not _STRUCTURAL:
-        cutoff_mode = CutoffMode(cutoff_mode)  # also fails on routes that use no cutoff
     name = pick_engine(c) if engine == "auto" else engine
     q = _check_query(c, b)
     row = _ENGINES.get((name, c.vector))
@@ -711,18 +688,17 @@ def decide(
         raise ValueError(f"unknown engine {name!r} for {dom} circuits")
     require_fragment(c, row.fragment, name)
     try:
-        member = row.prepare(c, cutoff_mode, budget)
+        member = row.prepare(c, budget)
     except BudgetExceeded:
         if (name, c.vector) != ("exact", False):
             raise
         name = "certificate"  # same fragment, guess values instead of sets
         row = _ENGINES[name, False]
-        member = row.prepare(c, cutoff_mode, budget)
+        member = row.prepare(c, budget)
     ok, stats, witness = member(q)
     stats["gates"] = len(c.gates)
     stats["micros"] = int((time.perf_counter() - t0) * 1e6)
-    # _value_ is the plain attribute behind CutoffMode's value and str()
-    return _new(MembershipVerdict, (ok, name, row.cutoff or cutoff_mode._value_, stats, witness))
+    return _new(MembershipVerdict, (ok, name, row.cutoff, stats, witness))
 
 
 def _check_query(c: Circuit, b):
@@ -777,7 +753,6 @@ class CrossCheck(namedtuple("CrossCheck", "problems answered abstained")):
 def xcheck_circuit(
     c: Circuit,
     max_b: int = 24,
-    cutoff_mode: CutoffMode | str = _STRUCTURAL,
     budget: EngineBudget = DEFAULT_BUDGET,
 ) -> CrossCheck:
     """Run every applicable engine on a shared query range; report disagreements.
@@ -790,8 +765,6 @@ def xcheck_circuit(
     """
     if max_b < 0:
         raise ValueError(f"max_b must be a natural number, got {max_b}")
-    if not isinstance(cutoff_mode, CutoffMode):
-        cutoff_mode = CutoffMode(cutoff_mode)  # also fails where no engine uses a cutoff
     pick_engine(c)  # raises OpenFragmentError where decide() would
     names = applicable_engines(c)
     if c.vector:
@@ -802,7 +775,7 @@ def xcheck_circuit(
     members = []
     for name in names:
         try:
-            members.append((name, _ENGINES[name, c.vector].prepare(c, cutoff_mode, budget)))
+            members.append((name, _ENGINES[name, c.vector].prepare(c, budget)))
         except BudgetExceeded:
             continue
     problems, answered = [], set()

@@ -155,6 +155,15 @@ class TestMember:
         assert main(["member", circ(NATS_TEXT), "x"]) == 2
         assert main(["member", circ(NATS_TEXT), "1,2"]) == 2
 
+    @pytest.mark.parametrize("argv", [["member", "5"], ["eval"], ["xcheck"]])
+    def test_no_cutoff_mode_option(self, circ, capsys, argv):
+        # only bounds takes a mode: every engine decides at the structural cutoffs
+        p = circ(NATS_TEXT)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], p, *argv[1:], "--cutoff-mode", "certified"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cutoff-mode" in capsys.readouterr().err
+
 
 # queries take numbers as circuit files do: ASCII digits, and no sign, space or _
 NOT_NATURALS = ["\u0669\u0667", " +97", "+97", "9_7", "-1", "97 ", "\uff19\uff17",
@@ -274,6 +283,12 @@ class TestBounds:
         assert "# structural cutoffs" in out
         assert "# certified cutoffs" in out
         assert "gate 2 comp cutoff=3" in out
+
+    def test_certified_mode(self, circ, capsys):
+        p = circ("circuit v1\ngate 1 input 1\ngate 2 comp 1\noutput 2\n")
+        assert main(["bounds", p, "--mode", "certified"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# certified cutoffs\n") and "# structural" not in out
 
     def test_certified_power_rendering(self, circ, capsys):
         # a longer comp chain pushes certified cutoffs past 2^64
@@ -524,11 +539,11 @@ class TestDeepInputs:
         assert "engine=certificate" in capsys.readouterr().out
         assert main(["member", p, "2", "--max-set-elems", "1"]) in (0, 5)
 
-    @pytest.mark.parametrize("last", ["add 2 1", "add 2 2"])
-    def test_certified_add_at_a_huge_cutoff(self, circ, capsys, last):
-        # the certified cutoff of the add gate is past 4 * 10^6: the grid
-        # budget bounds its shifts, so member ends (decided or refused)
-        p = circ(f"circuit v1\ngate 1 input 2\ngate 2 comp 1\ngate 3 {last}\noutput 3\n")
-        start = time.perf_counter()
-        assert main(["member", p, "4", "--cutoff-mode", "certified"]) in (0, 5)
-        assert time.perf_counter() - start < 20
+    def test_an_add_past_the_shift_budget(self, circ, capsys):
+        # the add's cutoff is 7, so a shift counts 8 cells; {0, 2} needs two
+        p = circ("circuit v1\ngate 1 input 0\ngate 2 input 2\ngate 3 union 1 2\n"
+                 "gate 4 input 1\ngate 5 comp 4\ngate 6 add 3 5\noutput 6\n")
+        assert main(["member", p, "5", "--max-grid-cells", "15"]) == 5
+        assert "needs over 1 shifts" in capsys.readouterr().err
+        assert main(["member", p, "5", "--max-grid-cells", "16"]) == 0
+        assert capsys.readouterr().out.startswith("member=true engine=clamped-scalar")

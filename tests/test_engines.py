@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import random
 import sys
-import time
 
 import pytest
 
@@ -11,14 +10,15 @@ from setcircuits import (
     INF,
     BudgetExceeded,
     Circuit,
-    CutoffMode,
     EngineBudget,
     FragmentError,
     GateKind,
     MembershipVerdict,
+    NatSetRep,
     OpenFragmentError,
     applicable_engines,
     certificate_search,
+    certified_cutoff,
     decide,
     eval_clamped_scalar,
     eval_clamped_vector,
@@ -33,7 +33,7 @@ from setcircuits import (
     verify_certificate,
     xcheck_circuit,
 )
-from setcircuits.setrep import vecrep_apply
+from setcircuits.setrep import natrep_apply, vecrep_apply, vecrep_from_label
 from setcircuits.reductions import ExactCoverInstance, exact_cover_solvable, from_exact_cover
 
 from circgen import (
@@ -52,6 +52,31 @@ TIGHT = EngineBudget(max_set_elems=10**5, max_grid_cells=3 * 10**5, max_memo_ent
 
 CLAMPABLE_SCALAR = (GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.ADD, GateKind.DIV)
 CLAMPABLE_VECTOR = (GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.ADD, GateKind.SUB)
+
+# {0, 2} + comp({1}): the add's structural cutoff is 4 + 3 = 7, so each of its
+# shifts counts 8 cells. The sparser side, {0, 2}, needs two shifts, which a
+# budget of 15 cells (one shift) refuses and one of 16 allows.
+SHIFT_TEXT = (
+    "circuit v1\ngate 1 input 0\ngate 2 input 2\ngate 3 union 1 2\ngate 4 input 1\n"
+    "gate 5 comp 4\ngate 6 add 3 5\noutput 6\n"
+)
+
+
+def _certified_table(c: Circuit, budget: EngineBudget = TIGHT):
+    """The output's clamped table at the paper's certified cutoffs 2^|C_g| + 1,
+    one natrep_apply or vecrep_apply per gate of the output's cone: the
+    yardstick no engine decides by, which the structural verdicts must match."""
+    cut = certified_cutoff(c).cutoffs
+    reps = {}
+    for gid, kind, preds, value in subcircuit_at(c, c.output).gates:
+        n = cut[gid]
+        if kind is GateKind.INPUT:
+            reps[gid] = vecrep_from_label(value, c.dim, n) if c.vector else NatSetRep(n, 1 << value)
+            continue
+        b = None if kind is GateKind.COMP else reps[preds[1]]
+        apply = vecrep_apply if c.vector else natrep_apply
+        reps[gid] = apply(kind, reps[preds[0]], b, n, budget.max_grid_cells)
+    return reps[c.output]
 
 
 class TestSingleton:
@@ -155,31 +180,24 @@ class TestClampedScalar:
             for k in (1, 7, 19, 30):
                 assert ref_member_scalar(c, n + k) == base, f"k={k}\n{c}"
 
-    def test_certified_mode_budget(self):
-        # four gates already push the certified cutoff beyond 2^30
-        c = parse_circuit(
-            "circuit v1\ngate 1 input 1\ngate 2 input 2\n"
-            "gate 3 union 1 2\ngate 4 comp 3\noutput 4\n"
-        )
-        with pytest.raises(BudgetExceeded):
-            eval_clamped_scalar(c, CutoffMode.CERTIFIED)
+    def test_a_gate_past_the_grid_budget_is_refused(self):
+        # gate 1's structural cutoff is 12: a 13-cell bitmap
+        c = parse_circuit("circuit v1\ngate 1 input 10\ngate 2 comp 1\noutput 2\n")
+        for run in (lambda bud: eval_clamped_scalar(c, bud), lambda bud: decide(c, 3, budget=bud)):
+            with pytest.raises(BudgetExceeded, match="gate 1 needs a 13-cell bitmap") as e:
+                run(EngineBudget(max_grid_cells=12))
+            assert e.value.kind == "grid"
+        assert decide(c, 3, budget=EngineBudget(max_grid_cells=13)).member is True
 
-    @pytest.mark.parametrize("last", ["add 2 1", "add 2 2"])
-    def test_certified_add_is_bounded_by_the_grid_budget(self, last):
-        # certified cutoff 4,194,305 at the add gate: comp({2}) + {2} takes
-        # one shift, comp({2}) + comp({2}) needs two of over 8 * 10^6 bits
-        c = parse_circuit(f"circuit v1\ngate 1 input 2\ngate 2 comp 1\ngate 3 {last}\noutput 3\n")
-        start = time.perf_counter()
-        if last == "add 2 1":
-            assert [decide(c, b, cutoff_mode="certified").member for b in (3, 4, 10**9)] == [
-                True, False, True
-            ]
-        else:
-            with pytest.raises(BudgetExceeded, match="grid"):
-                decide(c, 4, cutoff_mode="certified")
-            roomy = EngineBudget(max_grid_cells=2 * 10**7)
-            assert decide(c, 4, cutoff_mode="certified", budget=roomy).member is True
-        assert time.perf_counter() - start < 20
+    def test_an_add_past_the_shift_budget_is_refused(self):
+        c = parse_circuit(SHIFT_TEXT)
+        with pytest.raises(BudgetExceeded, match="needs over 1 shifts") as e:
+            decide(c, 5, budget=EngineBudget(max_grid_cells=15))
+        assert e.value.kind == "grid"
+        enough = EngineBudget(max_grid_cells=16)
+        assert [decide(c, b, budget=enough).member for b in range(10)] == [
+            ref_member_scalar(c, b) for b in range(10)
+        ] == [True, False] + [True] * 8
 
     def test_refuses_mul(self):
         c = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 mul 1 1\noutput 2\n")
@@ -289,10 +307,12 @@ class TestOutputCone:
         rng = random.Random(181)
         for _ in range(15):
             c = _with_dead_gates(rng, 1, 6, max_gates=3, max_coord=2)
+            table = _certified_table(c)
             for x in [(0,), (1,), (2,), (5,), (40,), INF]:
-                v = decide(c, x, cutoff_mode="certified", budget=TIGHT)
-                assert v.cutoff_mode == "certified"
-                assert v.member == search_member(c, x, "certified", TIGHT), f"x={x}\n{c}"
+                v = decide(c, x, budget=TIGHT)
+                assert v.cutoff_mode == "structural"
+                assert v.member == table.member(x), f"x={x}\n{c}"
+                assert v.member == search_member(c, x, TIGHT), f"x={x}\n{c}"
                 assert v.member == ref_member_vector(c, x), f"x={x}\n{c}"
 
     def test_one_vecrep_apply_per_interior_cone_gate(self, monkeypatch):
@@ -439,7 +459,19 @@ class TestRefusalPoints:
                   for b in (0, 2, 6, 30)] for c in circuits]
         # 0: b is past the output's value bound, answered False without a step
         assert least == [[4, 0, 0, 0], [6, 34, 10, 0], [2, 6, 0, 0], [2, 1, 0, 0],
-                         [7, 14, 30, 52], [3, 2, 0, 0]]
+                         [7, 14, 30, 59], [3, 2, 0, 0]]
+
+    def test_the_mul_scan_counts_every_candidate(self):
+        # b is prime and below the output's value bound 2^64: the mul gates
+        # scan about 10^6 candidate divisors, of which only 1 divides b
+        c = parse_circuit("circuit v1\ngate 1 input 2\n"
+                          + "".join(f"gate {k} mul {k - 1} {k - 1}\n" for k in range(2, 8))
+                          + "output 7\n")
+        with pytest.raises(BudgetExceeded) as e:
+            certificate_search(c, 999_999_999_989, EngineBudget(max_memo_entries=10**4))
+        assert e.value.kind == "memo"
+        ok, _, stats = certificate_search(c, 999_999_999_989)
+        assert ok is False and stats["steps"] > 10**6
 
 
 class TestSearchModesAgree:
@@ -768,12 +800,8 @@ class TestDecideDispatch:
         with pytest.raises(ValueError):
             decide(vc, 5)
         assert decide(vc, INF).member is False
-        # an unknown cutoff mode is refused on routes that use no cutoff too
         mc = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 input 3\ngate 3 mul 1 2\noutput 3\n")
-        for c, q in ((mc, 6), (sc, 2), (vc, (1, 2))):
-            with pytest.raises(ValueError):
-                decide(c, q, cutoff_mode="bogus")
-        assert decide(mc, 6, cutoff_mode="certified").member is True
+        assert decide(mc, 6).member is True
 
     def test_engine_override_runs(self):
         c = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 comp 1\noutput 2\n")
@@ -844,15 +872,23 @@ class TestVerdictRecord:
             assert set(v.stats) == ROUTE_STATS[c.vector, engine]
         assert first.stats is not second.stats
 
-    @pytest.mark.parametrize("given", ["certified", CutoffMode.CERTIFIED])
-    def test_cutoff_mode_is_a_string(self, given):
-        # certified cutoffs make the DISPATCH_CASES clamped routes too slow
+    def test_cutoff_mode_is_a_string(self):
+        # search is never picked, so DISPATCH_CASES do not show its string
         c = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 comp 1\noutput 2\n")
-        v = decide(c, 3, cutoff_mode=given)
-        assert v.cutoff_mode == "certified" and type(v.cutoff_mode) is str
-        for text, query, _, mode in DISPATCH_CASES:
-            if mode == "none":
-                assert decide(parse_circuit(text), query, cutoff_mode=given).cutoff_mode == "none"
+        v = decide(c, 3, engine="search")
+        assert v.cutoff_mode == "structural" and type(v.cutoff_mode) is str
+        structural = {"clamped-scalar", "clamped-vector", "search"}
+        for (name, _), row in engines._ENGINES.items():
+            assert row.cutoff == ("structural" if name in structural else "none"), name
+
+    def test_no_cutoff_mode_is_taken(self):
+        # every engine decides at the structural cutoffs; no caller picks another
+        c = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 comp 1\noutput 2\n")
+        for run in (lambda: decide(c, 3, cutoff_mode="certified"),
+                    lambda: xcheck_circuit(c, cutoff_mode="certified"),
+                    lambda: search_member(c, 3, "certified", TIGHT)):
+            with pytest.raises(TypeError):
+                run()
 
     @pytest.mark.parametrize("text,query,engine,mode", DISPATCH_CASES)
     def test_routes_reach_their_traced_layers(self, monkeypatch, text, query, engine, mode):
@@ -938,6 +974,9 @@ class TestEngineTable:
 
 
 class TestCutoffModesAgree:
+    """Tables built at the paper's certified cutoffs give the verdicts that
+    decide and the search give at the structural ones."""
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -948,12 +987,12 @@ class TestCutoffModesAgree:
     )
     def test_structural_and_certified_verdicts_match(self, text):
         c = parse_circuit(text)
-        roomy = EngineBudget(max_set_elems=10**6)
+        table = _certified_table(c, EngineBudget())
         for b in range(0, 12):
-            s = decide(c, b, cutoff_mode="structural", budget=roomy)
-            t = decide(c, b, cutoff_mode="certified", budget=roomy)
-            assert s.member == t.member, f"b={b}"
-            assert t.cutoff_mode == "certified"
+            v = decide(c, b)
+            assert v.cutoff_mode == "structural"
+            assert v.member == table.member(b) == search_member(c, b), f"b={b}"
+            assert v.member == ref_member_scalar(c, b), f"b={b}"
 
 
 class TestXcheck:
@@ -962,6 +1001,8 @@ class TestXcheck:
             "circuit v1\ngate 1 input 2\ngate 2 comp 1\ngate 3 add 2 1\noutput 3\n",
             "circuit v1\ngate 1 input 6\ngate 2 input 10\ngate 3 union 1 2\ngate 4 div 3 1\noutput 4\n",
             "vcircuit v1 dim 2\ngate 1 input 1,2\ngate 2 comp 1\ngate 3 sub 2 1\noutput 3\n",
+            # mul and add: singleton, exact and certificate, none with a cutoff
+            "circuit v1\ngate 1 input 2\ngate 2 input 3\ngate 3 mul 1 2\ngate 4 add 3 1\noutput 4\n",
         ]
         for text in texts:
             assert xcheck_circuit(parse_circuit(text), max_b=10, budget=TIGHT).problems == []
@@ -975,15 +1016,6 @@ class TestXcheck:
         assert res == ([], ["search"], ["clamped-vector"])
         assert (res.problems, res.answered, res.abstained) == res
         assert xcheck_circuit(c, max_b=3) == ([], ["clamped-vector", "search"], [])
-
-    def test_unknown_cutoff_mode_refused(self):
-        # no engine applicable to mul + add uses a cutoff, so the mode is checked up front
-        c = parse_circuit(
-            "circuit v1\ngate 1 input 2\ngate 2 input 3\ngate 3 mul 1 2\ngate 4 add 3 1\noutput 4\n"
-        )
-        with pytest.raises(ValueError):
-            xcheck_circuit(c, max_b=4, cutoff_mode="bogus")
-        assert xcheck_circuit(c, max_b=4, cutoff_mode="certified").problems == []
 
     def test_vector_image_built_once_per_circuit(self, monkeypatch):
         calls = []
@@ -1020,8 +1052,8 @@ class TestXcheck:
         assert applicable_engines(c) == [name, "search"]
         row = engines._ENGINES[name, c.vector]
 
-        def prepare(c, mode, budget):
-            member = row.prepare(c, mode, budget)
+        def prepare(c, budget):
+            member = row.prepare(c, budget)
 
             def flipped(q):
                 ok, stats, witness = member(q)

@@ -180,6 +180,20 @@ def test_certify_never_certifies_a_composite():
         assert certify(n) is None, n
 
 
+def test_certify_refuses_where_no_base_below_1000_settles_a_prime():
+    # a Chernick number, k = 14,730,421: the primes below 1000 of n - 1 are 2,
+    # 3 and primes of 36k^2 + 11k + 1, and they alone give f^3 > n. For each
+    # such q, lcm(p - 1 : p | n) = 36k divides (n - 1) / q, so every base a
+    # has a^((n-1)/q) = 1 (mod n): no base settles q, and the proof is refused
+    k = 14_730_421
+    n = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+    assert n >= MR_BOUND
+    with pytest.raises(BudgetExceeded, match="no Pocklington base below 1000") as e:
+        certify(n)
+    assert e.value.kind == "factor"
+    assert is_prime(n) is False  # a Miller-Rabin base is a witness
+
+
 def test_cube_root_test_tells_two_factor_composites_from_primes():
     # the premises: f | n - 1, f^3 > n >= f^2, and every prime of n is 1 mod f
     rng = random.Random(3)
