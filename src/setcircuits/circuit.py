@@ -152,10 +152,6 @@ class Circuit:
     def __contains__(self, gid: int) -> bool:
         return gid in self._by_id
 
-    @property
-    def output_gate(self) -> Gate:
-        return self._by_id[self.output]
-
     def __len__(self):
         return len(self.gates)
 

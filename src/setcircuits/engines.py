@@ -15,16 +15,20 @@ Each engine decides "is b in I(C)?" for a class of circuits:
   reads only the gates that feed it, so every table the output reads is the
   one the whole circuit gives, and a gate that feeds nothing costs no grid
   work and no budget.
-* search_member / certificate_search: one memoized top-down search over
-  (gate, value) pairs (_Search) that unfolds the set definitions, guessing
-  decompositions at add, mul, div and sub. Its two modes differ in the value
-  bound, fixed when the search starts. search_member, on the clamped
-  engines' fragments, clamps each value at its gate's cutoff, so the state
-  space is finite; it shares no set representation with the clamped
-  evaluators, so xcheck_circuit uses it as their independent check.
-  certificate_search, on comp-free scalar fragments, answers a value past
-  its gate's interval bound False; its recorded choices are a witness that
-  verify_certificate checks. In both modes the budget counts steps: every
+* search, certificate and divisor-search: one memoized top-down search over
+  (gate, value) pairs (_Search, built by _prepare_search) that unfolds the
+  set definitions, guessing the operand pairs of add, mul, div and sub in
+  one loop (_operands); mul asks the divisor pairs of its value. The rows
+  differ only in the value bound, fixed when the search starts. search, on
+  the clamped engines' fragments, clamps each value at its gate's cutoff, so
+  the state space is finite; it shares no set representation with the
+  clamped evaluators, so xcheck_circuit uses it as their independent check.
+  certificate, on comp-free scalar fragments, answers a value past its
+  gate's interval bound False; its recorded choices are a witness that
+  verify_certificate checks. divisor-search, on {union, inter, comp, mul},
+  has no bound: a query b >= 1 only asks divisors of b, and it is the second
+  engine of the comp and mul circuits. Each row prepares one search whose
+  memo and step budget its queries share; the budget counts steps: every
   opened pair and every scanned value. The search runs on an explicit stack
   (_run), so circuit depth is not bounded by Python's recursion limit.
 
@@ -33,9 +37,10 @@ preparation and route are declared; decide(), applicable_engines() and
 xcheck_circuit() all read it, and so does the CLI's eval through
 pick_engine(). decide() takes the first row of the circuit's
 domain whose `needs` the circuit uses and whose fragment holds every kind
-the circuit uses; certificate and search are never taken, as each follows a
-row with the same fragment and no needs. A fragment no row fits, comp with both
-add and mul, is refused (OpenFragmentError): no decision procedure is known.
+the circuit uses; certificate, search and divisor-search are never taken, as
+each follows a row with no needs whose fragment holds its own. A fragment no row
+fits, comp with both add and mul, is refused (OpenFragmentError): no decision
+procedure is known.
 """
 from __future__ import annotations
 
@@ -50,7 +55,7 @@ from typing import Callable
 from .bounds import CLAMPABLE_SCALAR, CLAMPABLE_VECTOR, cutoff_profile, structural_cutoff
 from .circuit import INF, Circuit, GateKind, _is_nat, fragment_of, require_fragment, subcircuit_at
 from .errors import BudgetExceeded, FragmentError, OpenFragmentError
-from .numtheory import NotRepresentable
+from .numtheory import NotRepresentable, factorize
 from .setrep import (
     NatSetRep,
     VecSetRep,
@@ -74,6 +79,7 @@ EXACT_SCALAR = frozenset(
     {GateKind.UNION, GateKind.INTER, GateKind.ADD, GateKind.MUL, GateKind.DIV}
 )
 EXACT_VECTOR = frozenset({GateKind.UNION, GateKind.INTER, GateKind.ADD, GateKind.SUB})
+DIVISOR_SCALAR = frozenset({GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.MUL})
 
 
 @dataclass(frozen=True)
@@ -235,15 +241,18 @@ class _Search:
     """One memoized top-down search: whether a gate can take a value, asked
     for (gate, value) pairs from the output down.
 
-    Its value bound, fixed here, is what sets its two modes apart, and the
-    mode is read only where a value enters (_run) and at div's last divisor:
-    * clamped (search_member): top maps each gate to its cutoff, and a value
-      is clamped at its gate's cutoff.
-    * bounded (certificate_search): top maps each gate to a sound upper bound
-      on its values (_cert_value_bounds), and a value past it is answered
-      False without being opened.
-    The bound also ends the values _some scans. In both modes every opened
-    pair and every scanned value is a step, and the budget counts steps.
+    Its value bound, fixed here, is its one switch, and it is read only where
+    a value enters (_run), at div's last divisor and in _some:
+    * clamped (search): top maps each gate to its cutoff, and a value is
+      clamped at its gate's cutoff.
+    * bounded (certificate): top maps each gate to a sound upper bound on its
+      values (_cert_value_bounds), and a value past it is answered False
+      without being opened.
+    * unbounded (divisor-search): top is inf at every gate. A query b >= 1
+      only asks divisors of b, so the search ends; 0 at a mul would need
+      some value of the other operand, which no bound ends, and is refused.
+    The bound also ends the values _some scans. Every opened pair and every
+    scanned value is a step, and the budget counts steps.
     """
 
     __slots__ = ("c", "top", "clamp", "limit", "memo", "some_memo", "used", "steps")
@@ -271,13 +280,28 @@ def search_member(c: Circuit, x, budget: EngineBudget = DEFAULT_BUDGET) -> bool:
     return _prepare_search(c, budget)(_check_query(c, x))[0]
 
 
-def _prepare_search(c, budget):
-    """One memo shared by every query; the fragment is the caller's to check."""
-    st = _Search(c, cutoff_profile(c).cutoffs, True, budget)
+def _prepare_search(c, budget, top=None):
+    """member(x) -> (member, stats, witness), on one memo and one step budget
+    shared by every query. top is the value bound: None clamps at the
+    structural cutoffs, a dict bounds each gate by its entry. A witness is
+    read where the bound is not clamped and c has no comp. The fragment is
+    the caller's to check."""
+    clamp = top is None
+    st = _Search(c, cutoff_profile(c).cutoffs if clamp else top, clamp, budget)
+    walk = not clamp and _COMP not in fragment_of(c)
 
     def member(x):
-        res = _run(st, (c.output, x))
-        return res, {"memo_entries": len(st.memo) + len(st.some_memo)}, None
+        ok = _run(st, (c.output, x))
+        witness = None
+        if ok and walk:
+            witness = {}
+            todo = [(c.output, x)]
+            while todo:
+                pair = todo.pop()
+                if pair not in witness:
+                    witness[pair] = st.used[pair]
+                    todo += reversed(witness[pair])
+        return ok, {"memo_entries": len(st.memo) + len(st.some_memo), "steps": st.steps}, witness
 
     return member
 
@@ -295,19 +319,8 @@ def certificate_search(c: Circuit, b: int, budget: EngineBudget = DEFAULT_BUDGET
     div. Returns (member, witness or None, stats).
     """
     require_fragment(c, EXACT_SCALAR, "certificate search", vector=False)
-    b = _check_query(c, b)
-    st = _Search(c, _cert_value_bounds(c), False, budget)
-    ok = _run(st, (c.output, b))
-    witness = None
-    if ok:
-        witness = {}
-        todo = [(c.output, b)]
-        while todo:
-            pair = todo.pop()
-            if pair not in witness:
-                witness[pair] = st.used[pair]
-                todo += reversed(witness[pair])
-    return ok, witness, {"memo_entries": len(st.memo), "steps": st.steps}
+    ok, stats, witness = _prepare_search(c, budget, _cert_value_bounds(c))(_check_query(c, b))
+    return ok, witness, stats
 
 
 def _cert_value_bounds(c: Circuit) -> dict:
@@ -383,8 +396,7 @@ def _step(st: _Search):
 
 def _frame(st: _Search, g, v):
     """Frame: whether gate g can take the value v. When it can, the operand
-    pairs it used are recorded at st.used[g.gid, v]; comp, which only the
-    clamped mode reaches, records none."""
+    pairs it used are recorded at st.used[g.gid, v]; comp records none."""
     kind = g.kind
     pairs = None
     if kind is _INPUT:
@@ -410,18 +422,7 @@ def _frame(st: _Search, g, v):
                 pairs = ((p1, v), (p2, w))
             elif either and (yield (p2, v)) and (w := (yield _some(st, p1, True))) is not None:
                 pairs = ((p1, w), (p2, v))
-        elif kind is _MUL:  # the bounded mode only: each d up to sqrt(v) is a step
-            for d in _ticked(st, range(1, math.isqrt(v) + 1)):
-                if v % d:
-                    continue
-                e = v // d
-                if (yield (p1, d)) and (yield (p2, e)):
-                    pairs = ((p1, d), (p2, e))
-                    break
-                if d != e and (yield (p1, e)) and (yield (p2, d)):
-                    pairs = ((p1, e), (p2, d))
-                    break
-        else:  # add, div, sub: the second operand's value first
+        else:  # add, mul, div, sub: the second operand's value first
             for x, y in _operands(st, kind, p1, p2, v):
                 if (yield (p2, y)) and (yield (p1, x)):
                     pairs = ((p1, x), (p2, y))
@@ -433,16 +434,21 @@ def _frame(st: _Search, g, v):
 
 
 def _operands(st: _Search, kind, p1: int, p2: int, v):
-    """The operand values (x of p1, y of p2) that add, div or sub (the clamped
-    mode only) turn into v, in the order the search tries them. x and y run in
-    lockstep: for add, x = v - y counts down as y counts up. div's divisors
-    w >= 1, a step each, end at the value bound (x = v * w within p1's) in the
-    bounded mode, and one past the larger cutoff, where every w clamps alike,
-    in the clamped one."""
-    top = st.top
+    """The operand values (x of p1, y of p2) that add, mul, div or sub (the
+    clamped mode only) turn into v, in the order the search tries them. x and
+    y run in lockstep: for add, x = v - y counts down as y counts up; for mul
+    (v >= 1), y runs over the divisors of v, a step each, and x = v / y.
+    div's divisors w >= 1, a step each, end at the value bound (x = v * w
+    within p1's) in the bounded mode, and one past the larger cutoff, where
+    every w clamps alike, in the clamped one."""
+    top, grid = st.top, itertools.product
     if kind is _ADD and not st.c.vector:
         return zip(range(v, -1, -1), range(v + 1))
-    grid = itertools.product
+    if kind is _MUL:  # one divisor at a time: v may have more than the budget allows
+        f = sorted(factorize(v).items())
+        ps = [p for p, _ in f]
+        ys = (math.prod(map(pow, ps, ks)) for ks in grid(*(range(e + 1) for _, e in f)))
+        return _ticked(st, ((v // y, y) for y in ys))
     if kind is _ADD:
         return zip(grid(*(range(x, -1, -1) for x in v)), grid(*(range(x + 1) for x in v)))
     w = max(top[p1], top[p2])
@@ -458,12 +464,15 @@ def _some(st: _Search, gid: int, with_z: bool):
     The scan asks z, the value that absorbs (INF for vectors, 0 for scalars),
     first if with_z and never otherwise, then the other values up to the
     gate's bound, a step each: the grid [0, bound]^dim, or the integers from
-    _low. In the clamped mode the bound stands for every value past it.
+    _low. In the clamped mode the bound stands for every value past it; with
+    no bound (divisor-search) the scan would not end, and is refused.
     """
     key = (gid, with_z)
     if key in st.some_memo:
         return st.some_memo[key]
     n = st.top[gid]
+    if n == math.inf:
+        raise BudgetExceeded("memo", f"0 at a mul needs a nonemptiness test of gate {gid}")
     if st.c.vector:
         values = itertools.product(range(n + 1), repeat=st.c.dim)
         if with_z:
@@ -573,14 +582,6 @@ def _prepare_clamped(c, budget):
     return lambda q: (rep.member(q), {}, None)
 
 
-def _prepare_certificate(c, budget):
-    def member(b):
-        ok, witness, stats = certificate_search(c, b, budget)
-        return ok, stats, witness
-
-    return member
-
-
 def _through_gcdfree(row: str):
     """prepare for a scalar circuit decided on its gcd-free exponent image.
 
@@ -644,18 +645,22 @@ _ENGINES: dict[tuple[str, bool], _Engine] = {
     ),
     ("singleton", False): _Engine(SINGLETON_SCALAR, "none", _prepare_singleton),
     ("exact", False): _Engine(EXACT_SCALAR, "none", _prepare_exact),
-    ("certificate", False): _Engine(EXACT_SCALAR, "none", _prepare_certificate),
+    ("certificate", False): _Engine(
+        EXACT_SCALAR, "none", lambda c, budget: _prepare_search(c, budget, _cert_value_bounds(c))
+    ),
     ("clamped-scalar", False): _Engine(CLAMPABLE_SCALAR, "structural", _prepare_clamped),
     ("search", False): _Engine(CLAMPABLE_SCALAR, "structural", _prepare_search),
     ("clamped-vector", False): _Engine(PRIMEFACT_SCALAR, "structural", _through_primefact),
+    ("divisor-search", False): _Engine(DIVISOR_SCALAR, "none", lambda c, budget: _prepare_search(
+        c, budget, dict.fromkeys((g.gid for g in c.gates), math.inf))),
     ("singleton-vector", True): _Engine(SINGLETON_VECTOR, "none", _prepare_singleton),
     ("exact", True): _Engine(EXACT_VECTOR, "none", _prepare_exact),
     ("clamped-vector", True): _Engine(CLAMPABLE_VECTOR, "structural", _prepare_clamped),
     ("search", True): _Engine(CLAMPABLE_VECTOR, "structural", _prepare_search),
 }
-# vector -> the domain's rows in order, as (fragment, needs, name). certificate
-# and search are never picked: each follows a row with the same fragment and
-# no needs, which matches first.
+# vector -> the domain's rows in order, as (fragment, needs, name). certificate,
+# search and divisor-search are never picked: each follows a row with no needs
+# whose fragment holds its own, which matches first.
 _ROUTES = {
     vector: tuple((row.fragment, row.needs, name)
                   for (name, v), row in _ENGINES.items() if v == vector)

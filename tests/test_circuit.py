@@ -296,7 +296,7 @@ def test_gate_lookup_and_contains():
     c = parse_circuit(PRIMES_TEXT)
     assert c.gate(5).kind is GateKind.MUL
     assert 5 in c and 8 not in c
-    assert c.output_gate.kind is GateKind.INTER
+    assert c.gate(c.output).kind is GateKind.INTER
 
 
 def test_inf_singleton_repr_and_identity():

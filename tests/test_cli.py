@@ -151,6 +151,15 @@ class TestMember:
         assert main(["member", p, str(n)]) == 5
         assert "factor" in capsys.readouterr().err
 
+    def test_divisor_search_refuses_zero_at_a_mul(self, circ, capsys):
+        # 0 = 2 * 0, with 0 in comp({0} inter {1}): the search would need some
+        # value of the input, and no value bound ends that scan
+        p = circ(EVEN_TEXT)
+        assert main(["member", p, "0", "--engine", "divisor-search"]) == 5
+        assert "nonemptiness" in capsys.readouterr().err
+        assert main(["member", p, "12", "--engine", "divisor-search"]) == 0
+        assert capsys.readouterr().out == "member=true engine=divisor-search cutoff=none\n"
+
     def test_bad_query_is_exit_2(self, circ):
         assert main(["member", circ(NATS_TEXT), "x"]) == 2
         assert main(["member", circ(NATS_TEXT), "1,2"]) == 2
@@ -429,11 +438,20 @@ class TestXcheck:
                  "gate 4 mul 3 1\noutput 4\n")
         assert main(["xcheck", p, "--max-b", "8"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("agree: engines exact-vector, exact, certificate, clamped-vector on ")
+        assert out.startswith("agree: engines exact-vector, exact, certificate, clamped-vector, "
+                              "divisor-search on ")
+
+    @pytest.mark.parametrize("text", [PRIMES_TEXT, EVEN_TEXT])
+    def test_comp_and_mul_compare_two_engines(self, circ, capsys, text):
+        p = circ(text)
+        assert main(["xcheck", p, "--max-b", "30"]) == 0
+        assert capsys.readouterr().out == f"agree: engines clamped-vector, divisor-search on {p}\n"
 
     def test_one_engine_is_nothing_to_cross_check(self, circ, capsys):
-        # clamped-vector is the only scalar row that holds comp and mul
-        assert main(["xcheck", circ(PRIMES_TEXT), "--max-b", "30"]) == 0
+        # with div beside comp and mul, clamped-vector is the only scalar row
+        p = circ("circuit v1\ngate 1 input 2\ngate 2 comp 1\ngate 3 mul 2 1\n"
+                 "gate 4 div 3 1\noutput 4\n")
+        assert main(["xcheck", p, "--max-b", "30"]) == 0
         assert capsys.readouterr().out == "nothing to cross-check: only clamped-vector applies\n"
 
     def test_an_engine_out_of_budget_is_not_said_to_agree(self, circ, capsys):

@@ -27,6 +27,7 @@ from setcircuits import (
     eval_singleton_vector,
     fragment_of,
     parse_circuit,
+    primes_circuit,
     search_member,
     structural_cutoff,
     subcircuit_at,
@@ -47,6 +48,7 @@ from circgen import (
 )
 from refeval import exact_sets_bruteforce, ref_member_scalar, ref_member_vector
 from test_circuit import PRIMES_TEXT
+from test_transforms import EVENS
 
 TIGHT = EngineBudget(max_set_elems=10**5, max_grid_cells=3 * 10**5, max_memo_entries=3 * 10**5)
 
@@ -458,20 +460,96 @@ class TestRefusalPoints:
         least = [[_least_memo_budget(lambda bud: certificate_search(c, b, bud))
                   for b in (0, 2, 6, 30)] for c in circuits]
         # 0: b is past the output's value bound, answered False without a step
-        assert least == [[4, 0, 0, 0], [6, 34, 10, 0], [2, 6, 0, 0], [2, 1, 0, 0],
-                         [7, 14, 30, 59], [3, 2, 0, 0]]
+        assert least == [[4, 0, 0, 0], [6, 33, 6, 0], [2, 6, 0, 0], [2, 1, 0, 0],
+                         [7, 7, 20, 29], [3, 2, 0, 0]]
 
-    def test_the_mul_scan_counts_every_candidate(self):
-        # b is prime and below the output's value bound 2^64: the mul gates
-        # scan about 10^6 candidate divisors, of which only 1 divides b
-        c = parse_circuit("circuit v1\ngate 1 input 2\n"
-                          + "".join(f"gate {k} mul {k - 1} {k - 1}\n" for k in range(2, 8))
-                          + "output 7\n")
+
+def _squarings(n: int) -> Circuit:
+    """input 2 and n squarings: the output holds 2^(2^n) alone."""
+    return parse_circuit("circuit v1\ngate 1 input 2\n"
+                         + "".join(f"gate {k} mul {k - 1} {k - 1}\n" for k in range(2, n + 2))
+                         + f"output {n + 1}\n")
+
+
+class TestMulDivisorPairs:
+    """mul asks the operand pairs (v / y, y) for the divisors y of its value
+    v, a step each: the steps follow the number of divisors, not sqrt(v)."""
+
+    def test_a_perfect_power_is_shown(self):
+        c = _squarings(6)
+        v = decide(c, 2**64, engine="certificate")
+        assert v.member is True and verify_certificate(c, 2**64, v.witness)
+        assert v.stats["steps"] == 852
+
+    def test_a_prime_below_the_value_bound_takes_few_steps(self):
+        # 999,999,999,989 is prime and below the bound 2^64: its divisor
+        # pairs are (b, 1), whose 1 no squaring holds, and (1, b), past 2^32
+        ok, wit, stats = certificate_search(_squarings(6), 999_999_999_989)
+        assert (ok, wit) == (False, None) and stats["steps"] < 20
+
+    def test_eight_squarings(self):
+        c = _squarings(8)
+        assert certificate_search(c, 3**100)[:2] == (False, None)
+        ok, wit, _ = certificate_search(c, 2**256)
+        assert ok and verify_certificate(c, 2**256, wit)
+        assert wit[9, 2**256] == ((8, 2**128), (8, 2**128))
+
+    def test_a_value_factorize_cannot_split_is_refused(self):
+        # two primes near 2^64: rho runs out of steps before it splits b
+        b = 19_282_901_516_542_751_161 * 18_788_459_943_534_510_863
         with pytest.raises(BudgetExceeded) as e:
-            certificate_search(c, 999_999_999_989, EngineBudget(max_memo_entries=10**4))
-        assert e.value.kind == "memo"
-        ok, _, stats = certificate_search(c, 999_999_999_989)
-        assert ok is False and stats["steps"] > 10**6
+            certificate_search(_squarings(8), b)
+        assert e.value.kind == "factor"
+
+
+class TestDivisorSearch:
+    """divisor-search: the search with no value bound, on {union, inter,
+    comp, mul}. A query b >= 1 only asks divisors of b."""
+
+    def test_agrees_with_bruteforce_on_comp_free_circuits(self):
+        rng = random.Random(251)
+        ops = (GateKind.UNION, GateKind.INTER, GateKind.MUL)
+        members = 0
+        for _ in range(80):
+            c = random_scalar(rng, ops, max_gates=7, max_label=6)
+            out = exact_sets_bruteforce(c)[c.output]
+            try:  # 0 is answered unless it reaches a mul with an operand holding 0
+                assert decide(c, 0, engine="divisor-search").member == (0 in out), str(c)
+            except BudgetExceeded as e:
+                assert e.kind == "memo", str(c)
+            for b in sorted({*range(1, 20), *sorted(out)[:4]} - {0}):
+                v = decide(c, b, engine="divisor-search", budget=TIGHT)
+                assert v.member == (b in out), f"b={b}\n{c}"
+                assert verify_certificate(c, b, v.witness) if v.member else v.witness is None
+                members += v.member
+        assert members > 0
+
+    def test_agrees_with_decide_under_comp(self):
+        rng = random.Random(5)
+        compared = 0
+        for _ in range(60):
+            c = random_scalar(rng, (GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.MUL),
+                              max_gates=8, max_label=6)
+            if GateKind.COMP not in fragment_of(c):
+                continue
+            res = xcheck_circuit(c, max_b=40, budget=TIGHT)
+            assert res.problems == [], str(c)
+            compared += res.answered == ["clamped-vector", "divisor-search"]
+        assert compared > 20
+
+    def test_zero_at_a_mul_is_refused(self):
+        # evens is {2} * comp({0} inter {1}), whose right operand holds 0: the
+        # search would need some value of the left, and no bound ends that scan
+        with pytest.raises(BudgetExceeded) as e:
+            decide(EVENS, 0, engine="divisor-search")
+        assert e.value.kind == "memo" and "nonemptiness" in str(e.value)
+        # where no operand holds 0, mul answers 0 without that scan
+        v = decide(primes_circuit(), 0, engine="divisor-search")
+        assert (v.member, v.witness) == (False, None)
+
+    def test_xcheck_compares_two_engines_on_primes_and_evens(self):
+        for c in (primes_circuit(), EVENS):
+            assert xcheck_circuit(c, max_b=2000) == ([], ["clamped-vector", "divisor-search"], [])
 
 
 class TestSearchModesAgree:
