@@ -155,9 +155,9 @@ def _cmd_eval(args) -> int:
     """Print the sets of the route decide() takes: a comp-free circuit's exact
     sets and a comp circuit's clamped tables. A scalar circuit on a vector row
     is decided on its image, gcd-free or prime-factor, so that image's sets
-    are printed, after a line naming it."""
-    c = _load_circuit(args.circuit)
-    route = pick_engine(c)  # OpenFragmentError on the open fragment
+    are printed, after a line naming it; one routed on its output's cone
+    prints the cone's."""
+    route, c = pick_engine(_load_circuit(args.circuit))  # OpenFragmentError on the open fragment
     budget = _budget(args)
     cap = args.upto
     image = ""

@@ -37,8 +37,10 @@ preparation and route are declared; decide(), applicable_engines() and
 xcheck_circuit() all read it, and so does the CLI's eval through
 pick_engine(). decide() takes the first row of the circuit's
 domain whose `needs` the circuit uses and whose fragment holds every kind
-the circuit uses; certificate, search and divisor-search are never taken, as
-each follows a row with no needs whose fragment holds its own. A fragment no row
+the circuit uses, except that a scalar circuit that would take clamped-vector
+is routed on its output's cone (pick_engine); certificate, search and
+divisor-search are never taken, as each follows a row with no needs whose
+fragment holds its own. A fragment no row
 fits, comp with both add and mul, is refused (OpenFragmentError): no decision
 procedure is known.
 """
@@ -194,23 +196,29 @@ def eval_clamped_scalar(c: Circuit, budget: EngineBudget = DEFAULT_BUDGET):
     """Per-gate NatSetRep for {union, inter, comp, add, div} circuits.
 
     Returns (reps, output rep). Exact under the clamped reading at the
-    structural cutoffs.
+    structural cutoffs. Each distinct kernel application (kind, operand reps,
+    cutoff) runs once per call, and every later gate with the same key shares
+    its rep: from_cvp's sets are all empty or full, so most of its gates
+    repeat a key.
     """
     require_fragment(c, CLAMPABLE_SCALAR, "clamped scalar evaluation", vector=False)
     cut = cutoff_profile(c).cutoffs
     max_cells = budget.max_grid_cells
     INPUT, COMP = _INPUT, _COMP
     reps: dict = {}
+    done: dict = {}  # (kind, operand reps, cutoff) -> its rep, for this call only
     for gid, kind, preds, value in c.gates:
         n = cut[gid]
         if n + 1 > max_cells:
             raise BudgetExceeded("grid", f"gate {gid} needs a {n + 1}-cell bitmap")
         if kind is INPUT:  # a label is below its gate's cutoff
             reps[gid] = _new(NatSetRep, (n, 1 << value))
-        elif kind is COMP:
-            reps[gid] = natrep_apply(kind, reps[preds[0]], None, n, max_cells)
-        else:
-            reps[gid] = natrep_apply(kind, reps[preds[0]], reps[preds[1]], n, max_cells)
+            continue
+        key = (kind, reps[preds[0]], None if kind is COMP else reps[preds[1]], n)
+        rep = done.get(key)
+        if rep is None:
+            rep = done[key] = natrep_apply(*key, max_cells)
+        reps[gid] = rep
     return reps, reps[c.output]
 
 
@@ -681,25 +689,27 @@ def decide(
 
     The route is the first row of the circuit's domain in _ENGINES whose
     needs the circuit uses and whose fragment holds every kind the circuit
-    uses; with none, OpenFragmentError. exact falls back to certificate when
-    its budget runs out. Vector circuits accept tuple or INF queries.
+    uses; with none, OpenFragmentError. A scalar circuit whose route is
+    clamped-vector is routed and run on its output's cone (pick_engine).
+    exact falls back to certificate when its budget runs out. Vector
+    circuits accept tuple or INF queries.
     """
     t0 = time.perf_counter()
-    name = pick_engine(c) if engine == "auto" else engine
+    name, run = pick_engine(c) if engine == "auto" else (engine, c)
     q = _check_query(c, b)
     row = _ENGINES.get((name, c.vector))
     if row is None:
         dom = "vector" if c.vector else "scalar"
         raise ValueError(f"unknown engine {name!r} for {dom} circuits")
-    require_fragment(c, row.fragment, name)
+    require_fragment(run, row.fragment, name)
     try:
-        member = row.prepare(c, budget)
+        member = row.prepare(run, budget)
     except BudgetExceeded:
         if (name, c.vector) != ("exact", False):
             raise
         name = "certificate"  # same fragment, guess values instead of sets
         row = _ENGINES[name, False]
-        member = row.prepare(c, budget)
+        member = row.prepare(run, budget)
     ok, stats, witness = member(q)
     stats["gates"] = len(c.gates)
     stats["micros"] = int((time.perf_counter() - t0) * 1e6)
@@ -720,9 +730,22 @@ def _check_query(c: Circuit, b):
     return x
 
 
-def pick_engine(c: Circuit) -> str:
-    """The engine decide() takes on c: the first row of _ROUTES[c.vector] with
-    needs <= fragment_of(c) <= its fragment; OpenFragmentError if none."""
+def pick_engine(c: Circuit) -> tuple[str, Circuit]:
+    """(engine, circuit) for decide()'s auto route on c: the first row of
+    _ROUTES[c.vector] with needs <= fragment <= its fragment, run on c;
+    OpenFragmentError if none. A scalar circuit that would take clamped-vector
+    is routed again on its output's cone, and that row runs on the cone: a
+    dead comp gate would otherwise send a {mul} output to the prime-factor
+    grid. The cone's pass is paid on this route only."""
+    name = _first_row(c)
+    if name == "clamped-vector" and not c.vector:
+        cone = subcircuit_at(c, c.output)
+        if cone is not c:
+            return _first_row(cone), cone
+    return name, c
+
+
+def _first_row(c: Circuit) -> str:
     frag = fragment_of(c)
     for fragment, needs, name in _ROUTES[c.vector]:
         if frag <= fragment and needs <= frag:  # the fragment test fails first, and more often

@@ -261,6 +261,17 @@ class TestEval:
         assert main(["eval", circ(_squarings(14, "gate 16 div 15 15"))]) == 0
         assert capsys.readouterr().out.splitlines()[-2] == "gate 16 sub: {(0)}"
 
+    def test_a_dead_comp_gate_is_left_out_of_the_listing(self, circ, capsys):
+        # member and eval both run on the output's cone, a {mul} circuit
+        p = circ("circuit v1\ngate 1 input 4\ngate 2 input 5\ngate 3 input 6\n"
+                 "gate 4 mul 1 2\ngate 5 comp 4\ngate 6 mul 4 2\noutput 6\n")
+        assert main(["member", p, "100"]) == 0
+        assert capsys.readouterr().out.split()[:2] == ["member=true", "engine=singleton-vector"]
+        assert main(["eval", p]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "image gcd-free base={4, 5} dim=2", "gate 1 input: {(1,0)}", "gate 2 input: {(0,1)}",
+            "gate 4 add: {(1,1)}", "gate 6 add: {(1,2)}", "output gate 6 (exact gcd-free image)"]
+
     def test_numbers_past_the_digit_limit_show_a_stand_in(self, circ, capsys):
         # 2^(2^14) + 1 has 4,933 digits, past str()'s default limit
         p = circ(_squarings(14, "gate 16 input 1", "gate 17 add 15 16"))

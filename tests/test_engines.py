@@ -10,6 +10,7 @@ from setcircuits import (
     INF,
     BudgetExceeded,
     Circuit,
+    CutoffProfile,
     EngineBudget,
     FragmentError,
     GateKind,
@@ -19,6 +20,7 @@ from setcircuits import (
     applicable_engines,
     certificate_search,
     certified_cutoff,
+    cutoff_profile,
     decide,
     eval_clamped_scalar,
     eval_clamped_vector,
@@ -34,8 +36,16 @@ from setcircuits import (
     verify_certificate,
     xcheck_circuit,
 )
+from setcircuits.engines import pick_engine
 from setcircuits.setrep import natrep_apply, vecrep_apply, vecrep_from_label
-from setcircuits.reductions import ExactCoverInstance, exact_cover_solvable, from_exact_cover
+from setcircuits.reductions import (
+    CvpInstance,
+    ExactCoverInstance,
+    cvp_value,
+    exact_cover_solvable,
+    from_cvp,
+    from_exact_cover,
+)
 
 from circgen import (
     SCALAR_FULL,
@@ -61,6 +71,13 @@ CLAMPABLE_VECTOR = (GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.ADD,
 SHIFT_TEXT = (
     "circuit v1\ngate 1 input 0\ngate 2 input 2\ngate 3 union 1 2\ngate 4 input 1\n"
     "gate 5 comp 4\ngate 6 add 3 5\noutput 6\n"
+)
+
+
+# gate 5 feeds nothing: without it the circuit is {mul}-only
+DEAD_COMP_TEXT = (
+    "circuit v1\ngate 1 input 4\ngate 2 input 5\ngate 3 input 6\ngate 4 mul 1 2\n"
+    "gate 5 comp 4\ngate 6 mul 4 2\noutput 6\n"
 )
 
 
@@ -205,6 +222,69 @@ class TestClampedScalar:
         c = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 mul 1 1\noutput 2\n")
         with pytest.raises(FragmentError):
             eval_clamped_scalar(c)
+
+    def test_each_distinct_kernel_application_runs_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return natrep_apply(*args)
+
+        monkeypatch.setattr(engines, "natrep_apply", counting)
+        rng = random.Random(197)
+        for size in (30, 100, 300, 700):
+            inst = _cvp_instance(rng, size)
+            c = from_cvp(inst).circuit
+            assert 60 <= len(c) <= 1500
+            calls.clear()
+            reps, out = eval_clamped_scalar(c)
+            # every set is empty or full at one cutoff: the keys are {0} / {0},
+            # comp of either set and div of each pair, whatever the size
+            assert len(calls) == len(_unshared_keys(c, reps)) <= 7
+            assert out.member(1) == cvp_value(inst)
+        for _ in range(60):  # random circuits repeat few keys, and share those
+            c = bounded_scalar(rng, CLAMPABLE_SCALAR, max_cutoff=20, max_gates=8, max_label=5)
+            calls.clear()
+            reps, _ = eval_clamped_scalar(c)
+            assert len(calls) == len(_unshared_keys(c, reps)), str(c)
+        # the result cutoff is part of the key: the structural profile fixes it
+        # by the kind and the operands' cutoffs, but one that gives two comp
+        # gates of one operand two cutoffs gets two applications
+        cut = {1: 2, 2: 4, 3: 6}
+        monkeypatch.setattr(engines, "cutoff_profile", lambda c: CutoffProfile("structural", cut))
+        c = parse_circuit("circuit v1\ngate 1 input 0\ngate 2 comp 1\ngate 3 comp 1\noutput 3\n")
+        calls.clear()
+        reps, _ = eval_clamped_scalar(c)
+        assert len(calls) == 2 and (reps[2], reps[3]) == (NatSetRep(4, 30), NatSetRep(6, 126))
+
+
+def _cvp_instance(rng: random.Random, n_gates: int) -> CvpInstance:
+    """A boolean circuit on 8 variables; each gate reads the last 16 gates."""
+    ids = [f"x{i}" for i in range(8)]
+    assignment = {x: rng.random() < 0.5 for x in ids}
+    gates = [(x, "var", x) for x in ids]
+    for i in range(n_gates):
+        op = rng.choice(("not", "and", "or"))
+        args = rng.choices(ids[-16:], k=1 if op == "not" else 2)
+        gates.append((f"g{i}", op, *args))
+        ids.append(f"g{i}")
+    return CvpInstance(gates=tuple(gates), output=ids[-1], assignment=assignment)
+
+
+def _unshared_keys(c: Circuit, shared: dict) -> set:
+    """The distinct (kind, operand reps, cutoff) keys of c, from reps built one
+    natrep_apply per gate; asserts they equal the shared reps gate by gate."""
+    cut = cutoff_profile(c).cutoffs
+    reps, keys = {}, set()
+    for gid, kind, preds, value in c.gates:
+        if kind is GateKind.INPUT:
+            reps[gid] = NatSetRep(cut[gid], 1 << value)
+            continue
+        operands = [reps[p] for p in preds]
+        keys.add((kind, *operands, cut[gid]))
+        reps[gid] = natrep_apply(kind, operands[0], operands[-1], cut[gid])
+    assert reps == shared
+    return keys
 
 
 class TestClampedVector:
@@ -805,13 +885,16 @@ FRAGMENT_ROUTES = {
 }
 
 
-def _fragment_circuit(key: str):
-    """A circuit whose fragment is the kinds named in key, each gate applied to one input."""
+def _fragment_circuit(key: str, live: bool = True):
+    """A circuit whose fragment is the kinds named in key. Each gate reads the
+    gate before it and the input, so every gate feeds the output; with
+    live=False each reads the input only, and only the last feeds the output."""
     domain, *kinds = key.split()
     header, label = ("vcircuit v1 dim 2", "1,2") if domain == "v" else ("circuit v1", "2")
     lines = [header, f"gate 1 input {label}"]
     for gid, kind in enumerate(kinds, 2):
-        lines.append(f"gate {gid} {kind} 1" + ("" if kind == "comp" else " 1"))
+        first = gid - 1 if live else 1
+        lines.append(f"gate {gid} {kind} {first}" + ("" if kind == "comp" else " 1"))
     return parse_circuit("\n".join(lines + [f"output {len(kinds) + 1}"]) + "\n")
 
 
@@ -834,6 +917,28 @@ class TestDecideDispatch:
         except OpenFragmentError:
             got = "open"
         assert got == FRAGMENT_ROUTES[key]
+
+    @pytest.mark.parametrize("key", [k for k, route in FRAGMENT_ROUTES.items()
+                                     if k[0] == "s" and route == "clamped-vector"])
+    def test_a_scalar_clamped_vector_route_runs_on_the_output_cone(self, key):
+        # the cone is the input and the last gate: its own fragment's route
+        c = _fragment_circuit(key, live=False)
+        want = FRAGMENT_ROUTES["s " + key.split()[-1]]
+        for b in range(13):
+            v = decide(c, b)
+            assert (v.engine, v.stats["gates"]) == (want, len(c))
+            assert v.member == decide(c, b, engine="clamped-vector").member, f"b={b}\n{c}"
+
+    def test_a_dead_comp_gate_leaves_a_mul_output_off_the_grid(self):
+        # the output is {4 * 5 * 5}; comp 4 feeds nothing, yet the whole circuit
+        # takes clamped-vector, whose prime-factor grid is refused after seconds
+        c = parse_circuit(DEAD_COMP_TEXT)
+        assert pick_engine(c) == ("singleton-vector", subcircuit_at(c, 6))
+        assert applicable_engines(c) == ["clamped-vector", "divisor-search"]
+        for b in range(130):
+            v = decide(c, b)
+            assert (v.member, v.engine, v.stats["gates"]) == (b == 100, "singleton-vector", 6)
+        assert decide(c, 100, engine="divisor-search").member is True
 
     def test_transform_engines_report_details(self):
         c = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 comp 1\ngate 3 mul 2 1\noutput 3\n")
@@ -1022,8 +1127,9 @@ class TestEngineTable:
                 routes.add("open")
             except BudgetExceeded:
                 auto = None
-            else:
-                assert auto.engine in applicable, str(c)
+            else:  # a scalar clamped-vector route runs on the output's cone
+                name, run = pick_engine(c)
+                assert auto.engine == name and name in applicable_engines(run), str(c)
                 routes.add((c.vector, auto.engine))
             for name in engines[c.vector]:
                 if name not in applicable:
