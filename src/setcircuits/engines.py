@@ -6,7 +6,10 @@ Each engine decides "is b in I(C)?" for a class of circuits:
   has at most one element ({inter, add, mul, div} scalar, {inter, add, sub}
   vector); values are propagated directly.
 * eval_exact: comp-free fragments; every gate's finite set is materialized,
-  guarded by an element budget.
+  guarded by an element budget. Given a query, a {union, inter, div}
+  circuit keeps at each gate only the values that divide its demand
+  (_demand), the values that can still put the query in the output; the
+  exact row does this per query wherever the circuit uses div.
 * eval_clamped_scalar / eval_clamped_vector: comp-capable, mul-free
   fragments; per-gate clamped representations (NatSetRep, VecSetRep) built
   bottom-up at the structural cutoff profile. VecSetRep is the one set
@@ -37,12 +40,12 @@ preparation and route are declared; decide(), applicable_engines() and
 xcheck_circuit() all read it, and so does the CLI's eval through
 pick_engine(). decide() takes the first row of the circuit's
 domain whose `needs` the circuit uses and whose fragment holds every kind
-the circuit uses, except that a scalar circuit that would take clamped-vector
-is routed on its output's cone (pick_engine); certificate, search and
-divisor-search are never taken, as each follows a row with no needs whose
-fragment holds its own. A fragment no row
-fits, comp with both add and mul, is refused (OpenFragmentError): no decision
-procedure is known.
+the circuit uses, except that a scalar circuit that would take clamped-vector,
+or that no row takes, is routed on its output's cone (pick_engine);
+certificate, search and divisor-search are never taken, as each follows a row
+with no needs whose fragment holds its own. A cone no row fits, comp with
+both add and mul, is refused (OpenFragmentError): no decision procedure is
+known.
 """
 from __future__ import annotations
 
@@ -82,6 +85,7 @@ EXACT_SCALAR = frozenset(
 )
 EXACT_VECTOR = frozenset({GateKind.UNION, GateKind.INTER, GateKind.ADD, GateKind.SUB})
 DIVISOR_SCALAR = frozenset({GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.MUL})
+_DEMAND_SCALAR = frozenset({GateKind.UNION, GateKind.INTER, GateKind.DIV})
 
 
 @dataclass(frozen=True)
@@ -173,20 +177,79 @@ def eval_singleton_vector(c: Circuit) -> dict:
 # ---------------------------------------------------------------------------
 # exact finite evaluation
 
-def eval_exact(c: Circuit, budget: EngineBudget = DEFAULT_BUDGET) -> dict:
-    """Materialize every gate's finite set for comp-free circuits."""
+def eval_exact(c: Circuit, budget: EngineBudget = DEFAULT_BUDGET, query: int | None = None) -> dict:
+    """Materialize every gate's finite set for comp-free circuits.
+
+    Given a query b, a scalar {union, inter, div} circuit keeps at each gate
+    g that the output reads only the values dividing its demand D(g)
+    (_demand): every natural divides 0, and 0 divides only 0. Then b is in
+    the output's kept set exactly when it is in the full one. Write S(g) for
+    the full set and K(g) for the kept one; in gate order, S(g) ∩ Div(D(g))
+    ⊆ K(g) ⊆ S(g). A demand e that a reader passes to p has S(p) ∩ Div(e) ⊆
+    S(p) ∩ Div(D(p)), as D(p) is the lcm of those demands (0 absorbs) cut to
+    its gcd with L(p), a multiple of every nonzero value of p. union and
+    inter are monotone and pass D(g) on. div passes D(g)·L(divisor): v = a/w
+    with v | D(g) and w | L(divisor) gives a | D(g)·L(divisor) and w | a.
+    At the output D = gcd(b, L) for b >= 1, and 0 for b = 0.
+    """
     require_fragment(c, EXACT_VECTOR if c.vector else EXACT_SCALAR, "exact evaluation")
-    INPUT = _INPUT
+    INPUT, max_elems = _INPUT, budget.max_set_elems
     sets: dict = {}
-    for gid, kind, preds, value in c.gates:
-        if kind is INPUT:
-            sets[gid] = frozenset((value,))
-            continue
-        out = exact_apply(kind, sets[preds[0]], sets[preds[1]])
-        if len(out) > budget.max_set_elems:
+    if query is None:
+        for gid, kind, preds, value in c.gates:
+            if kind is INPUT:
+                sets[gid] = frozenset((value,))
+                continue
+            out = exact_apply(kind, sets[preds[0]], sets[preds[1]])
+            if len(out) > max_elems:
+                raise BudgetExceeded("set-size", f"gate {gid} holds {len(out)} elements")
+            sets[gid] = out
+        return sets
+    require_fragment(c, _DEMAND_SCALAR, "query-directed exact evaluation", vector=False)
+    for (gid, kind, preds, value), d in _demand(c, query):
+        out = frozenset((value,)) if kind is INPUT else exact_apply(kind, sets[preds[0]], sets[preds[1]])
+        if d:
+            out = frozenset([v for v in out if v and not d % v])
+        if len(out) > max_elems:
             raise BudgetExceeded("set-size", f"gate {gid} holds {len(out)} elements")
         sets[gid] = out
     return sets
+
+
+def _demand(c: Circuit, b: int) -> list:
+    """(gate, D(gate)) for each gate the output reads, in gate order. L(g),
+    bottom-up, is an input's label (1 for 0), the lcm for union, the gcd
+    for inter and the dividend's for div; D starts at b on the output."""
+    INPUT, UNION, INTER, DIV = _INPUT, _UNION, _INTER, _DIV
+    gcd, lcm = math.gcd, math.lcm
+    bound: dict = {}
+    for gid, kind, preds, value in c.gates:
+        if kind is INPUT:
+            bound[gid] = value or 1
+        elif kind is UNION:
+            bound[gid] = lcm(bound[preds[0]], bound[preds[1]])
+        elif kind is INTER:
+            bound[gid] = gcd(bound[preds[0]], bound[preds[1]])
+        else:  # DIV
+            bound[gid] = bound[preds[0]]
+    demand = {c.output: b}
+    live = []
+    for g in reversed(c.gates):
+        gid, kind, preds, _ = g
+        d = demand.get(gid)
+        if d is None:  # feeds nothing the output reads
+            continue
+        if d:  # no demand outgrows the labels' lcm
+            d = gcd(d, bound[gid])
+        live.append((g, d))
+        if kind is DIV:
+            d *= bound[preds[1]]
+        if kind is not INPUT:
+            for p in preds:
+                e = demand.get(p)
+                demand[p] = d if e is None else lcm(e, d)
+    live.reverse()
+    return live
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +641,20 @@ def _prepare_singleton(c, budget):
 
 
 def _prepare_exact(c, budget):
-    out = eval_exact(c, budget)[c.output]
-    return lambda q: (q in out, {}, None)
+    """Full sets, built once, except on scalar {union, inter, div} circuits
+    with div, where each query builds the sets its demand keeps and records
+    their sizes' sum as stats["elems"]. Without div no set outgrows the
+    labels, and an add erases any demand below it."""
+    frag = fragment_of(c)
+    if _DIV not in frag or not frag <= _DEMAND_SCALAR:  # no vector circuit has div
+        out = eval_exact(c, budget)[c.output]
+        return lambda q: (q in out, {}, None)
+
+    def member(q):
+        sets = eval_exact(c, budget, q)
+        return q in sets[c.output], {"elems": sum(map(len, sets.values()))}, None
+
+    return member
 
 
 def _prepare_clamped(c, budget):
@@ -689,10 +764,11 @@ def decide(
 
     The route is the first row of the circuit's domain in _ENGINES whose
     needs the circuit uses and whose fragment holds every kind the circuit
-    uses; with none, OpenFragmentError. A scalar circuit whose route is
-    clamped-vector is routed and run on its output's cone (pick_engine).
-    exact falls back to certificate when its budget runs out. Vector
-    circuits accept tuple or INF queries.
+    uses. A scalar circuit whose route is clamped-vector, or that has none,
+    is routed and run on its output's cone (pick_engine); a cone with no
+    route raises OpenFragmentError. exact falls back to certificate when its
+    budget runs out, at prepare or at the query. Vector circuits accept
+    tuple or INF queries.
     """
     t0 = time.perf_counter()
     name, run = pick_engine(c) if engine == "auto" else (engine, c)
@@ -701,16 +777,16 @@ def decide(
     if row is None:
         dom = "vector" if c.vector else "scalar"
         raise ValueError(f"unknown engine {name!r} for {dom} circuits")
-    require_fragment(run, row.fragment, name)
-    try:
-        member = row.prepare(run, budget)
+    if engine != "auto":  # the auto route's row holds its circuit's fragment
+        require_fragment(run, row.fragment, name)
+    try:  # exact may build its sets at prepare or at the query
+        ok, stats, witness = row.prepare(run, budget)(q)
     except BudgetExceeded:
         if (name, c.vector) != ("exact", False):
             raise
         name = "certificate"  # same fragment, guess values instead of sets
         row = _ENGINES[name, False]
-        member = row.prepare(run, budget)
-    ok, stats, witness = member(q)
+        ok, stats, witness = row.prepare(run, budget)(q)
     stats["gates"] = len(c.gates)
     stats["micros"] = int((time.perf_counter() - t0) * 1e6)
     return _new(MembershipVerdict, (ok, name, row.cutoff, stats, witness))
@@ -733,24 +809,27 @@ def _check_query(c: Circuit, b):
 def pick_engine(c: Circuit) -> tuple[str, Circuit]:
     """(engine, circuit) for decide()'s auto route on c: the first row of
     _ROUTES[c.vector] with needs <= fragment <= its fragment, run on c;
-    OpenFragmentError if none. A scalar circuit that would take clamped-vector
-    is routed again on its output's cone, and that row runs on the cone: a
-    dead comp gate would otherwise send a {mul} output to the prime-factor
-    grid. The cone's pass is paid on this route only."""
+    OpenFragmentError if none. A circuit no row takes, and a scalar circuit
+    that would take clamped-vector, is routed again on its output's cone, and
+    that row runs on the cone: a dead gate would otherwise refuse a decidable
+    circuit as the open fragment, or send a {mul} output to the prime-factor
+    grid. The cone's pass is paid on these two routes only."""
     name = _first_row(c)
-    if name == "clamped-vector" and not c.vector:
+    if name is None or name == "clamped-vector" and not c.vector:
         cone = subcircuit_at(c, c.output)
         if cone is not c:
-            return _first_row(cone), cone
+            name, c = _first_row(cone), cone
+    if name is None:
+        raise OpenFragmentError("unsupported fragment: comp with both add and mul; decidability open")
     return name, c
 
 
-def _first_row(c: Circuit) -> str:
+def _first_row(c: Circuit) -> str | None:
     frag = fragment_of(c)
     for fragment, needs, name in _ROUTES[c.vector]:
         if frag <= fragment and needs <= frag:  # the fragment test fails first, and more often
             return name
-    raise OpenFragmentError("unsupported fragment: comp with both add and mul; decidability open")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +862,8 @@ def xcheck_circuit(
     max_b: int = 24,
     budget: EngineBudget = DEFAULT_BUDGET,
 ) -> CrossCheck:
-    """Run every applicable engine on a shared query range; report disagreements.
+    """Run every engine applicable to the circuit decide() routes (c or its
+    output's cone, pick_engine) on a shared query range; report disagreements.
 
     Scalar circuits probe b in [0, max_b]; vector circuits probe the grid up
     to min(max_b, output cutoff + 2) per coordinate, plus inf. Each engine is
@@ -793,7 +873,7 @@ def xcheck_circuit(
     """
     if max_b < 0:
         raise ValueError(f"max_b must be a natural number, got {max_b}")
-    pick_engine(c)  # raises OpenFragmentError where decide() would
+    c = pick_engine(c)[1]  # raises OpenFragmentError where decide() would
     names = applicable_engines(c)
     if c.vector:
         top = min(max_b, structural_cutoff(c)[c.output] + 2)

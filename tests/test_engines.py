@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -177,6 +178,73 @@ class TestExact:
         assert eval_exact(c)[5] == frozenset(range(5))
         with pytest.raises(BudgetExceeded):
             eval_exact(c, EngineBudget(max_set_elems=4))
+
+
+class TestDemand:
+    """eval_exact with a query keeps, at each gate of a {union, inter, div}
+    circuit, the values that divide its demand: at the output, the full
+    set's divisors of b (all of it for b = 0)."""
+
+    def test_kept_sets_match_the_full_sets(self):
+        rng = random.Random(263)
+        ops = (GateKind.UNION, GateKind.INTER, GateKind.DIV)
+        zeros = dead = 0
+        for _ in range(300):
+            c = random_scalar(rng, ops, max_gates=rng.randint(2, 8), max_label=12)
+            full = eval_exact(c)
+            zeros += 0 in full[c.output]
+            for b in range(30):
+                kept = eval_exact(c, query=b)
+                dead += len(kept) < len(full)
+                assert all(kept[g] <= full[g] for g in kept), f"b={b}\n{c}"
+                want = {v for v in full[c.output] if b == 0 or v and b % v == 0}
+                assert kept[c.output] == want, f"b={b}\n{c}"
+        assert zeros > 0 and dead > 0
+
+    def test_decide_matches_bruteforce(self):
+        rng = random.Random(269)
+        ops = (GateKind.UNION, GateKind.INTER, GateKind.DIV)
+        for _ in range(60):
+            c = random_scalar(rng, ops, max_gates=7, max_label=12)
+            out = exact_sets_bruteforce(c)[c.output]
+            for b in range(25):
+                assert decide(c, b).member == (b in out), f"b={b}\n{c}"
+
+    def test_a_query_needs_union_inter_div(self):
+        c = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 add 1 1\noutput 2\n")
+        with pytest.raises(FragmentError):
+            eval_exact(c, query=4)
+
+    def test_exact_cover_24_40_is_decided_on_exact(self):
+        rng = random.Random(277)
+        for i in range(6):
+            inst = _exact_cover(rng, 24, 40, i % 2 == 0)
+            red = from_exact_cover(inst)
+            v = decide(red.circuit, red.query)
+            assert v.engine == "exact"
+            assert red.answer(v.member) == exact_cover_solvable(inst), inst
+
+    def test_a_planted_32_64_instance_is_decided_in_under_a_second(self):
+        # the full sets pass the 10^6-element budget, and the certificate
+        # fallback then runs out of steps: refused after about 30 s
+        red = from_exact_cover(_exact_cover(random.Random(3), 32, 64, True))
+        t0 = time.perf_counter()
+        v = decide(red.circuit, red.query)
+        assert time.perf_counter() - t0 < 1.0
+        assert (v.engine, v.member) == ("exact", True)
+
+    def test_the_verdict_counts_the_elements_kept(self):
+        red = from_exact_cover(_exact_cover(random.Random(283), 16, 24, True))
+        c, b = red.circuit, red.query
+        v = decide(c, b)
+        assert v.stats["elems"] == sum(map(len, eval_exact(c, query=b).values()))
+        assert v.stats["elems"] * 10 < sum(map(len, eval_exact(c).values()))
+
+    def test_a_set_size_refusal_at_the_query_falls_back_to_certificate(self):
+        red = from_exact_cover(_exact_cover(random.Random(293), 8, 10, True))
+        v = decide(red.circuit, red.query, budget=EngineBudget(max_set_elems=2))
+        assert (v.engine, v.member) == ("certificate", True)
+        assert verify_certificate(red.circuit, red.query, v.witness)
 
 
 class TestClampedScalar:
@@ -607,11 +675,11 @@ class TestDivisorSearch:
     def test_agrees_with_decide_under_comp(self):
         rng = random.Random(5)
         compared = 0
-        for _ in range(60):
+        for _ in range(200):
             c = random_scalar(rng, (GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.MUL),
                               max_gates=8, max_label=6)
-            if GateKind.COMP not in fragment_of(c):
-                continue
+            if GateKind.COMP not in fragment_of(subcircuit_at(c, c.output)):
+                continue  # xcheck runs the cone, which decide routes
             res = xcheck_circuit(c, max_b=40, budget=TIGHT)
             assert res.problems == [], str(c)
             compared += res.answered == ["clamped-vector", "divisor-search"]
@@ -940,6 +1008,17 @@ class TestDecideDispatch:
             assert (v.member, v.engine, v.stats["gates"]) == (b == 100, "singleton-vector", 6)
         assert decide(c, 100, engine="divisor-search").member is True
 
+    def test_a_dead_gate_does_not_make_a_circuit_open(self):
+        # the whole circuit holds comp, add and mul; its output's cone is {mul}
+        c = parse_circuit("circuit v1\ngate 1 input 0\ngate 2 comp 1\ngate 3 add 1 1\n"
+                          "gate 4 mul 1 1\noutput 4\n")
+        assert applicable_engines(c) == []
+        assert pick_engine(c) == ("singleton-vector", subcircuit_at(c, 4))
+        for b in range(6):
+            v = decide(c, b)
+            assert (v.member, v.engine) == (b == 0, "singleton-vector")
+        assert xcheck_circuit(c, max_b=5).problems == []
+
     def test_transform_engines_report_details(self):
         c = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 comp 1\ngate 3 mul 2 1\noutput 3\n")
         v = decide(c, 6)
@@ -1107,6 +1186,7 @@ class TestEngineTable:
     def _corpus(self):
         for text, query, _, _ in DISPATCH_CASES:
             yield parse_circuit(text), query
+        yield _fragment_circuit("s comp add mul"), 4  # every gate live: refused as open
         rng = random.Random(163)
         for _ in range(150):
             yield random_scalar(rng, SCALAR_FULL, max_gates=5, max_label=6), rng.randint(0, 12)
@@ -1200,6 +1280,18 @@ class TestXcheck:
         assert res == ([], ["search"], ["clamped-vector"])
         assert (res.problems, res.answered, res.abstained) == res
         assert xcheck_circuit(c, max_b=3) == ([], ["clamped-vector", "search"], [])
+
+    def test_a_dead_comp_gate_is_checked_on_the_cone(self):
+        # the whole circuit's rows are clamped-vector, which abstains after
+        # seconds of grid work, and divisor-search: nothing would be compared
+        c = parse_circuit(DEAD_COMP_TEXT)
+        t0 = time.perf_counter()
+        res = xcheck_circuit(c, budget=EngineBudget(max_grid_cells=1000))
+        assert time.perf_counter() - t0 < 0.25
+        assert res == ([], ["singleton-vector", "exact-vector", "singleton", "exact",
+                            "certificate", "divisor-search"], ["clamped-vector"])
+        # at the default budget the cone's prime-factor grid answers too
+        assert xcheck_circuit(c).answered == applicable_engines(subcircuit_at(c, 6))
 
     def test_vector_image_built_once_per_circuit(self, monkeypatch):
         calls = []
