@@ -12,12 +12,13 @@ Each engine decides "is b in I(C)?" for a class of circuits:
   exact row does this per query wherever the circuit uses div.
 * eval_clamped_scalar / eval_clamped_vector: comp-capable, mul-free
   fragments; per-gate clamped representations (NatSetRep, VecSetRep) built
-  bottom-up at the structural cutoff profile. VecSetRep is the one set
-  representation of every vector route. The clamped-vector row of a vector
-  circuit tabulates only the output's cone (subcircuit_at): a gate's cutoff
-  reads only the gates that feed it, so every table the output reads is the
-  one the whole circuit gives, and a gate that feeds nothing costs no grid
-  work and no budget.
+  bottom-up at the structural cutoff profile by one loop (_eval_clamped),
+  which runs each distinct kernel application once per call. VecSetRep is
+  the one set representation of every vector route. The clamped-vector row
+  of a vector circuit tabulates only the output's cone (subcircuit_at): a
+  gate's cutoff reads only the gates that feed it, so every table the output
+  reads is the one the whole circuit gives, and a gate that feeds nothing
+  costs no grid work and no budget.
 * search, certificate and divisor-search: one memoized top-down search over
   (gate, value) pairs (_Search, built by _prepare_search) that unfolds the
   set definitions, guessing the operand pairs of add, mul, div and sub in
@@ -40,8 +41,8 @@ preparation and route are declared; decide(), applicable_engines() and
 xcheck_circuit() all read it, and so does the CLI's eval through
 pick_engine(). decide() takes the first row of the circuit's
 domain whose `needs` the circuit uses and whose fragment holds every kind
-the circuit uses, except that a scalar circuit that would take clamped-vector,
-or that no row takes, is routed on its output's cone (pick_engine);
+the circuit uses, except that a circuit that would take clamped-vector, or
+that no row takes, is routed on its output's cone (pick_engine);
 certificate, search and divisor-search are never taken, as each follows a row
 with no needs whose fragment holds its own. A cone no row fits, comp with
 both add and mul, is refused (OpenFragmentError): no decision procedure is
@@ -193,20 +194,14 @@ def eval_exact(c: Circuit, budget: EngineBudget = DEFAULT_BUDGET, query: int | N
     At the output D = gcd(b, L) for b >= 1, and 0 for b = 0.
     """
     require_fragment(c, EXACT_VECTOR if c.vector else EXACT_SCALAR, "exact evaluation")
+    if query is None:  # demand 0 keeps every value of every gate
+        live = zip(c.gates, itertools.repeat(0))
+    else:
+        require_fragment(c, _DEMAND_SCALAR, "query-directed exact evaluation", vector=False)
+        live = _demand(c, query)
     INPUT, max_elems = _INPUT, budget.max_set_elems
     sets: dict = {}
-    if query is None:
-        for gid, kind, preds, value in c.gates:
-            if kind is INPUT:
-                sets[gid] = frozenset((value,))
-                continue
-            out = exact_apply(kind, sets[preds[0]], sets[preds[1]])
-            if len(out) > max_elems:
-                raise BudgetExceeded("set-size", f"gate {gid} holds {len(out)} elements")
-            sets[gid] = out
-        return sets
-    require_fragment(c, _DEMAND_SCALAR, "query-directed exact evaluation", vector=False)
-    for (gid, kind, preds, value), d in _demand(c, query):
+    for (gid, kind, preds, value), d in live:
         out = frozenset((value,)) if kind is INPUT else exact_apply(kind, sets[preds[0]], sets[preds[1]])
         if d:
             out = frozenset([v for v in out if v and not d % v])
@@ -259,49 +254,47 @@ def eval_clamped_scalar(c: Circuit, budget: EngineBudget = DEFAULT_BUDGET):
     """Per-gate NatSetRep for {union, inter, comp, add, div} circuits.
 
     Returns (reps, output rep). Exact under the clamped reading at the
-    structural cutoffs. Each distinct kernel application (kind, operand reps,
-    cutoff) runs once per call, and every later gate with the same key shares
-    its rep: from_cvp's sets are all empty or full, so most of its gates
-    repeat a key.
+    structural cutoffs (_eval_clamped).
     """
     require_fragment(c, CLAMPABLE_SCALAR, "clamped scalar evaluation", vector=False)
+    return _eval_clamped(c, budget, natrep_apply)
+
+
+def eval_clamped_vector(c: Circuit, budget: EngineBudget = DEFAULT_BUDGET):
+    """Per-gate VecSetRep for {union, inter, comp, add, sub} vector circuits.
+
+    Returns (reps, output rep), as eval_clamped_scalar does.
+    """
+    require_fragment(c, CLAMPABLE_VECTOR, "clamped vector evaluation", vector=True)
+    return _eval_clamped(c, budget, vecrep_apply)
+
+
+def _eval_clamped(c: Circuit, budget: EngineBudget, apply: Callable):
+    """The clamped evaluators' one loop: each gate's rep at its structural
+    cutoff, bottom-up, with apply the domain's kernel. Each distinct kernel
+    application (kind, operand reps, cutoff) runs once per call, and every
+    later gate with the same key shares its rep: kernels are pure and reps
+    hashable. from_cvp's sets are all empty or full, so most of its gates
+    repeat a key; a frozenset of cells caches its hash, so at dims >= 2 a key
+    hashes each new rep's cells once."""
     cut = cutoff_profile(c).cutoffs
-    max_cells = budget.max_grid_cells
+    max_cells, dim, vector = budget.max_grid_cells, c.dim, c.vector
     INPUT, COMP = _INPUT, _COMP
     reps: dict = {}
     done: dict = {}  # (kind, operand reps, cutoff) -> its rep, for this call only
     for gid, kind, preds, value in c.gates:
         n = cut[gid]
-        if n + 1 > max_cells:
-            raise BudgetExceeded("grid", f"gate {gid} needs a {n + 1}-cell bitmap")
+        if (n + 1) ** dim > max_cells:
+            need = f"({n + 1})^{dim} cells" if vector else f"a {n + 1}-cell bitmap"
+            raise BudgetExceeded("grid", f"gate {gid} needs {need}")
         if kind is INPUT:  # a label is below its gate's cutoff
-            reps[gid] = _new(NatSetRep, (n, 1 << value))
+            reps[gid] = vecrep_from_label(value, dim, n) if vector else _new(NatSetRep, (n, 1 << value))
             continue
         key = (kind, reps[preds[0]], None if kind is COMP else reps[preds[1]], n)
         rep = done.get(key)
         if rep is None:
-            rep = done[key] = natrep_apply(*key, max_cells)
+            rep = done[key] = apply(*key, max_cells)
         reps[gid] = rep
-    return reps, reps[c.output]
-
-
-def eval_clamped_vector(c: Circuit, budget: EngineBudget = DEFAULT_BUDGET):
-    """Per-gate VecSetRep for {union, inter, comp, add, sub} vector circuits."""
-    require_fragment(c, CLAMPABLE_VECTOR, "clamped vector evaluation", vector=True)
-    cut = cutoff_profile(c).cutoffs
-    max_cells = budget.max_grid_cells
-    INPUT, COMP = _INPUT, _COMP
-    reps: dict = {}
-    for gid, kind, preds, value in c.gates:
-        n = cut[gid]
-        if (n + 1) ** c.dim > max_cells:
-            raise BudgetExceeded("grid", f"gate {gid} needs ({n + 1})^{c.dim} cells")
-        if kind is INPUT:
-            reps[gid] = vecrep_from_label(value, c.dim, n)
-        elif kind is COMP:
-            reps[gid] = vecrep_apply(kind, reps[preds[0]], None, n, max_cells)
-        else:
-            reps[gid] = vecrep_apply(kind, reps[preds[0]], reps[preds[1]], n, max_cells)
     return reps, reps[c.output]
 
 
@@ -764,9 +757,9 @@ def decide(
 
     The route is the first row of the circuit's domain in _ENGINES whose
     needs the circuit uses and whose fragment holds every kind the circuit
-    uses. A scalar circuit whose route is clamped-vector, or that has none,
-    is routed and run on its output's cone (pick_engine); a cone with no
-    route raises OpenFragmentError. exact falls back to certificate when its
+    uses. A circuit whose route is clamped-vector, or that has none, is
+    routed and run on its output's cone (pick_engine); a cone with no route
+    raises OpenFragmentError. exact falls back to certificate when its
     budget runs out, at prepare or at the query. Vector circuits accept
     tuple or INF queries.
     """
@@ -809,13 +802,14 @@ def _check_query(c: Circuit, b):
 def pick_engine(c: Circuit) -> tuple[str, Circuit]:
     """(engine, circuit) for decide()'s auto route on c: the first row of
     _ROUTES[c.vector] with needs <= fragment <= its fragment, run on c;
-    OpenFragmentError if none. A circuit no row takes, and a scalar circuit
-    that would take clamped-vector, is routed again on its output's cone, and
-    that row runs on the cone: a dead gate would otherwise refuse a decidable
-    circuit as the open fragment, or send a {mul} output to the prime-factor
-    grid. The cone's pass is paid on these two routes only."""
+    OpenFragmentError if none. A circuit no row takes, and one that would
+    take clamped-vector, in either domain, is routed again on its output's
+    cone, and that row runs on the cone: a dead gate would otherwise refuse a
+    decidable circuit as the open fragment, send a {mul} output to the
+    prime-factor grid, or tabulate a comp-free cone. The cone's pass is paid
+    on these routes only."""
     name = _first_row(c)
-    if name is None or name == "clamped-vector" and not c.vector:
+    if name is None or name == "clamped-vector":
         cone = subcircuit_at(c, c.output)
         if cone is not c:
             name, c = _first_row(cone), cone

@@ -19,9 +19,10 @@ results through _new, the bare tuple constructor, without those checks: a
 kernel result is in range by construction (its mask is cut at the result
 cutoff, its cells are drawn from the result grid), and a check per gate would
 cost more than most of the operations it guards. A kernel's result depends
-only on its arguments, and reps are hashable, so eval_clamped_scalar runs
-each distinct natrep_apply (kind, operand reps, cutoff) once per evaluation
-and the gates that repeat it share its result.
+only on its arguments, and reps are hashable, so the clamped evaluators
+(eval_clamped_scalar, eval_clamped_vector) run each distinct natrep_apply or
+vecrep_apply (kind, operand reps, cutoff) once per evaluation and the gates
+that repeat it share its result.
 
 The clamped operations are exact under the clamped reading provided the
 caller certifies the result cutoff (see the bounds module). Division and

@@ -341,16 +341,20 @@ def _cvp_instance(rng: random.Random, n_gates: int) -> CvpInstance:
 
 def _unshared_keys(c: Circuit, shared: dict) -> set:
     """The distinct (kind, operand reps, cutoff) keys of c, from reps built one
-    natrep_apply per gate; asserts they equal the shared reps gate by gate."""
+    natrep_apply or vecrep_apply per gate; asserts they equal the shared reps
+    gate by gate."""
     cut = cutoff_profile(c).cutoffs
+    apply = vecrep_apply if c.vector else natrep_apply
     reps, keys = {}, set()
     for gid, kind, preds, value in c.gates:
         if kind is GateKind.INPUT:
-            reps[gid] = NatSetRep(cut[gid], 1 << value)
+            n = cut[gid]
+            reps[gid] = vecrep_from_label(value, c.dim, n) if c.vector else NatSetRep(n, 1 << value)
             continue
         operands = [reps[p] for p in preds]
         keys.add((kind, *operands, cut[gid]))
-        reps[gid] = natrep_apply(kind, operands[0], operands[-1], cut[gid])
+        reps[gid] = apply(kind, operands[0], None if kind is GateKind.COMP else operands[-1],
+                          cut[gid])
     assert reps == shared
     return keys
 
@@ -407,6 +411,33 @@ class TestClampedVector:
                     assert rep.member(x) == ref_member_vector(upto, x), f"gate {g.gid} x={x}\n{c}"
             assert xcheck_circuit(c, max_b=8, budget=TIGHT).problems == [], str(c)
 
+    def test_each_distinct_kernel_application_runs_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return vecrep_apply(*args)
+
+        monkeypatch.setattr(engines, "vecrep_apply", counting)
+        for dim, label in [(1, "2"), (2, "1,0")]:  # comp 1 twice: one application
+            c = parse_circuit(f"vcircuit v1 dim {dim}\ngate 1 input {label}\ngate 2 comp 1\n"
+                              "gate 3 comp 1\ngate 4 union 2 3\noutput 4\n")
+            calls.clear()
+            reps, _ = eval_clamped_vector(c)
+            assert [args[0] for args in calls] == [GateKind.COMP, GateKind.UNION]
+            assert reps[2] is reps[3]
+            calls.clear()
+            decide(c, (0,) * dim)
+            assert len(calls) == 2
+        rng = random.Random(199)
+        for dim in (1, 2):
+            for _ in range(40):
+                c = bounded_vector(rng, CLAMPABLE_VECTOR, max_cutoff=8, dim=dim, max_gates=7,
+                                   max_coord=2)
+                calls.clear()
+                reps, _ = eval_clamped_vector(c, budget=TIGHT)
+                assert len(calls) == len(_unshared_keys(c, reps)), str(c)
+
     def test_mul_and_div_cannot_reach_it(self):
         # multiplicative gates are rejected when the vector circuit is built,
         # so every vector circuit is clampable by construction
@@ -436,18 +467,22 @@ def _with_dead_gates(rng, dim, max_cutoff, **kw):
 
 
 class TestOutputCone:
-    """clamped-vector tabulates a vector circuit's output cone only."""
+    """A vector circuit whose route is clamped-vector is routed again on its
+    output's cone, and clamped-vector tabulates that cone only."""
 
     @pytest.mark.parametrize("dim,max_cutoff,count", [(1, 12, 12), (2, 8, 12), (3, 5, 6)])
     def test_verdicts_match_search_and_reference(self, dim, max_cutoff, count):
         rng = random.Random(175 + dim)
         for _ in range(count):
             c = _with_dead_gates(rng, dim, max_cutoff, max_gates=7, max_coord=2)
+            cone = subcircuit_at(c, c.output)
+            route = pick_engine(cone)[0]  # clamped-vector where the cone has comp
+            assert (route == "clamped-vector") == (GateKind.COMP in fragment_of(cone))
             n = structural_cutoff(c)[c.output]
             pts = list(itertools.product(range(n + 2), repeat=dim))
             for x in rng.sample(pts, min(len(pts), 12)) + [(n + 4,) * dim, INF]:
                 v = decide(c, x, budget=TIGHT)
-                assert v.engine == "clamped-vector" and v.stats["gates"] == len(c)
+                assert v.engine == route and v.stats["gates"] == len(c)
                 assert v.member == search_member(c, x, budget=TIGHT), f"x={x}\n{c}"
                 assert v.member == ref_member_vector(c, x), f"x={x}\n{c}"
 
@@ -465,7 +500,7 @@ class TestOutputCone:
                 assert v.member == search_member(c, x, TIGHT), f"x={x}\n{c}"
                 assert v.member == ref_member_vector(c, x), f"x={x}\n{c}"
 
-    def test_one_vecrep_apply_per_interior_cone_gate(self, monkeypatch):
+    def test_one_vecrep_apply_per_distinct_cone_application(self, monkeypatch):
         calls = []
 
         def counting(kind, *args):
@@ -474,16 +509,41 @@ class TestOutputCone:
 
         monkeypatch.setattr(engines, "vecrep_apply", counting)
         rng = random.Random(191)
-        pruned = 0
+        pruned = tabulated = 0
         for _ in range(20):
             c = _with_dead_gates(rng, 2, 8, max_gates=7, max_coord=2)
             cone = subcircuit_at(c, c.output)
             calls.clear()
-            decide(c, (1, 1), budget=TIGHT)
-            assert sorted(map(str, calls)) == sorted(
-                str(g.kind) for g in cone.gates if g.kind is not GateKind.INPUT)
-            pruned += sum(g.kind is not GateKind.INPUT for g in c.gates) - len(calls)
-        assert pruned > 0
+            v = decide(c, (1, 1), budget=TIGHT)
+            made = len(calls)
+            if v.engine == "clamped-vector":
+                tabulated += 1
+                assert made == len(_unshared_keys(cone, eval_clamped_vector(cone, TIGHT)[0]))
+            else:  # a comp-free cone takes a row with no grid
+                assert made == 0 and GateKind.COMP not in fragment_of(cone)
+            pruned += sum(g.kind is not GateKind.INPUT for g in c.gates) - made
+        assert pruned > 0 and tabulated > 0
+
+    def test_a_comp_free_cone_takes_a_comp_free_row(self):
+        # gate 3 (comp) feeds nothing: the cone is {union} and routes exact,
+        # and xcheck compares exact with the vector rows applicable to the cone
+        c = parse_circuit("vcircuit v1 dim 2\ngate 1 input 1,0\ngate 2 input 0,2\n"
+                          "gate 3 comp 1\ngate 4 union 1 2\noutput 4\n")
+        assert pick_engine(c) == ("exact", subcircuit_at(c, 4))
+        for x in [(1, 0), (0, 2), (1, 2), (0, 0), INF]:
+            v = decide(c, x)
+            assert (v.member, v.engine, v.stats["gates"]) == (x in [(1, 0), (0, 2)], "exact", 4)
+            assert v.member == decide(c, x, engine="clamped-vector").member
+            assert v.member == ref_member_vector(c, x)
+        res = xcheck_circuit(c, max_b=4)
+        assert res.problems == [] and len(res.answered) >= 2
+        # a {add} cone routes singleton-vector
+        add = parse_circuit("vcircuit v1 dim 1\ngate 1 input 1\ngate 2 comp 1\n"
+                            "gate 3 add 1 1\noutput 3\n")
+        assert [decide(add, (b,)).engine for b in range(4)] == ["singleton-vector"] * 4
+        assert [decide(add, (b,)).member for b in range(4)] == [False, False, True, False]
+        res = xcheck_circuit(add, max_b=6)
+        assert res.problems == [] and len(res.answered) >= 2
 
     def test_a_dead_gate_past_the_budget_is_not_tabulated(self):
         c = parse_circuit(DEAD_TOWER_TEXT)
@@ -497,6 +557,9 @@ class TestOutputCone:
                 assert (v.member, v.engine, v.stats["gates"]) == (member, "clamped-vector", 9)
                 assert ref_member_vector(circuit, x) == member
         assert applicable_engines(c) == ["clamped-vector", "search"]
+        # forced, clamped-vector still tabulates the cone only
+        for x in [(1, 0), (0, 0), INF]:
+            assert decide(c, x, engine="clamped-vector").member is False
 
 
 class TestSearch:
@@ -1207,7 +1270,7 @@ class TestEngineTable:
                 routes.add("open")
             except BudgetExceeded:
                 auto = None
-            else:  # a scalar clamped-vector route runs on the output's cone
+            else:  # a clamped-vector route runs on the output's cone
                 name, run = pick_engine(c)
                 assert auto.engine == name and name in applicable_engines(run), str(c)
                 routes.add((c.vector, auto.engine))
