@@ -104,9 +104,8 @@ def structural_cutoff(c: Circuit) -> CutoffProfile:
     return _new(CutoffProfile, (_STRUCTURAL, cut))
 
 
-def cutoff_profile(c: Circuit, mode: CutoffMode | str = _STRUCTURAL) -> CutoffProfile:
-    if mode is not _STRUCTURAL and CutoffMode(mode) is _CERTIFIED:
-        return certified_cutoff(c)
+def cutoff_profile(c: Circuit) -> CutoffProfile:
+    """The profile the engines read: the structural one."""
     return structural_cutoff(c)
 
 

@@ -268,6 +268,7 @@ def _is_nat(x) -> bool:
 # text format
 
 _KIND_NAMES = {k.value: k for k in GateKind}
+_KIND_TEXT = {k: k.value for k in GateKind}  # for the text form: Enum.__format__ is a Python call
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -444,19 +445,24 @@ def serialize_circuit(c: Circuit) -> str:
     CircuitValidationError: a gate id or label at its gate, dim at no
     position. Predecessors and the output are ids written before them.
     """
-    out = [f"vcircuit v1 dim {_shown(c.dim, 'dim')}" if c.vector else "circuit v1"]
-    for pos, g in enumerate(c.gates):
-        gid = _shown(g.gid, "gate id", pos)
-        v = g.value
-        if g.kind is not GateKind.INPUT:
-            out.append(f"gate {gid} {g.kind} " + " ".join(map(str, g.preds)))
-        elif v is INF:
-            out.append(f"gate {gid} input inf")
-        else:
-            what = f"gate {gid}: input label"
-            nums = v if isinstance(v, tuple) else (v,)
-            out.append(f"gate {gid} input " + ",".join([_shown(x, what, pos) for x in nums]))
-    out.append(f"output {c.output}")
+    names, INPUT, vector = _KIND_TEXT, GateKind.INPUT, c.vector
+    try:  # str() refuses a number past its digit limit
+        out = [f"vcircuit v1 dim {c.dim}" if vector else "circuit v1"]
+        for gid, kind, preds, v in c.gates:
+            if kind is not INPUT:
+                out.append(f"gate {gid} {names[kind]} " + " ".join(map(str, preds)))
+            elif v is INF:
+                out.append(f"gate {gid} input inf")
+            else:
+                out.append(f"gate {gid} input " + (",".join(map(str, v)) if vector else str(v)))
+        out.append(f"output {c.output}")
+    except ValueError:  # name the first number that is too long, and where
+        _shown(c.dim, "dim")
+        for pos, (gid, kind, _, v) in enumerate(c.gates):
+            what = f"gate {_shown(gid, 'gate id', pos)}: input label"
+            for x in (v if vector else (v,)) if kind is INPUT and v is not INF else ():
+                _shown(x, what, pos)
+        raise
     return "\n".join(out) + "\n"
 
 

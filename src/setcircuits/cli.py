@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import cutoff_profile, value_bound
+from .bounds import certified_cutoff, structural_cutoff, value_bound
 from .circuit import (
     INF,
     Circuit,
@@ -197,10 +197,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bounds(args) -> int:
     c = _load_circuit(args.circuit)
-    modes = ["certified", "structural"] if args.mode == "both" else [args.mode]
-    for mode in modes:
+    profiles = {"certified": certified_cutoff, "structural": structural_cutoff}
+    for mode in profiles if args.mode == "both" else [args.mode]:
         try:
-            prof = cutoff_profile(c, mode)
+            prof = profiles[mode](c)
         except FragmentError as e:
             print(f"# {mode} cutoffs: {e}")
             continue

@@ -13,12 +13,12 @@ Each engine decides "is b in I(C)?" for a class of circuits:
 * eval_clamped_scalar / eval_clamped_vector: comp-capable, mul-free
   fragments; per-gate clamped representations (NatSetRep, VecSetRep) built
   bottom-up at the structural cutoff profile by one loop (_eval_clamped),
-  which runs each distinct kernel application once per call. VecSetRep is
-  the one set representation of every vector route. The clamped-vector row
-  of a vector circuit tabulates only the output's cone (subcircuit_at): a
-  gate's cutoff reads only the gates that feed it, so every table the output
-  reads is the one the whole circuit gives, and a gate that feeds nothing
-  costs no grid work and no budget.
+  which checks every gate's grid budget first and runs each distinct kernel
+  application once per call. VecSetRep is the one set representation of
+  every vector route. Both clamped-vector rows tabulate only the output's
+  cone: a gate's cutoff reads only the gates that feed it, so every table
+  the output reads is the one the whole circuit gives, and a gate that feeds
+  nothing costs no grid work and no budget.
 * search, certificate and divisor-search: one memoized top-down search over
   (gate, value) pairs (_Search, built by _prepare_search) that unfolds the
   set definitions, guessing the operand pairs of add, mul, div and sub in
@@ -37,16 +37,16 @@ Each engine decides "is b in I(C)?" for a class of circuits:
   (_run), so circuit depth is not bounded by Python's recursion limit.
 
 The engine table _ENGINES is the one place an engine's domain, fragment,
-preparation and route are declared; decide(), applicable_engines() and
-xcheck_circuit() all read it, and so does the CLI's eval through
-pick_engine(). decide() takes the first row of the circuit's
+preparation, route, fallback and cone are declared; decide(),
+applicable_engines() and xcheck_circuit() all read it, and so does the CLI's
+eval through pick_engine(). decide() takes the first row of the circuit's
 domain whose `needs` the circuit uses and whose fragment holds every kind
-the circuit uses, except that a circuit that would take clamped-vector, or
-that no row takes, is routed on its output's cone (pick_engine);
-certificate, search and divisor-search are never taken, as each follows a row
-with no needs whose fragment holds its own. A cone no row fits, comp with
-both add and mul, is refused (OpenFragmentError): no decision procedure is
-known.
+the circuit uses; a circuit whose row is a `cone` row, or that no row takes,
+is routed again on its output's cone (pick_engine). certificate, search and
+divisor-search are never taken, as each follows a row with no needs whose
+fragment holds its own, but may be a row's `fallback`. A cone no row fits,
+comp with both add and mul, is refused (OpenFragmentError): no decision
+procedure is known.
 """
 from __future__ import annotations
 
@@ -60,15 +60,15 @@ from typing import Callable
 
 from .bounds import CLAMPABLE_SCALAR, CLAMPABLE_VECTOR, cutoff_profile, structural_cutoff
 from .circuit import INF, Circuit, GateKind, _is_nat, fragment_of, require_fragment, subcircuit_at
-from .errors import BudgetExceeded, FragmentError, OpenFragmentError
+from .errors import BudgetExceeded, OpenFragmentError
 from .numtheory import NotRepresentable, factorize
 from .setrep import (
     NatSetRep,
-    VecSetRep,
     exact_apply,
     natrep_apply,
     vecrep_apply,
     vecrep_from_label,
+    vecrep_work,
 )
 from .transforms import GCDFREE_SCALAR, PRIMEFACT_SCALAR, to_vector_gcdfree, to_vector_primefact
 
@@ -276,17 +276,24 @@ def _eval_clamped(c: Circuit, budget: EngineBudget, apply: Callable):
     later gate with the same key shares its rep: kernels are pure and reps
     hashable. from_cvp's sets are all empty or full, so most of its gates
     repeat a key; a frozenset of cells caches its hash, so at dims >= 2 a key
-    hashes each new rep's cells once."""
+    hashes each new rep's cells once. Every static grid estimate is checked
+    before the first kernel runs, so a refusal costs no grid work."""
     cut = cutoff_profile(c).cutoffs
     max_cells, dim, vector = budget.max_grid_cells, c.dim, c.vector
+    # (the largest cutoff + 1)^(2 dim) bounds every gate's cells and its vecrep_work
+    if (max(cut.values()) + 1) ** (2 * dim if vector else dim) > max_cells:
+        for gid, kind, preds, _ in c.gates:
+            n = cut[gid]
+            if (n + 1) ** dim > max_cells:
+                need = f"({n + 1})^{dim} cells" if vector else f"a {n + 1}-cell bitmap"
+                raise BudgetExceeded("grid", f"gate {gid} needs {need}")
+            if vector and (kind is _ADD or kind is _SUB):
+                vecrep_work(kind, n, max(cut[preds[0]], cut[preds[1]]), dim, max_cells)
     INPUT, COMP = _INPUT, _COMP
     reps: dict = {}
     done: dict = {}  # (kind, operand reps, cutoff) -> its rep, for this call only
     for gid, kind, preds, value in c.gates:
         n = cut[gid]
-        if (n + 1) ** dim > max_cells:
-            need = f"({n + 1})^{dim} cells" if vector else f"a {n + 1}-cell bitmap"
-            raise BudgetExceeded("grid", f"gate {gid} needs {need}")
         if kind is INPUT:  # a label is below its gate's cutoff
             reps[gid] = vecrep_from_label(value, dim, n) if vector else _new(NatSetRep, (n, 1 << value))
             continue
@@ -626,6 +633,8 @@ class _Engine:
     # installed on those names sees every call.
     prepare: Callable
     needs: frozenset = frozenset()  # the kinds a circuit must use for decide() to pick the row
+    fallback: str | None = None  # decide()'s next row on BudgetExceeded, if it holds the fragment
+    cone: bool = False  # runs on the output's cone, which the auto route is taken on again
 
 
 def _prepare_singleton(c, budget):
@@ -651,10 +660,7 @@ def _prepare_exact(c, budget):
 
 
 def _prepare_clamped(c, budget):
-    if c.vector:  # the output reads only its cone: a gate outside it is never tabulated
-        rep = eval_clamped_vector(subcircuit_at(c, c.output), budget)[1]
-    else:
-        rep = eval_clamped_scalar(c, budget)[1]
+    rep = (eval_clamped_vector if c.vector else eval_clamped_scalar)(c, budget)[1]
     return lambda q: (rep.member(q), {}, None)
 
 
@@ -720,18 +726,19 @@ _ENGINES: dict[tuple[str, bool], _Engine] = {
         GCDFREE_SCALAR, "none", _through_gcdfree("exact"), needs=_MUL_ONLY
     ),
     ("singleton", False): _Engine(SINGLETON_SCALAR, "none", _prepare_singleton),
-    ("exact", False): _Engine(EXACT_SCALAR, "none", _prepare_exact),
+    ("exact", False): _Engine(EXACT_SCALAR, "none", _prepare_exact, fallback="certificate"),
     ("certificate", False): _Engine(
         EXACT_SCALAR, "none", lambda c, budget: _prepare_search(c, budget, _cert_value_bounds(c))
     ),
     ("clamped-scalar", False): _Engine(CLAMPABLE_SCALAR, "structural", _prepare_clamped),
     ("search", False): _Engine(CLAMPABLE_SCALAR, "structural", _prepare_search),
-    ("clamped-vector", False): _Engine(PRIMEFACT_SCALAR, "structural", _through_primefact),
+    ("clamped-vector", False): _Engine(PRIMEFACT_SCALAR, "structural", _through_primefact,
+                                       fallback="divisor-search", cone=True),
     ("divisor-search", False): _Engine(DIVISOR_SCALAR, "none", lambda c, budget: _prepare_search(
         c, budget, dict.fromkeys((g.gid for g in c.gates), math.inf))),
     ("singleton-vector", True): _Engine(SINGLETON_VECTOR, "none", _prepare_singleton),
     ("exact", True): _Engine(EXACT_VECTOR, "none", _prepare_exact),
-    ("clamped-vector", True): _Engine(CLAMPABLE_VECTOR, "structural", _prepare_clamped),
+    ("clamped-vector", True): _Engine(CLAMPABLE_VECTOR, "structural", _prepare_clamped, cone=True),
     ("search", True): _Engine(CLAMPABLE_VECTOR, "structural", _prepare_search),
 }
 # vector -> the domain's rows in order, as (fragment, needs, name). certificate,
@@ -755,13 +762,13 @@ def decide(
 ) -> MembershipVerdict:
     """Decide b in I(C), routing by fragment unless an engine is forced.
 
-    The route is the first row of the circuit's domain in _ENGINES whose
-    needs the circuit uses and whose fragment holds every kind the circuit
-    uses. A circuit whose route is clamped-vector, or that has none, is
-    routed and run on its output's cone (pick_engine); a cone with no route
-    raises OpenFragmentError. exact falls back to certificate when its
-    budget runs out, at prepare or at the query. Vector circuits accept
-    tuple or INF queries.
+    The route is the one pick_engine gives. A forced row must hold the
+    circuit's fragment, and a cone row runs on the output's cone. A row
+    whose budget runs out, at prepare or at the query, hands the query to
+    its fallback row when that row's fragment holds the circuit's, and so
+    on down the chain; the verdict names the row that answered, and the
+    last row's refusal propagates. Vector circuits accept tuple or INF
+    queries.
     """
     t0 = time.perf_counter()
     name, run = pick_engine(c) if engine == "auto" else (engine, c)
@@ -770,16 +777,18 @@ def decide(
     if row is None:
         dom = "vector" if c.vector else "scalar"
         raise ValueError(f"unknown engine {name!r} for {dom} circuits")
-    if engine != "auto":  # the auto route's row holds its circuit's fragment
-        require_fragment(run, row.fragment, name)
-    try:  # exact may build its sets at prepare or at the query
-        ok, stats, witness = row.prepare(run, budget)(q)
-    except BudgetExceeded:
-        if (name, c.vector) != ("exact", False):
-            raise
-        name = "certificate"  # same fragment, guess values instead of sets
-        row = _ENGINES[name, False]
-        ok, stats, witness = row.prepare(run, budget)(q)
+    if engine != "auto":  # the auto route's row holds its circuit's fragment, on its cone
+        require_fragment(c, row.fragment, name)
+        run = subcircuit_at(c, c.output) if row.cone else c
+    while True:
+        try:  # a row may build its tables at prepare or at the query
+            ok, stats, witness = row.prepare(run, budget)(q)
+            break
+        except BudgetExceeded:
+            fallback = row.fallback and _ENGINES[row.fallback, c.vector]
+            if not fallback or not fragment_of(run) <= fallback.fragment:
+                raise
+            name, row = row.fallback, fallback
     stats["gates"] = len(c.gates)
     stats["micros"] = int((time.perf_counter() - t0) * 1e6)
     return _new(MembershipVerdict, (ok, name, row.cutoff, stats, witness))
@@ -802,14 +811,13 @@ def _check_query(c: Circuit, b):
 def pick_engine(c: Circuit) -> tuple[str, Circuit]:
     """(engine, circuit) for decide()'s auto route on c: the first row of
     _ROUTES[c.vector] with needs <= fragment <= its fragment, run on c;
-    OpenFragmentError if none. A circuit no row takes, and one that would
-    take clamped-vector, in either domain, is routed again on its output's
-    cone, and that row runs on the cone: a dead gate would otherwise refuse a
-    decidable circuit as the open fragment, send a {mul} output to the
-    prime-factor grid, or tabulate a comp-free cone. The cone's pass is paid
-    on these routes only."""
+    OpenFragmentError if none. A circuit no row takes, or whose row is a
+    cone row, is routed again on its output's cone, where that row runs: a
+    dead gate would otherwise refuse a decidable circuit as the open
+    fragment, send a {mul} output to the prime-factor grid, or tabulate a
+    comp-free cone. The cone's pass is paid on these routes only."""
     name = _first_row(c)
-    if name is None or name == "clamped-vector":
+    if name is None or _ENGINES[name, c.vector].cone:
         cone = subcircuit_at(c, c.output)
         if cone is not c:
             name, c = _first_row(cone), cone
@@ -861,8 +869,9 @@ def xcheck_circuit(
 
     Scalar circuits probe b in [0, max_b]; vector circuits probe the grid up
     to min(max_b, output cutoff + 2) per coordinate, plus inf. Each engine is
-    prepared once and probed with every query; an engine whose budget runs
-    out abstains, at prepare or at a query. A negative max_b raises
+    prepared once, a cone row on the cone, and probed with every query; an
+    engine whose budget runs out abstains, at prepare or at a query, and no
+    row falls back. A negative max_b raises
     ValueError and a fragment decide() refuses raises its OpenFragmentError.
     """
     if max_b < 0:
@@ -874,10 +883,12 @@ def xcheck_circuit(
         queries = list(itertools.product(range(top + 1), repeat=c.dim)) + [INF]
     else:
         queries = list(range(max_b + 1))
+    cone = subcircuit_at(c, c.output)
     members = []
     for name in names:
+        row = _ENGINES[name, c.vector]
         try:
-            members.append((name, _ENGINES[name, c.vector].prepare(c, budget)))
+            members.append((name, row.prepare(cone if row.cone else c, budget)))
         except BudgetExceeded:
             continue
     problems, answered = [], set()

@@ -77,7 +77,9 @@ class ExactCoverInstance:
 
 
 def exact_cover_solvable(inst: ExactCoverInstance) -> bool:
-    """Brute-force search for a subfamily partitioning the universe."""
+    """Brute-force search for a subfamily partitioning the universe, in Knuth's
+    Algorithm X order: the branches of a covered mask, expanded once, are the
+    sets that hold its lowest uncovered element and miss everything covered."""
     index = {e: i for i, e in enumerate(inst.universe)}
     target = (1 << len(inst.universe)) - 1
     masks = []
@@ -87,18 +89,16 @@ def exact_cover_solvable(inst: ExactCoverInstance) -> bool:
             m |= 1 << index[e]
         masks.append(m)
 
-    seen = set()  # depth first, taking set i before leaving it out
-    todo = [(0, 0)]
+    seen, todo = set(), [0]
     while todo:
-        covered, i = todo.pop()
+        covered = todo.pop()
         if covered == target:
             return True
-        if i == len(masks) or (covered, i) in seen:
+        if covered in seen:
             continue
-        seen.add((covered, i))
-        todo.append((covered, i + 1))
-        if masks[i] & covered == 0:
-            todo.append((covered | masks[i], i + 1))
+        seen.add(covered)
+        low = ~covered & (covered + 1)  # the lowest uncovered element's bit
+        todo += [covered | m for m in masks if m & low and not m & covered]
     return False
 
 

@@ -22,7 +22,7 @@ cost more than most of the operations it guards. A kernel's result depends
 only on its arguments, and reps are hashable, so the clamped evaluators
 (eval_clamped_scalar, eval_clamped_vector) run each distinct natrep_apply or
 vecrep_apply (kind, operand reps, cutoff) once per evaluation and the gates
-that repeat it share its result.
+that repeat it share its result; they check every gate's vecrep_work first.
 
 The clamped operations are exact under the clamped reading provided the
 caller certifies the result cutoff (see the bounds module). Division and
@@ -472,15 +472,9 @@ def vecrep_apply(
     if (n + 1) ** dim > max_grid_cells:
         raise BudgetExceeded("grid", f"({n + 1})^{dim} cells")
     inf = _inf(kind, a, b)
-    if kind is _ADD:
-        # total decompositions over the whole grid: prod over axes of 1+2+...+(n+1)
-        work = (((n + 1) * (n + 2)) // 2) ** dim
-        if work > max_grid_cells:
-            raise BudgetExceeded("grid", f"add decomposition, ~{work} pairs")
-    elif kind is _SUB:
-        w = max(a.cutoff, b.cutoff)
-        if (n + 1) ** dim * (w + 1) ** dim > max_grid_cells:
-            raise BudgetExceeded("grid", f"sub search ({n + 1})^{dim} x ({w + 1})^{dim}")
+    if kind is _ADD or kind is _SUB:
+        vecrep_work(kind, n, max(a.cutoff, b.cutoff), dim, max_grid_cells)
+    if kind is _SUB:
         bits, s = _sub_packed(a, b, n)
         if dim == 1:
             return _new(_AxisRep, (1, n, bits, inf))
@@ -499,6 +493,16 @@ def vecrep_apply(
     else:  # ADD
         cells = frozenset(p for p in _grid(n, dim) if _point_in_add(a, b, p))
     return _new(VecSetRep, (dim, n, cells, inf))
+
+
+def vecrep_work(kind: GateKind, n: int, w: int, dim: int, max_grid_cells: int) -> None:
+    """Refuse an add or sub at cutoff n, on operands of cutoffs <= w, past max_grid_cells."""
+    if kind is _ADD:
+        work = (((n + 1) * (n + 2)) // 2) ** dim  # decompositions: prod over axes of 1+...+(n+1)
+        if work > max_grid_cells:
+            raise BudgetExceeded("grid", f"add decomposition, ~{work} pairs")
+    elif kind is _SUB and (n + 1) ** dim * (w + 1) ** dim > max_grid_cells:
+        raise BudgetExceeded("grid", f"sub search ({n + 1})^{dim} x ({w + 1})^{dim}")
 
 
 def _inf(kind, a: VecSetRep, b: VecSetRep | None) -> bool:

@@ -122,12 +122,9 @@ def test_vector_cutoffs_refuse_nothing_in_clampable_set():
     assert prof[1] == 6 and prof[2] == 6
 
 
-def test_cutoff_profile_dispatch():
-    c = parse_circuit("circuit v1\ngate 1 input 1\noutput 1\n")
-    assert cutoff_profile(c, "structural").mode is CutoffMode.STRUCTURAL
-    assert cutoff_profile(c, CutoffMode.CERTIFIED).mode is CutoffMode.CERTIFIED
-    with pytest.raises(ValueError):
-        cutoff_profile(c, "sloppy")
+def test_cutoff_profile_is_the_structural_one():
+    c = parse_circuit("circuit v1\ngate 1 input 1\ngate 2 comp 1\noutput 2\n")
+    assert cutoff_profile(c) == structural_cutoff(c) == (CutoffMode.STRUCTURAL, {1: 3, 2: 3})
 
 
 def test_value_bound_without_mul():

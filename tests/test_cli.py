@@ -133,9 +133,15 @@ class TestMember:
         assert "decidability open" in capsys.readouterr().err
 
     def test_budget_is_exit_5(self, circ, capsys):
-        p = circ(PRIMES_TEXT)
+        # clamped-scalar has no fallback: gate 1 needs a 13-cell bitmap
+        p = circ("circuit v1\ngate 1 input 10\ngate 2 comp 1\noutput 2\n")
         assert main(["member", p, "7", "--max-grid-cells", "2"]) == 5
         assert "budget" in capsys.readouterr().err.lower()
+
+    def test_a_refused_grid_falls_back_to_divisor_search(self, circ, capsys):
+        p = circ(PRIMES_TEXT)
+        assert main(["member", p, "7", "--max-grid-cells", "2"]) == 0
+        assert capsys.readouterr().out.strip() == "member=true engine=divisor-search cutoff=none"
 
     def test_huge_queries(self, circ, capsys):
         p = circ(PRIMES_TEXT)

@@ -1239,6 +1239,15 @@ class TestVerdictRecord:
         assert called == ROUTE_LAYERS[c.vector, engine]
 
 
+def _fallback_chain(name: str, vector: bool) -> list[str]:
+    """name and the rows its fallbacks lead to, read from the engine table,
+    up to the first row met twice."""
+    chain = [name]
+    while (nxt := engines._ENGINES[chain[-1], vector].fallback) not in (None, *chain):
+        chain.append(nxt)
+    return chain
+
+
 def _engines_of_domain(vector: bool) -> list[str]:
     # an input-only circuit uses no gate kind, so every engine of its domain applies
     header, label = ("vcircuit v1 dim 2", "inf") if vector else ("circuit v1", "0")
@@ -1272,7 +1281,8 @@ class TestEngineTable:
                 auto = None
             else:  # a clamped-vector route runs on the output's cone
                 name, run = pick_engine(c)
-                assert auto.engine == name and name in applicable_engines(run), str(c)
+                assert auto.engine in _fallback_chain(name, c.vector), str(c)
+                assert name in applicable_engines(run), str(c)
                 routes.add((c.vector, auto.engine))
             for name in engines[c.vector]:
                 if name not in applicable:
@@ -1283,7 +1293,7 @@ class TestEngineTable:
                     v = decide(c, q, engine=name, budget=TIGHT)
                 except BudgetExceeded:
                     continue
-                assert v.engine == name or (name, v.engine) == ("exact", "certificate")
+                assert v.engine in _fallback_chain(name, c.vector)
                 if auto is not None:
                     assert v.member == auto.member, f"{name} q={q}\n{c}"
         assert routes >= {
@@ -1298,6 +1308,61 @@ class TestEngineTable:
             (True, "exact"),
             (True, "clamped-vector"),
         }
+
+
+# comp(P * P), P the first seven primes: the prime-factor image has dim 8, and
+# its grid is refused ("add decomposition") before any kernel runs
+SEVEN_PRIMES = (2, 3, 5, 7, 11, 13, 17)
+SEVEN_PRIMES_TEXT = (
+    "circuit v1\n" + "".join(f"gate {k} input {p}\n" for k, p in enumerate(SEVEN_PRIMES, 1))
+    + "gate 8 union 1 2\n" + "".join(f"gate {k} union {k - 1} {k - 6}\n" for k in range(9, 14))
+    + "gate 14 mul 13 13\ngate 15 comp 14\noutput 15\n"
+)
+
+
+class TestFallback:
+    """A row whose budget runs out hands the query to its fallback row."""
+
+    def test_chains_stay_in_their_domain_and_end(self):
+        for (name, vector), row in engines._ENGINES.items():
+            assert row.fallback is None or (row.fallback, vector) in engines._ENGINES
+            chain = _fallback_chain(name, vector)
+            assert engines._ENGINES[chain[-1], vector].fallback is None, chain  # no cycle
+
+    def test_seven_primes_are_decided_without_a_grid(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return vecrep_apply(*args)
+
+        monkeypatch.setattr(engines, "vecrep_apply", counting)
+        c = parse_circuit(SEVEN_PRIMES_TEXT)
+        assert len(c) == 15 and pick_engine(c)[0] == "clamped-vector"
+        products = {p * q for p in SEVEN_PRIMES for q in SEVEN_PRIMES}
+        for b in range(201):
+            v = decide(c, b)
+            assert (v.member, v.engine) == (b not in products, "divisor-search"), b
+        assert calls == []
+
+    def test_the_fallback_refusal_propagates(self):
+        # the grid is refused, and divisor-search cannot answer 0 at evens' mul
+        tiny = EngineBudget(max_grid_cells=2)
+        with pytest.raises(BudgetExceeded, match="nonemptiness"):
+            decide(EVENS, 0, budget=tiny)
+        assert decide(EVENS, 12, budget=tiny)[:2] == (True, "divisor-search")
+
+    def test_a_forced_cone_row_walks_the_cone_once(self, monkeypatch):
+        calls = []
+
+        def counting(c, gid):
+            calls.append(gid)
+            return subcircuit_at(c, gid)
+
+        monkeypatch.setattr(engines, "subcircuit_at", counting)
+        c = parse_circuit(DEAD_TOWER_TEXT)
+        assert decide(c, (1, 0), engine="clamped-vector")[:2] == (False, "clamped-vector")
+        assert calls == [c.output]
 
 
 class TestCutoffModesAgree:

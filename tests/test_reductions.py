@@ -57,8 +57,7 @@ class TestExactCover:
         assert _run(from_exact_cover(inst)) is True
 
     def test_solver_on_many_sets(self):
-        # the search takes the first {0} and passes over 2,999 more before {1}
-        # finishes the cover: 3,001 choices deep, on no Python recursion
+        # 3,000 copies of {0} branch to one covered mask, expanded once
         inst = ExactCoverInstance(universe=(0, 1), sets=((0,),) * 3000 + ((1,),))
         assert exact_cover_solvable(inst) is True
         inst = ExactCoverInstance(universe=(0, 1), sets=((0,),) * 3000)
@@ -71,6 +70,22 @@ class TestExactCover:
             ExactCoverInstance(universe=(1, 1), sets=())
         with pytest.raises(ValueError):
             ExactCoverInstance(universe=(1, 2), sets=((1, 1),))
+
+    def test_solver_matches_subset_enumeration(self):
+        # small instances, empty and repeated sets included, against every subfamily
+        rng = random.Random(167)
+        solvable = 0
+        for _ in range(300):
+            n = rng.randrange(0, 7)
+            sets = tuple(tuple(rng.sample(range(n), rng.randint(0, n)))
+                         for _ in range(rng.randrange(0, 8)))
+            want = any(
+                sorted(e for i, s in enumerate(sets) if pick >> i & 1 for e in s) == list(range(n))
+                for pick in range(1 << len(sets))
+            )
+            assert exact_cover_solvable(ExactCoverInstance(tuple(range(n)), sets)) is want, sets
+            solvable += want
+        assert 50 < solvable < 250
 
     def test_random_agreement(self):
         rng = random.Random(163)
