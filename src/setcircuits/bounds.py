@@ -1,16 +1,15 @@
 """Cutoff profiles and value bounds.
 
 A cutoff for a gate's set is a point from which membership is constant
-(per coordinate, for vector sets). Two profiles are provided:
+(per coordinate, for vector sets). Every clamped engine and the search
+decide at one profile, the structural one: a per-gate recurrence that tracks
+how each operation can move the constancy point. Its soundness is argued per
+operation below and property-tested against reference evaluation.
 
-* certified: 2^|C_g| + 1 per gate, where |C_g| is the encoding length of the
-  subcircuit rooted at g. The paper's uniform bound, keyed only to
-  description size and astronomically large except for tiny circuits: the
-  `bounds` command prints it, and no engine uses it to decide.
-* structural: a per-gate recurrence that tracks how each operation can move
-  the constancy point. Far tighter; every clamped engine and the search read
-  it. Soundness is argued per operation below and property-tested against
-  reference evaluation.
+The paper's certified bound, 2^|C_g| + 1 per gate where |C_g| is the
+encoding length of the subcircuit rooted at g, is keyed only to description
+size and astronomically large except for tiny circuits: the `bounds` command
+prints it beside the structural one, and no engine decides at it.
 
 Recurrence (scalar): input a -> a + 2; union/inter/comp -> max of the
 predecessors; add -> sum of the predecessors; div -> the dividend's cutoff.
@@ -27,7 +26,6 @@ only through the constant region of the left operand.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,23 +50,13 @@ CLAMPABLE_VECTOR = frozenset(
 )
 
 
-class CutoffMode(enum.Enum):
-    CERTIFIED = "certified"
-    STRUCTURAL = "structural"
-
-    def __str__(self):
-        return self.value
-
-
 # module constants: Enum attribute reads are slow, and these run on every decide
-_CERTIFIED, _STRUCTURAL = CutoffMode.CERTIFIED, CutoffMode.STRUCTURAL
 _INPUT, _ADD, _UNION, _INTER = GateKind.INPUT, GateKind.ADD, GateKind.UNION, GateKind.INTER
 
 
 class CutoffProfile(NamedTuple):
-    """The tuple (mode, cutoffs); indexing takes a gate id, as cutoffs does."""
+    """The tuple (cutoffs,); indexing takes a gate id, as cutoffs does."""
 
-    mode: CutoffMode
     cutoffs: dict  # gate id -> int
 
     def __getitem__(self, gid: int) -> int:
@@ -79,7 +67,7 @@ def certified_cutoff(c: Circuit) -> CutoffProfile:
     """Per-gate 2^|C_g| + 1. Values are exact ints (often enormous)."""
     require_fragment(c, CLAMPABLE_VECTOR if c.vector else CLAMPABLE_SCALAR, "cutoff argument")
     cut = {gid: (1 << size) + 1 for gid, size in subcircuit_lengths(c).items()}
-    return _new(CutoffProfile, (_CERTIFIED, cut))
+    return _new(CutoffProfile, (cut,))
 
 
 def structural_cutoff(c: Circuit) -> CutoffProfile:
@@ -101,7 +89,7 @@ def structural_cutoff(c: Circuit) -> CutoffProfile:
             cut[gid] = max(cut[preds[0]], cut[preds[1]])
         else:  # COMP, DIV, SUB: the left operand's cutoff
             cut[gid] = cut[preds[0]]
-    return _new(CutoffProfile, (_STRUCTURAL, cut))
+    return _new(CutoffProfile, (cut,))
 
 
 def cutoff_profile(c: Circuit) -> CutoffProfile:

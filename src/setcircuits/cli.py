@@ -6,7 +6,8 @@ Subcommands:
 * member     decide one membership query
 * eval       print every gate's set on decide's route (exact, clamped, or on
              the gcd-free or prime-factor image of a scalar circuit with mul)
-* bounds     print per-gate cutoffs and, where defined, the value bound
+* bounds     print the certified and the structural per-gate cutoffs and,
+             where defined, the value bound
 * transform  rewrite a circuit (vectorize, eliminate inter, push comp, expand)
 * gen        build a circuit from a combinatorial instance (JSON)
 * xcheck     run all applicable engines against each other
@@ -129,8 +130,7 @@ def _cmd_member(args) -> int:
     c = _load_circuit(args.circuit)
     b = _parse_query(args.query, c)
     v = decide(c, b, engine=args.engine, budget=_budget(args))
-    line = f"member={'true' if v.member else 'false'} engine={v.engine} cutoff={v.cutoff_mode}"
-    print(line)
+    print(f"member={'true' if v.member else 'false'} engine={v.engine}")
     if args.verbose:
         for k in sorted(v.stats):
             print(f"  {k}={v.stats[k]}")
@@ -197,14 +197,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bounds(args) -> int:
     c = _load_circuit(args.circuit)
-    profiles = {"certified": certified_cutoff, "structural": structural_cutoff}
-    for mode in profiles if args.mode == "both" else [args.mode]:
+    for name, profile in (("certified", certified_cutoff), ("structural", structural_cutoff)):
         try:
-            prof = profiles[mode](c)
+            prof = profile(c)
         except FragmentError as e:
-            print(f"# {mode} cutoffs: {e}")
+            print(f"# {name} cutoffs: {e}")
             continue
-        print(f"# {mode} cutoffs")
+        print(f"# {name} cutoffs")
         for g in c.gates:
             n = prof[g.gid]
             shown = f"2^{(n - 1).bit_length()}+1" if n > (1 << 64) else str(n)
@@ -336,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="print per-gate cutoffs and value bounds")
     p.add_argument("circuit")
-    p.add_argument("--mode", default="both", choices=["certified", "structural", "both"])
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("transform", help="rewrite a circuit")

@@ -46,7 +46,8 @@ is routed again on its output's cone (pick_engine). certificate, search and
 divisor-search are never taken, as each follows a row with no needs whose
 fragment holds its own, but may be a row's `fallback`. A cone no row fits,
 comp with both add and mul, is refused (OpenFragmentError): no decision
-procedure is known.
+procedure is known. Every row that clamps reads the one structural profile
+(bounds.cutoff_profile), so a verdict names only the row that answered.
 """
 from __future__ import annotations
 
@@ -99,20 +100,18 @@ class EngineBudget:
 DEFAULT_BUDGET = EngineBudget()
 
 
-class MembershipVerdict(namedtuple("MembershipVerdict", "member engine cutoff_mode stats witness")):
-    """The tuple (member, engine, cutoff_mode, stats, witness).
+class MembershipVerdict(namedtuple("MembershipVerdict", "member engine stats witness")):
+    """The tuple (member, engine, stats, witness).
 
-    cutoff_mode is "structural" on the routes that tabulate or clamp at the
-    structural cutoffs and "none" elsewhere; stats defaults to a new dict per
-    verdict. decide() builds verdicts with tuple.__new__, as the setrep
-    kernels build their results.
+    stats defaults to a new dict per verdict. decide() builds verdicts with
+    tuple.__new__, as the setrep kernels build their results.
     """
 
     __slots__ = ()
 
-    def __new__(cls, member: bool, engine: str, cutoff_mode: str, stats: dict | None = None,
+    def __new__(cls, member: bool, engine: str, stats: dict | None = None,
                 witness: dict | None = None):
-        return _new(cls, (member, engine, cutoff_mode, {} if stats is None else stats, witness))
+        return _new(cls, (member, engine, {} if stats is None else stats, witness))
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +624,6 @@ def verify_certificate(c: Circuit, b: int, witness) -> bool:
 @dataclass(frozen=True)
 class _Engine:
     fragment: frozenset  # the gate kinds the engine accepts
-    cutoff: str  # the verdict's cutoff_mode: "structural" where it reads that profile, else "none"
     # prepare(c, budget) returns member(q) -> (member, stats, witness),
     # with a new stats dict per call that the caller may fill in. The caller
     # checks the fragment. Layer functions are looked up by their
@@ -719,27 +717,24 @@ def _through_primefact(c, budget):
 _MUL_ONLY = frozenset({GateKind.MUL})
 _ENGINES: dict[tuple[str, bool], _Engine] = {
     ("singleton-vector", False): _Engine(
-        GCDFREE_SCALAR - {GateKind.UNION}, "none", _through_gcdfree("singleton-vector"),
-        needs=_MUL_ONLY,
+        GCDFREE_SCALAR - {GateKind.UNION}, _through_gcdfree("singleton-vector"), needs=_MUL_ONLY
     ),
-    ("exact-vector", False): _Engine(
-        GCDFREE_SCALAR, "none", _through_gcdfree("exact"), needs=_MUL_ONLY
-    ),
-    ("singleton", False): _Engine(SINGLETON_SCALAR, "none", _prepare_singleton),
-    ("exact", False): _Engine(EXACT_SCALAR, "none", _prepare_exact, fallback="certificate"),
+    ("exact-vector", False): _Engine(GCDFREE_SCALAR, _through_gcdfree("exact"), needs=_MUL_ONLY),
+    ("singleton", False): _Engine(SINGLETON_SCALAR, _prepare_singleton),
+    ("exact", False): _Engine(EXACT_SCALAR, _prepare_exact, fallback="certificate"),
     ("certificate", False): _Engine(
-        EXACT_SCALAR, "none", lambda c, budget: _prepare_search(c, budget, _cert_value_bounds(c))
+        EXACT_SCALAR, lambda c, budget: _prepare_search(c, budget, _cert_value_bounds(c))
     ),
-    ("clamped-scalar", False): _Engine(CLAMPABLE_SCALAR, "structural", _prepare_clamped),
-    ("search", False): _Engine(CLAMPABLE_SCALAR, "structural", _prepare_search),
-    ("clamped-vector", False): _Engine(PRIMEFACT_SCALAR, "structural", _through_primefact,
+    ("clamped-scalar", False): _Engine(CLAMPABLE_SCALAR, _prepare_clamped),
+    ("search", False): _Engine(CLAMPABLE_SCALAR, _prepare_search),
+    ("clamped-vector", False): _Engine(PRIMEFACT_SCALAR, _through_primefact,
                                        fallback="divisor-search", cone=True),
-    ("divisor-search", False): _Engine(DIVISOR_SCALAR, "none", lambda c, budget: _prepare_search(
+    ("divisor-search", False): _Engine(DIVISOR_SCALAR, lambda c, budget: _prepare_search(
         c, budget, dict.fromkeys((g.gid for g in c.gates), math.inf))),
-    ("singleton-vector", True): _Engine(SINGLETON_VECTOR, "none", _prepare_singleton),
-    ("exact", True): _Engine(EXACT_VECTOR, "none", _prepare_exact),
-    ("clamped-vector", True): _Engine(CLAMPABLE_VECTOR, "structural", _prepare_clamped, cone=True),
-    ("search", True): _Engine(CLAMPABLE_VECTOR, "structural", _prepare_search),
+    ("singleton-vector", True): _Engine(SINGLETON_VECTOR, _prepare_singleton),
+    ("exact", True): _Engine(EXACT_VECTOR, _prepare_exact),
+    ("clamped-vector", True): _Engine(CLAMPABLE_VECTOR, _prepare_clamped, cone=True),
+    ("search", True): _Engine(CLAMPABLE_VECTOR, _prepare_search),
 }
 # vector -> the domain's rows in order, as (fragment, needs, name). certificate,
 # search and divisor-search are never picked: each follows a row with no needs
@@ -791,7 +786,7 @@ def decide(
             name, row = row.fallback, fallback
     stats["gates"] = len(c.gates)
     stats["micros"] = int((time.perf_counter() - t0) * 1e6)
-    return _new(MembershipVerdict, (ok, name, row.cutoff, stats, witness))
+    return _new(MembershipVerdict, (ok, name, stats, witness))
 
 
 def _check_query(c: Circuit, b):

@@ -36,21 +36,21 @@ class Reduction:
         return member != self.negate
 
 
+_new = tuple.__new__  # Gate's own __new__ is a Python function; Circuit() checks the fields
+
+
 class _Builder:
     def __init__(self):
         self.gates: list[Gate] = []
 
-    def _next(self) -> int:
-        return len(self.gates) + 1
-
     def input(self, value: int) -> int:
-        gid = self._next()
-        self.gates.append(Gate(gid, GateKind.INPUT, value=value))
+        gid = len(self.gates) + 1
+        self.gates.append(_new(Gate, (gid, GateKind.INPUT, (), value)))
         return gid
 
     def op(self, kind: GateKind, *preds: int) -> int:
-        gid = self._next()
-        self.gates.append(Gate(gid, kind, preds=preds))
+        gid = len(self.gates) + 1
+        self.gates.append(_new(Gate, (gid, kind, preds, None)))
         return gid
 
     def circuit(self, output: int) -> Circuit:

@@ -4,7 +4,6 @@ import pytest
 
 from circgen import SCALAR_FULL, VECTOR_FULL, random_scalar, random_vector
 from setcircuits import (
-    CutoffMode,
     FragmentError,
     GateKind,
     certified_cutoff,
@@ -35,7 +34,7 @@ def test_structural_cutoffs_transformed_primes():
     c = parse_circuit(PRIMES_VEC_TEXT)
     prof = structural_cutoff(c)
     assert [prof[g] for g in range(1, 8)] == [1, 2, 2, 2, 4, 4, 4]
-    assert prof.mode is CutoffMode.STRUCTURAL
+    assert prof == (prof.cutoffs,) and prof._fields == ("cutoffs",)
 
 
 def test_structural_recurrence_scalar():
@@ -124,7 +123,7 @@ def test_vector_cutoffs_refuse_nothing_in_clampable_set():
 
 def test_cutoff_profile_is_the_structural_one():
     c = parse_circuit("circuit v1\ngate 1 input 1\ngate 2 comp 1\noutput 2\n")
-    assert cutoff_profile(c) == structural_cutoff(c) == (CutoffMode.STRUCTURAL, {1: 3, 2: 3})
+    assert cutoff_profile(c) == structural_cutoff(c) == ({1: 3, 2: 3},)
 
 
 def test_value_bound_without_mul():

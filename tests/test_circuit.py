@@ -158,6 +158,13 @@ def test_huge_dim_is_named():
     _raises_at(None, "dim has more than", lambda: serialize_circuit(c))
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n# a comment only\n"])
+def test_no_tokens_is_a_missing_header(text):
+    with pytest.raises(CircuitParseError) as info:
+        parse_circuit(text)
+    assert (str(info.value), info.value.line) == ("missing header line", None)
+
+
 def test_parse_error_carries_location():
     try:
         parse_circuit("circuit v1\ngate 1 frobnicate 0\noutput 1\n")
@@ -205,6 +212,10 @@ def test_validation_direct_construction():
             Circuit((Gate(1, GateKind.INPUT, value=label),), output=1)
     with pytest.raises(CircuitValidationError, match="2-tuple"):
         Circuit((Gate(1, GateKind.INPUT, value=(1, -1)),), output=1, dim=2, vector=True)
+    with pytest.raises(CircuitValidationError, match="scalar circuits have dim 1"):
+        Circuit((Gate(1, GateKind.INPUT, value=1),), output=1, dim=2)
+    with pytest.raises(CircuitValidationError, match="gate id must be a natural number, got -1"):
+        Circuit((Gate(-1, GateKind.INPUT, value=1),), output=-1)
 
     class Nat(int):
         pass

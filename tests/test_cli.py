@@ -92,6 +92,11 @@ class TestValidate:
         assert main(["validate", circ(text)]) == 2
         assert f"(line {line}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", "\n  \n# a comment only\n"])
+    def test_a_file_with_no_tokens_is_exit_2(self, circ, capsys, text):
+        assert main(["validate", circ(text)]) == 2
+        assert capsys.readouterr().err == "error: missing header line\n"
+
     def test_missing_file_is_exit_3(self, capsys):
         assert main(["validate", "/nonexistent/x.circ"]) == 3
 
@@ -100,9 +105,7 @@ class TestMember:
     def test_true_and_false_lines(self, circ, capsys):
         p = circ(PRIMES_TEXT)
         assert main(["member", p, "7"]) == 0
-        assert capsys.readouterr().out.strip() == (
-            "member=true engine=clamped-vector cutoff=structural"
-        )
+        assert capsys.readouterr().out.strip() == "member=true engine=clamped-vector"
         assert main(["member", p, "8"]) == 0
         assert capsys.readouterr().out.startswith("member=false")
 
@@ -141,7 +144,7 @@ class TestMember:
     def test_a_refused_grid_falls_back_to_divisor_search(self, circ, capsys):
         p = circ(PRIMES_TEXT)
         assert main(["member", p, "7", "--max-grid-cells", "2"]) == 0
-        assert capsys.readouterr().out.strip() == "member=true engine=divisor-search cutoff=none"
+        assert capsys.readouterr().out.strip() == "member=true engine=divisor-search"
 
     def test_huge_queries(self, circ, capsys):
         p = circ(PRIMES_TEXT)
@@ -164,15 +167,20 @@ class TestMember:
         assert main(["member", p, "0", "--engine", "divisor-search"]) == 5
         assert "nonemptiness" in capsys.readouterr().err
         assert main(["member", p, "12", "--engine", "divisor-search"]) == 0
-        assert capsys.readouterr().out == "member=true engine=divisor-search cutoff=none\n"
+        assert capsys.readouterr().out == "member=true engine=divisor-search\n"
 
-    def test_bad_query_is_exit_2(self, circ):
+    def test_bad_query_is_exit_2(self, circ, capsys):
         assert main(["member", circ(NATS_TEXT), "x"]) == 2
         assert main(["member", circ(NATS_TEXT), "1,2"]) == 2
+        p = circ("vcircuit v1 dim 2\ngate 1 input 1,2\noutput 1\n", "v.circ")
+        capsys.readouterr()
+        for q in ("1", "1,2,3"):
+            assert main(["member", p, q]) == 2
+            assert "query must be 2 comma-separated naturals or 'inf'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["member", "5"], ["eval"], ["xcheck"]])
     def test_no_cutoff_mode_option(self, circ, capsys, argv):
-        # only bounds takes a mode: every engine decides at the structural cutoffs
+        # every engine decides at the structural cutoffs; no command takes a mode
         p = circ(NATS_TEXT)
         with pytest.raises(SystemExit) as exc:
             main([argv[0], p, *argv[1:], "--cutoff-mode", "certified"])
@@ -302,19 +310,21 @@ class TestEval:
 
 
 class TestBounds:
-    def test_both_modes(self, circ, capsys):
+    def test_both_profiles(self, circ, capsys):
         p = circ("circuit v1\ngate 1 input 1\ngate 2 comp 1\noutput 2\n")
         assert main(["bounds", p]) == 0
-        out = capsys.readouterr().out
-        assert "# structural cutoffs" in out
-        assert "# certified cutoffs" in out
-        assert "gate 2 comp cutoff=3" in out
+        assert capsys.readouterr().out == (
+            "# certified cutoffs\ngate 1 input cutoff=65\ngate 2 comp cutoff=8193\n"
+            "# structural cutoffs\ngate 1 input cutoff=3\ngate 2 comp cutoff=3\n"
+        )
 
-    def test_certified_mode(self, circ, capsys):
+    def test_no_mode_option(self, circ, capsys):
+        # both profiles are always printed
         p = circ("circuit v1\ngate 1 input 1\ngate 2 comp 1\noutput 2\n")
-        assert main(["bounds", p, "--mode", "certified"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("# certified cutoffs\n") and "# structural" not in out
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", p, "--mode", "certified"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
     def test_certified_power_rendering(self, circ, capsys):
         # a longer comp chain pushes certified cutoffs past 2^64
@@ -322,9 +332,9 @@ class TestBounds:
         for i in range(2, 12):
             lines.append(f"gate {i} comp {i - 1}")
         lines.append("output 11")
-        assert main(["bounds", circ("\n".join(lines) + "\n"), "--mode", "certified"]) == 0
+        assert main(["bounds", circ("\n".join(lines) + "\n")]) == 0
         out = capsys.readouterr().out
-        assert "cutoff=2^" in out and "+1" in out
+        assert "gate 11 comp cutoff=2^" in out and "+1" in out
 
     def test_value_bound_and_inapplicable_note(self, circ, capsys):
         assert main(["bounds", circ(PRIMES_TEXT)]) == 0
@@ -432,6 +442,22 @@ class TestGen:
         inst.write_text(json.dumps(payload))
         assert main(["gen", kind, str(inst)]) == 2
         assert capsys.readouterr().err.startswith(f"error: malformed {kind} instance")
+
+    @pytest.mark.parametrize("kind, payload, msg", [
+        ("cvp", {"gates": [["c", "const", 1], ["c", "const", 0]], "output": "c"},
+         "gate 'c' defined twice"),
+        ("cvp", {"gates": [["c", "const", 1], ["g", "xor", "c", "c"]], "output": "g"},
+         "unknown boolean op 'xor'"),
+        ("majority", {"root": "r", "children": {"r": []}, "labels": {}},
+         "internal node 'r' has no children"),
+        ("majority", {"root": "r", "children": {"r": ["a"]}, "labels": {}},
+         "child 'a' of 'r' is undefined"),
+    ])
+    def test_invalid_instance_is_exit_2(self, tmp_path, capsys, kind, payload, msg):
+        inst = tmp_path / "bad.json"
+        inst.write_text(json.dumps(payload))
+        assert main(["gen", kind, str(inst)]) == 2
+        assert capsys.readouterr().err == f"error: {msg}\n"
 
     def test_majority_on_a_deep_chain(self, tmp_path, capsys):
         # a 3,000-deep path: ordering the dag takes no Python recursion

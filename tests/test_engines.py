@@ -319,7 +319,7 @@ class TestClampedScalar:
         # by the kind and the operands' cutoffs, but one that gives two comp
         # gates of one operand two cutoffs gets two applications
         cut = {1: 2, 2: 4, 3: 6}
-        monkeypatch.setattr(engines, "cutoff_profile", lambda c: CutoffProfile("structural", cut))
+        monkeypatch.setattr(engines, "cutoff_profile", lambda c: CutoffProfile(cut))
         c = parse_circuit("circuit v1\ngate 1 input 0\ngate 2 comp 1\ngate 3 comp 1\noutput 3\n")
         calls.clear()
         reps, _ = eval_clamped_scalar(c)
@@ -495,7 +495,7 @@ class TestOutputCone:
             table = _certified_table(c)
             for x in [(0,), (1,), (2,), (5,), (40,), INF]:
                 v = decide(c, x, budget=TIGHT)
-                assert v.cutoff_mode == "structural"
+                assert v.engine == "clamped-vector"
                 assert v.member == table.member(x), f"x={x}\n{c}"
                 assert v.member == search_member(c, x, TIGHT), f"x={x}\n{c}"
                 assert v.member == ref_member_vector(c, x), f"x={x}\n{c}"
@@ -940,29 +940,29 @@ class TestCertificate:
 
 
 DISPATCH_CASES = [
-    # (text, query, engine, cutoff_mode)
+    # (text, query, engine)
     ("circuit v1\ngate 1 input 6\ngate 2 mul 1 1\ngate 3 div 2 1\ngate 4 add 3 1\n"
-     "gate 5 inter 4 4\noutput 5\n", 12, "singleton", "none"),
+     "gate 5 inter 4 4\noutput 5\n", 12, "singleton"),
     ("circuit v1\ngate 1 input 6\ngate 2 input 10\ngate 3 union 1 2\ngate 4 mul 3 1\n"
-     "output 4\n", 36, "exact-vector", "none"),
-    ("circuit v1\ngate 1 input 6\ngate 2 mul 1 1\noutput 2\n", 36, "singleton-vector", "none"),
+     "output 4\n", 36, "exact-vector"),
+    ("circuit v1\ngate 1 input 6\ngate 2 mul 1 1\noutput 2\n", 36, "singleton-vector"),
     ("circuit v1\ngate 1 input 6\ngate 2 add 1 1\ngate 3 union 1 2\noutput 3\n",
-     12, "exact", "none"),
+     12, "exact"),
     ("circuit v1\ngate 1 input 2\ngate 2 comp 1\ngate 3 add 2 1\noutput 3\n",
-     4, "clamped-scalar", "structural"),
+     4, "clamped-scalar"),
     ("circuit v1\ngate 1 input 2\ngate 2 comp 1\ngate 3 mul 2 1\noutput 3\n",
-     6, "clamped-vector", "structural"),
+     6, "clamped-vector"),
     ("vcircuit v1 dim 2\ngate 1 input 1,2\ngate 2 add 1 1\ngate 3 inter 2 2\noutput 3\n",
-     (2, 4), "singleton-vector", "none"),
+     (2, 4), "singleton-vector"),
     ("vcircuit v1 dim 2\ngate 1 input 1,2\ngate 2 add 1 1\ngate 3 union 2 1\noutput 3\n",
-     (1, 2), "exact", "none"),
+     (1, 2), "exact"),
     ("vcircuit v1 dim 2\ngate 1 input 1,2\ngate 2 comp 1\ngate 3 sub 2 1\noutput 3\n",
-     (0, 0), "clamped-vector", "structural"),
+     (0, 0), "clamped-vector"),
     # perfbench/gen.py's primes circuit: its prime-factor image has one axis
-    (PRIMES_TEXT, 7, "clamped-vector", "structural"),
-    (PRIMES_TEXT, 30, "clamped-vector", "structural"),
+    (PRIMES_TEXT, 7, "clamped-vector"),
+    (PRIMES_TEXT, 30, "clamped-vector"),
     ("vcircuit v1 dim 1\ngate 1 input 2\ngate 2 comp 1\ngate 3 sub 2 1\noutput 3\n",
-     (1,), "clamped-vector", "structural"),
+     (1,), "clamped-vector"),
 ]
 
 
@@ -1030,12 +1030,11 @@ def _fragment_circuit(key: str, live: bool = True):
 
 
 class TestDecideDispatch:
-    @pytest.mark.parametrize("text,query,engine,mode", DISPATCH_CASES)
-    def test_auto_routes(self, text, query, engine, mode):
+    @pytest.mark.parametrize("text,query,engine", DISPATCH_CASES)
+    def test_auto_routes(self, text, query, engine):
         c = parse_circuit(text)
         v = decide(c, query)
         assert v.engine == engine
-        assert v.cutoff_mode == mode
         assert v.stats["gates"] == len(c.gates)
         assert "micros" in v.stats
 
@@ -1099,6 +1098,20 @@ class TestDecideDispatch:
         with pytest.raises(OpenFragmentError) as by_xcheck:
             xcheck_circuit(c, max_b=4)
         assert str(by_xcheck.value) == str(by_decide.value)
+
+    @pytest.mark.parametrize("evaluate, vector", [
+        (eval_singleton, True), (eval_singleton_vector, False), (eval_clamped_scalar, True),
+        (eval_clamped_vector, False), (lambda c: eval_exact(c, query=4), True),
+        (lambda c: certificate_search(c, 4), True), (lambda c: verify_certificate(c, 4, {}), True),
+    ], ids=["singleton", "singleton-vector", "clamped-scalar", "clamped-vector", "exact-query",
+            "certificate-search", "verify-certificate"])
+    def test_evaluators_check_the_domain(self, evaluate, vector):
+        # a circuit of the other domain is refused before any gate is read
+        text = "vcircuit v1 dim 1\n" if vector else "circuit v1\n"
+        c = parse_circuit(text + "gate 1 input 2\noutput 1\n")
+        want = "scalar" if vector else "vector"
+        with pytest.raises(FragmentError, match=f" runs on {want} circuits$"):
+            evaluate(c)
 
     def test_explicit_engine_checks_fragment(self):
         c = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 comp 1\noutput 2\n")
@@ -1181,30 +1194,30 @@ ROUTE_LAYERS = {
 
 class TestVerdictRecord:
     def test_fields(self):
-        assert MembershipVerdict._fields == ("member", "engine", "cutoff_mode", "stats", "witness")
-        a, b = MembershipVerdict(True, "exact", "none"), MembershipVerdict(True, "exact", "none")
+        assert MembershipVerdict._fields == ("member", "engine", "stats", "witness")
+        a, b = MembershipVerdict(True, "exact"), MembershipVerdict(True, "exact")
         assert a.stats == {} and a.stats is not b.stats and a.witness is None
-        assert a == (True, "exact", "none", {}, None)
+        assert a == (True, "exact", {}, None)
 
-    @pytest.mark.parametrize("text,query,engine,mode", DISPATCH_CASES)
-    def test_routes_keep_strings_and_stats(self, text, query, engine, mode):
+    @pytest.mark.parametrize("text,query,engine", DISPATCH_CASES)
+    def test_routes_keep_strings_and_stats(self, text, query, engine):
         c = parse_circuit(text)
         first, second = decide(c, query), decide(c, query)
         for v in (first, second):
             assert type(v) is MembershipVerdict and type(v.member) is bool
-            assert (v.engine, v.cutoff_mode) == (engine, mode)
-            assert type(v.cutoff_mode) is str
+            assert v.engine == engine and type(v.engine) is str
             assert set(v.stats) == ROUTE_STATS[c.vector, engine]
         assert first.stats is not second.stats
 
-    def test_cutoff_mode_is_a_string(self):
-        # search is never picked, so DISPATCH_CASES do not show its string
+    def test_a_forced_search_names_only_its_row(self):
+        # search is never picked, so DISPATCH_CASES do not show its verdict;
+        # every row clamps at the one structural profile, so no column says which
         c = parse_circuit("circuit v1\ngate 1 input 2\ngate 2 comp 1\noutput 2\n")
         v = decide(c, 3, engine="search")
-        assert v.cutoff_mode == "structural" and type(v.cutoff_mode) is str
-        structural = {"clamped-scalar", "clamped-vector", "search"}
-        for (name, _), row in engines._ENGINES.items():
-            assert row.cutoff == ("structural" if name in structural else "none"), name
+        assert v[:2] == (True, "search") and type(v.engine) is str
+        assert [f.name for f in dataclasses.fields(engines._Engine)] == [
+            "fragment", "prepare", "needs", "fallback", "cone"
+        ]
 
     def test_no_cutoff_mode_is_taken(self):
         # every engine decides at the structural cutoffs; no caller picks another
@@ -1215,8 +1228,8 @@ class TestVerdictRecord:
             with pytest.raises(TypeError):
                 run()
 
-    @pytest.mark.parametrize("text,query,engine,mode", DISPATCH_CASES)
-    def test_routes_reach_their_traced_layers(self, monkeypatch, text, query, engine, mode):
+    @pytest.mark.parametrize("text,query,engine", DISPATCH_CASES)
+    def test_routes_reach_their_traced_layers(self, monkeypatch, text, query, engine):
         c = parse_circuit(text)
         called = set()
 
@@ -1256,7 +1269,7 @@ def _engines_of_domain(vector: bool) -> list[str]:
 
 class TestEngineTable:
     def _corpus(self):
-        for text, query, _, _ in DISPATCH_CASES:
+        for text, query, _ in DISPATCH_CASES:
             yield parse_circuit(text), query
         yield _fragment_circuit("s comp add mul"), 4  # every gate live: refused as open
         rng = random.Random(163)
@@ -1382,7 +1395,7 @@ class TestCutoffModesAgree:
         table = _certified_table(c, EngineBudget())
         for b in range(0, 12):
             v = decide(c, b)
-            assert v.cutoff_mode == "structural"
+            assert v.engine == "clamped-scalar"
             assert v.member == table.member(b) == search_member(c, b), f"b={b}"
             assert v.member == ref_member_scalar(c, b), f"b={b}"
 

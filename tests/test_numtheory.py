@@ -76,6 +76,15 @@ def test_factorize_rejects_zero():
         factorize(0)
 
 
+@pytest.mark.parametrize("call, msg", [
+    (lambda: certify(MR_BOUND - 1), "certify needs n >= MR_BOUND"),
+    (lambda: exponents_over_basis(0, (2, 3)), "exponent decomposition needs n >= 1, got 0"),
+], ids=["certify-below-mr-bound", "exponents-of-0"])
+def test_arguments_outside_the_domain_are_value_errors(call, msg):
+    with pytest.raises(ValueError, match=msg):
+        call()
+
+
 def test_factorize_budget_on_big_semiprime():
     p = 1_000_000_007
     assert factorize(p * p) == {p: 2}

@@ -197,6 +197,10 @@ class TestCvp:
             CvpInstance(gates=(("c", "const", 2),), output="c")
         with pytest.raises(ValueError):
             CvpInstance(gates=(("c", "const", 1),), output="missing")
+        with pytest.raises(ValueError, match="gate 'c' defined twice"):
+            CvpInstance(gates=(("c", "const", 1), ("c", "const", 0)), output="c")
+        with pytest.raises(ValueError, match="unknown boolean op 'xor'"):
+            CvpInstance(gates=(("c", "const", 1), ("g", "xor", "c", "c")), output="g")
 
     def test_random_agreement(self):
         rng = random.Random(173)
@@ -261,6 +265,10 @@ class TestMajorityDag:
             )  # labeled inner node
         with pytest.raises(ValueError):
             MajorityDagInstance(root="r", children={}, labels={"r": True})  # bad label
+        with pytest.raises(ValueError, match="internal node 'r' has no children"):
+            MajorityDagInstance(root="r", children={"r": ()}, labels={})
+        with pytest.raises(ValueError, match="child 'a' of 'r' is undefined"):
+            MajorityDagInstance(root="r", children={"r": ("a",)}, labels={})
 
     def test_random_agreement(self):
         rng = random.Random(179)

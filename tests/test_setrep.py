@@ -88,6 +88,7 @@ def test_natrep_from_elements_requires_room():
     lambda: NatSetRep(cutoff=2, mask=0b1000),
     lambda: VecSetRep(dim=2, cutoff=1, cells=frozenset({(2, 0)})),
     lambda: VecSetRep(dim=0, cutoff=1, cells=frozenset()),
+    lambda: VecSetRep(dim=2, cutoff=0, cells=frozenset()),
     lambda: NatSetRep(cutoff=2, mask=0b101)._replace(cutoff=1),
     lambda: VecSetRep._make((1, 2, frozenset({(3,)}), False)),
     lambda: VecSetRep(dim=1, cutoff=3, cells=frozenset({(1.0,)})),
@@ -107,9 +108,10 @@ def test_natrep_from_elements_requires_room():
     lambda: VecSetRep(dim=1, cutoff=3, cells=frozenset())._replace(inf="no"),
     lambda: copy.copy(tuple.__new__(type(VecSetRep(1, 2, frozenset())), (1, 2, 0b10, "no"))),
     lambda: pickle.loads(pickle.dumps(tuple.__new__(VecSetRep, (2, 2, frozenset(), 0)))),
-], ids=["nat-cutoff-0", "nat-bit-past-cutoff", "vec-cell-outside", "vec-dim-0", "nat-replace",
-        "vec-make", "vec-float-coord", "vec-bool-coord", "vec-negative-coord", "vec-cell-not-tuple",
-        "vec-cell-short", "axis-replace-past-cutoff", "axis-replace-bool", "axis-replace-dim",
+], ids=["nat-cutoff-0", "nat-bit-past-cutoff", "vec-cell-outside", "vec-dim-0", "vec-cutoff-0",
+        "nat-replace", "vec-make", "vec-float-coord", "vec-bool-coord", "vec-negative-coord",
+        "vec-cell-not-tuple", "vec-cell-short", "axis-replace-past-cutoff", "axis-replace-bool",
+        "axis-replace-dim",
         "nat-bool-mask", "nat-float-cutoff", "vec-str-inf", "axis-str-inf", "vec-int-inf",
         "vec-replace-inf", "axis-replace-inf", "axis-copy-inf", "vec-pickle-inf"])
 def test_public_constructors_check_their_fields(make):
@@ -237,6 +239,16 @@ def test_natrep_mul_refused():
         natrep_apply(GateKind.MUL, a, a, 3)
 
 
+@pytest.mark.parametrize("apply", [
+    lambda: natrep_apply(GateKind.COMP, NatSetRep(cutoff=1, mask=1), None, 0),
+    lambda: vecrep_apply(GateKind.COMP, vecrep_from_label((0,), dim=1, cutoff=1), None, 0),
+    lambda: vecrep_apply(GateKind.COMP, vecrep_from_label((0, 0), dim=2, cutoff=1), None, 0),
+], ids=["natrep", "vecrep-dim-1", "vecrep-dim-2"])
+def test_kernels_refuse_result_cutoff_0(apply):
+    with pytest.raises(ValueError, match="result_cutoff must be >= 1, got 0"):
+        apply()
+
+
 def test_natrep_budget():
     a = NatSetRep.from_elements([1], cutoff=3)
     with pytest.raises(BudgetExceeded):
@@ -332,62 +344,10 @@ def _rep1(cutoff, elems, tail=False, inf=False):
     return VecSetRep(dim=1, cutoff=cutoff, cells=frozenset(cells), inf=inf)
 
 
-def _want1(kind, a, b, n):
-    """The table at result cutoff n from literal membership: every cell is the
-    literal point, as the grid path computes it; witnesses searched wide."""
-    wide = 3 * (a.cutoff + (b.cutoff if b else 0) + n) + 5
-    cells = set()
-    for p in range(n + 1):
-        if kind is GateKind.COMP:
-            hit = not a.member((p,))
-        elif kind is GateKind.UNION:
-            hit = a.member((p,)) or b.member((p,))
-        elif kind is GateKind.INTER:
-            hit = a.member((p,)) and b.member((p,))
-        elif kind is GateKind.ADD:
-            hit = any(b.member((y,)) and a.member((p - y,)) for y in range(p + 1))
-        else:
-            hit = any(b.member((y,)) and a.member((p + y,)) for y in range(wide))
-        if hit:
-            cells.add((p,))
-    finite_a, finite_b = bool(a.cells), bool(b and b.cells)
-    inf = {
-        GateKind.COMP: lambda: not a.inf,
-        GateKind.UNION: lambda: a.inf or b.inf,
-        GateKind.INTER: lambda: a.inf and b.inf,
-        GateKind.ADD: lambda: (a.inf and (finite_b or b.inf)) or (b.inf and (finite_a or a.inf)),
-        GateKind.SUB: lambda: a.inf and finite_b,
-    }[kind]()
-    return VecSetRep(dim=1, cutoff=n, cells=frozenset(cells), inf=bool(inf))
+VECTOR_KINDS = [GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.ADD, GateKind.SUB]
 
 
-ONE_AXIS_KINDS = [GateKind.UNION, GateKind.INTER, GateKind.COMP, GateKind.ADD, GateKind.SUB]
-
-
-@pytest.mark.parametrize("kind", ONE_AXIS_KINDS)
-def test_one_axis_tables_match_literal_membership(kind):
-    # operand cutoffs below, at and above the result cutoff; empty and full
-    # operands; inf on either side
-    rng = random.Random(f"one-axis-{kind.value}")
-    shapes = [
-        lambda k: _rep1(k, []),  # empty
-        lambda k: _rep1(k, range(k), tail=True),  # everything finite
-        lambda k: _rep1(k, [], tail=True),  # only the tail: sub needs y = w
-        lambda k: _rep1(k, [x for x in range(k) if rng.random() < 0.4], tail=rng.random() < 0.5),
-        lambda k: _rep1(k, [x for x in range(k) if rng.random() < 0.1]),
-    ]
-    for _ in range(150):
-        n = rng.randint(1, 9)
-        ka = rng.choice((max(1, n - rng.randint(1, 3)), n, n + rng.randint(1, 4)))
-        kb = rng.choice((max(1, n - rng.randint(1, 3)), n, n + rng.randint(1, 4)))
-        a = rng.choice(shapes)(ka)._replace(inf=rng.random() < 0.3)
-        b = None if kind is GateKind.COMP else rng.choice(shapes)(kb)._replace(inf=rng.random() < 0.3)
-        got = vecrep_apply(kind, a, b, n)
-        assert got == _want1(kind, a, b, n), (kind, a, b, n)
-        assert type(got.inf) is bool
-
-
-@pytest.mark.parametrize("kind", ONE_AXIS_KINDS)
+@pytest.mark.parametrize("kind", VECTOR_KINDS)
 def test_one_axis_budget_refusals_at_the_grid_sizes(kind):
     # the refusal sizes of the grid path: n + 1 cells, (n+1)(n+2)/2 add
     # pairs, (n+1)(w+1) sub pairs with w = max(n_A, n_B)
@@ -413,7 +373,7 @@ def test_one_axis_never_calls_natrep_apply(monkeypatch):
 
     monkeypatch.setattr(setrep, "natrep_apply", refuse)
     a, b = _rep1(4, [1, 3], tail=True), _rep1(3, [0, 2])
-    for kind in ONE_AXIS_KINDS:
+    for kind in VECTOR_KINDS:
         vecrep_apply(kind, a, None if kind is GateKind.COMP else b, 5)
 
 
@@ -439,7 +399,7 @@ def test_one_axis_mask_reads_as_its_cells():
             assert r.member(x if x is INF else (x,)) is member(x if x is INF else (x,))
 
 
-@pytest.mark.parametrize("kind", ONE_AXIS_KINDS)
+@pytest.mark.parametrize("kind", VECTOR_KINDS)
 def test_one_axis_kernel_results_equal_constructor_tables(kind):
     rng = random.Random(f"one-axis-results-{kind.value}")
     for _ in range(200):
@@ -458,7 +418,7 @@ def test_one_axis_kernel_results_equal_constructor_tables(kind):
 
 
 # ---------------------------------------------------------------------------
-# sub: one shift kernel at every dim
+# every vector kernel at dims 1-4, against the point definition
 
 
 def _random_vec(rng, dim, cutoff, density):
@@ -466,24 +426,45 @@ def _random_vec(rng, dim, cutoff, density):
     return VecSetRep(dim, cutoff, frozenset(p for p in grid if rng.random() < density))
 
 
-def _sub_by_points(a, b, n):
-    """A - B at cutoff n by the point definition: p is in A - B iff some y in
-    [0, w]^dim, w = max(n_A, n_B), lies in B with p + y in A; inf is in it
-    iff inf is in A and B has a finite point."""
-    dim, w = a.dim, max(a.cutoff, b.cutoff)
-    box = list(itertools.product(range(w + 1), repeat=dim))
-    ys = [y for y in box if b.member(y)]
-    cells = frozenset(
-        p for p in itertools.product(range(n + 1), repeat=dim)
-        if any(a.member(tuple(u + v for u, v in zip(p, y))) for y in ys)
-    )
-    return VecSetRep(dim, n, cells, a.inf and bool(ys))
+def _by_points(kind, a, b, n):
+    """The table of kind at cutoff n by the point definition, each cell read
+    as the literal point. union, inter and comp are pointwise. p is in A + B
+    iff some y <= p (on every axis) lies in B with p - y in A, and in A - B
+    iff some y in [0, w]^dim, w = max(n_A, n_B), lies in B with p + y in A.
+    inf is in A + B iff one side holds inf and the other is nonempty, and in
+    A - B iff inf is in A and B has a finite point."""
+    dim = a.dim
+    points = list(itertools.product(range(n + 1), repeat=dim))
+    if kind is GateKind.COMP:
+        cells, inf = [p for p in points if not a.member(p)], not a.inf
+    elif kind is GateKind.UNION:
+        cells, inf = [p for p in points if a.member(p) or b.member(p)], a.inf or b.inf
+    elif kind is GateKind.INTER:
+        cells, inf = [p for p in points if a.member(p) and b.member(p)], a.inf and b.inf
+    elif kind is GateKind.ADD:  # y and p - y lie in [0, n]^dim
+        in_a, in_b = {p for p in points if a.member(p)}, {p for p in points if b.member(p)}
+        cells = [p for p in points if any(
+            y in in_b and tuple(u - v for u, v in zip(p, y)) in in_a
+            for y in itertools.product(*(range(u + 1) for u in p)))]
+        inf = (a.inf and (b.inf or b.finite_nonempty())) or (b.inf and a.finite_nonempty())
+    else:  # SUB
+        box = itertools.product(range(max(a.cutoff, b.cutoff) + 1), repeat=dim)
+        ys = [y for y in box if b.member(y)]
+        cells = [p for p in points
+                 if any(a.member(tuple(u + v for u, v in zip(p, y))) for y in ys)]
+        inf = a.inf and bool(ys)
+    return VecSetRep(dim, n, frozenset(cells), inf)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_sub_matches_the_point_definition(dim):
-    rng = random.Random(f"sub-points-{dim}")
-    top = {1: 9, 2: 5, 3: 3, 4: 2}[dim]
+@pytest.mark.parametrize("kind", VECTOR_KINDS)
+def test_kernels_match_the_point_definition(kind, dim):
+    # operand cutoffs below, at and above the result cutoff; empty, full,
+    # tail-only and corner-only operands; inf on either side
+    rng = random.Random(f"points-{kind.value}-{dim}")
+    top, rounds = {1: (9, 150), 2: (5, 60), 3: (3, 60), 4: (2, 60)}[dim]
+    if kind is GateKind.ADD and dim >= 3:  # both sides decompose every point
+        rounds = 20
     grid = lambda k: itertools.product(range(k + 1), repeat=dim)  # noqa: E731
     shapes = [
         lambda k: VecSetRep(dim, k, frozenset()),  # empty
@@ -492,15 +473,19 @@ def test_sub_matches_the_point_definition(dim):
         lambda k: VecSetRep(dim, k, frozenset({(k,) * dim})),  # only the corner class
         lambda k: _random_vec(rng, dim, k, rng.choice((0.1, 0.4, 0.8))),
     ]
-    for _ in range(60):
+    for _ in range(rounds):
         ka, kb = rng.randint(1, top), rng.randint(1, top)
         low, high = min(ka, kb), max(ka, kb)
         n = rng.choice((max(1, low - 1), low, high, high + rng.randint(1, 2)))
         a = rng.choice(shapes)(ka)._replace(inf=rng.random() < 0.3)
-        b = rng.choice(shapes)(kb)._replace(inf=rng.random() < 0.3)
-        got = vecrep_apply(GateKind.SUB, a, b, n)
-        assert got == _sub_by_points(a, b, n), (a, b, n)
+        b = None if kind is GateKind.COMP else rng.choice(shapes)(kb)._replace(inf=rng.random() < 0.3)
+        got = vecrep_apply(kind, a, b, n)
+        assert got == _by_points(kind, a, b, n), (kind, a, b, n)
         assert type(got.inf) is bool
+
+
+# ---------------------------------------------------------------------------
+# sub: one shift kernel at every dim
 
 
 @pytest.mark.parametrize("dim, n, ka, kb", [
@@ -516,7 +501,7 @@ def test_vector_sub_unfolds_far_past_a_cutoff(dim, n, ka, kb):
     for _ in range(3):
         a = _random_vec(rng, dim, ka, 0.5)._replace(inf=rng.random() < 0.5)
         b = _random_vec(rng, dim, kb, 0.3)
-        assert vecrep_apply(GateKind.SUB, a, b, n) == _sub_by_points(a, b, n), (a, b, n)
+        assert vecrep_apply(GateKind.SUB, a, b, n) == _by_points(GateKind.SUB, a, b, n), (a, b, n)
         for rep, m in ((a, n + ka), (b, ka)):
             want = sum(1 << sum(v * s**e for v, e in zip(p, range(dim - 1, -1, -1)))
                        for p in itertools.product(range(m + 1), repeat=dim) if rep.member(p))
